@@ -201,6 +201,16 @@ def related_property_iri(predicate: Iri) -> Iri:
     return Iri(f"{predicate.value}{sep}contextual")
 
 
+class PatternError(ValueError):
+    """A graph or a statement set that the contextual-part pattern cannot
+    represent faithfully: the graph being inverted violates the pattern, or
+    minting would merge two different parts into one IRI."""
+
+
+def _describe(assignments: frozenset[tuple[str, Iri]]) -> str:
+    return ", ".join(f"{dim}={ctx.n3()}" for dim, ctx in sorted(assignments))
+
+
 class _Builder:
     def __init__(
         self,
@@ -221,6 +231,8 @@ class _Builder:
         self.predicate_map = predicate_map or {}
         self.triples: set[Triple] = set()
         self.descriptions: list[Graph] = []
+        # Each minted part IRI with the entity and assignments it stands for.
+        self.minted: dict[Iri, tuple[Iri, frozenset[tuple[str, Iri]]]] = {}
         # Predicates that would be swallowed as scaffolding when kept as-is.
         self.reserved = {RDF_TYPE, RDFS.subClassOf, RDFS.subPropertyOf,
                          vocab.contextualPartOf, vocab.contextualExtent, vocab.memberContext}
@@ -257,6 +269,21 @@ class _Builder:
                 self.triples.add(Triple(predicate, RDFS.subPropertyOf, dim.contextual_property))
         return predicate
 
+    def _mint_part(self, entity: Iri, pairs: tuple[tuple[str, Iri], ...]) -> Iri:
+        """The part IRI for `entity` under `pairs`; two different parts must
+        not share one, which suffix minting allows when contexts share a
+        local name."""
+        part = self.policy.mint_part(entity, pairs)
+        owner = (entity, frozenset(pairs))
+        previous = self.minted.setdefault(part, owner)
+        if previous != owner:
+            raise PatternError(
+                f"minted part {part.n3()} for both {previous[0].n3()} in "
+                f"{_describe(previous[1])} and {entity.n3()} in {_describe(owner[1])}; "
+                "give the contexts distinct local names or set mode = hash under [minting]"
+            )
+        return part
+
     def _context_pairs(self, pairs: tuple[tuple[str, Iri], ...]) -> list[tuple[ContextDimension, Iri]]:
         return [(self.registry.get(name), ctx) for name, ctx in pairs]
 
@@ -267,11 +294,11 @@ class _Builder:
         predicate: Iri,
     ) -> None:
         base = statement.base
-        subject_part = self.policy.mint_part(base.subject, pairs)
+        subject_part = self._mint_part(base.subject, pairs)
         for dim, ctx in self._context_pairs(pairs):
             self._attach(subject_part, dim, base.subject, ctx)
         if isinstance(base.object, Iri):
-            object_part = self.policy.mint_part(base.object, pairs)
+            object_part = self._mint_part(base.object, pairs)
             for dim, ctx in self._context_pairs(pairs):
                 self._attach(object_part, dim, base.object, ctx)
             self.triples.add(Triple(subject_part, predicate, object_part))
@@ -300,7 +327,7 @@ class _Builder:
                 dim = self.registry.get(name)
                 ctx = by_name[name]
                 taken.append((name, ctx))
-                part = self.policy.mint_part(entity, tuple(taken))
+                part = self._mint_part(entity, tuple(taken))
                 self._attach(part, dim, parent, ctx)
                 parent = part
             return parent
@@ -326,7 +353,7 @@ class _Builder:
             self.triples.add(Triple(ctx, RDF_TYPE, dim.context_class))
 
         def build_part(entity: Iri) -> Iri:
-            part = self.policy.mint_part(entity, pairs)
+            part = self._mint_part(entity, pairs)
             self.triples.add(Triple(part, RDF_TYPE, combined.part_class))
             self.triples.add(Triple(part, combined.part_of, entity))
             self.triples.add(Triple(part, combined.extent, context))
@@ -366,10 +393,6 @@ def contextualize(
 
 
 # --- decontextualization -----------------------------------------------------
-
-
-class PatternError(ValueError):
-    """The graph violates the contextual-part pattern being inverted."""
 
 
 class _Reader:
@@ -504,12 +527,14 @@ def decontextualize(
         if selection is not None and not {ctx for _, ctx in contexts} & set(selection):
             continue
         predicate = reverse.get(triple.predicate, triple.predicate)
-        recovered.add(
-            AnnotatedStatement(
+        try:
+            statement = AnnotatedStatement(
                 Triple(subject, predicate, obj),
                 frozenset(ContextAssignment(d, c) for d, c in contexts),
             )
-        )
+        except ValueError as error:
+            raise PatternError(f"cannot recover a statement from {triple.n3()}: {error}") from None
+        recovered.add(statement)
     return sorted(
         recovered,
         key=lambda s: (s.base.sort_key(), [(d, c.value) for d, c in s.assignment_pairs()]),

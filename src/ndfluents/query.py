@@ -268,7 +268,7 @@ def _selectivity(
         if isinstance(predicate, Variable) or not isinstance(predicate, Iri):
             extent = len(graph)
         else:
-            extent = sum(1 for _ in graph.match(None, predicate, None))
+            extent = graph.count(None, predicate, None)
     return (unbound, extent)
 
 
@@ -456,24 +456,22 @@ def context_slice(
             out.update(targets)
         return out
 
-    reach_memo: dict[Term, bool] = {}
-
-    def reaches(part: Term, seen: frozenset[Term]) -> bool:
-        if part in reach_memo:
-            return reach_memo[part]
-        if direct_hit(part):
-            reach_memo[part] = True
-            return True
-        result = any(
-            parent not in seen and reaches(parent, seen | {part})
-            for parent in parents_of(part)
-        )
-        if not seen:
-            reach_memo[part] = result
-        return result
-
+    # A part is in the slice when it or a part-chain ancestor is a direct
+    # hit, so walk down from every hit along the partOf edges reversed.
+    children: dict[Term, list[Term]] = {}
+    for part, by_prop in reader.parents.items():
+        for targets in by_prop.values():
+            for parent in targets:
+                children.setdefault(parent, []).append(part)
     all_parts = set(reader.parents) | set(reader.typed_parts)
-    reached = {part for part in all_parts if reaches(part, frozenset())}
+    frontier = [node for node in all_parts | set(children) if direct_hit(node)]
+    reaching = set(frontier)
+    while frontier:
+        for child in children.get(frontier.pop(), ()):
+            if child not in reaching:
+                reaching.add(child)
+                frontier.append(child)
+    reached = reaching & all_parts
 
     # Scaffolding closure: every chain ancestor of a kept part comes along so
     # the slice stays decontextualizable.

@@ -1,16 +1,18 @@
 """RDF data model: terms, triples, quads, and immutable in-memory graphs.
 
 Terms use term equality throughout (lexical form + datatype + language tag
-for literals), never value equality. Graphs are frozen sets of triples with
-a deterministic total order, so every downstream operation (serialization,
-triple counting, diffing) is stable across runs.
+for literals), never value equality. Graphs are frozen sets of triples.
+Iterating a graph follows a deterministic total order, so serialization,
+triple counting and diffing are stable across runs; `Graph.match` answers
+from hash indexes and yields in no particular order.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Collection, Iterable, Iterator
 
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
@@ -19,7 +21,7 @@ _LANG_RE = re.compile(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$")
 _BLANK_LABEL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Iri:
     """An absolute IRI."""
 
@@ -45,7 +47,7 @@ class Iri:
         return f"Iri({self.value!r})"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class BlankNode:
     label: str
 
@@ -98,7 +100,7 @@ def _escape_literal(text: str) -> str:
     return "".join(_LITERAL_ESCAPES.get(ch, ch) for ch in text)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Literal:
     """An RDF literal. A language tag forces rdf:langString; the datatype
     otherwise defaults to xsd:string."""
@@ -146,7 +148,7 @@ def term_sort_key(term: Term) -> str:
     return term.n3()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: Term
     predicate: Term
@@ -155,8 +157,10 @@ class Triple:
     def __post_init__(self) -> None:
         if not isinstance(self.predicate, Iri):
             raise ValueError(f"triple predicate must be an IRI, got {self.predicate!r}")
-        if isinstance(self.subject, Literal):
-            raise ValueError("triple subject must not be a literal")
+        if not isinstance(self.subject, (Iri, BlankNode)):
+            raise ValueError(f"triple subject must be an IRI or blank node, got {self.subject!r}")
+        if not isinstance(self.object, (Iri, BlankNode, Literal)):
+            raise ValueError(f"triple object must be an RDF term, got {self.object!r}")
 
     def n3(self) -> str:
         return f"{self.subject.n3()} {self.predicate.n3()} {self.object.n3()} ."
@@ -179,20 +183,35 @@ class Quad:
         return Triple(self.subject, self.predicate, self.object)
 
 
+# Key functions of the hash indexes, one per combination of bound positions
+# short of all three; each also names its index in `Graph._indexes`.
+_BY_S = attrgetter("subject")
+_BY_P = attrgetter("predicate")
+_BY_O = attrgetter("object")
+_BY_SP = attrgetter("subject", "predicate")
+_BY_SO = attrgetter("subject", "object")
+_BY_PO = attrgetter("predicate", "object")
+
+
 class Graph:
     """An immutable set of triples with an optional graph name.
 
     Set semantics: duplicates collapse, so cardinality is the count of
     distinct triples. Instances are hashable and safely shareable across
     threads; derive new graphs with `union` instead of mutating.
+
+    Iteration follows `Triple.sort_key`. `match` and `count` answer from
+    hash indexes, one per combination of bound positions, each built on
+    the first call that needs it and kept for the life of the graph.
     """
 
-    __slots__ = ("_triples", "name", "_sorted")
+    __slots__ = ("_triples", "name", "_sorted", "_indexes")
 
     def __init__(self, triples: Iterable[Triple] = (), name: Iri | None = None):
         self._triples = frozenset(triples)
         self.name = name
         self._sorted: tuple[Triple, ...] | None = None
+        self._indexes: dict[attrgetter, dict[object, Triple | list[Triple]]] = {}
 
     def sorted_triples(self) -> tuple[Triple, ...]:
         """Triples in lexicographic (subject, predicate, object) order."""
@@ -206,21 +225,76 @@ class Graph:
             triples.update(other)
         return Graph(triples, name=name if name is not None else self.name)
 
+    def _bucket(self, key: attrgetter, value: object) -> Collection[Triple]:
+        """The triples whose positions read by `key` equal `value`."""
+        index = self._indexes.get(key)
+        if index is None:
+            # A bucket of one triple is stored bare, which saves a list per
+            # key: most keys of the two-position indexes have one triple.
+            # The index is built in full before it is published, so a
+            # thread that reads the graph concurrently sees either no index
+            # or a complete one.
+            index = {}
+            for t in self._triples:
+                k = key(t)
+                bucket = index.get(k)
+                if bucket is None:
+                    index[k] = t
+                elif isinstance(bucket, Triple):
+                    index[k] = [bucket, t]
+                else:
+                    bucket.append(t)
+            self._indexes[key] = index
+        bucket = index.get(value, ())
+        return (bucket,) if isinstance(bucket, Triple) else bucket
+
+    def _lookup(
+        self, subject: Term | None, predicate: Iri | None, obj: Term | None
+    ) -> Collection[Triple]:
+        """The triples equal to every non-None position, in no particular order."""
+        if subject is not None:
+            if predicate is not None:
+                if obj is not None:
+                    try:
+                        triple = Triple(subject, predicate, obj)
+                    except ValueError:
+                        return ()
+                    return (triple,) if triple in self._triples else ()
+                return self._bucket(_BY_SP, (subject, predicate))
+            if obj is not None:
+                return self._bucket(_BY_SO, (subject, obj))
+            return self._bucket(_BY_S, subject)
+        if predicate is not None:
+            if obj is not None:
+                return self._bucket(_BY_PO, (predicate, obj))
+            return self._bucket(_BY_P, predicate)
+        if obj is not None:
+            return self._bucket(_BY_O, obj)
+        return self._triples
+
     def match(
         self,
         subject: Term | None = None,
         predicate: Iri | None = None,
         obj: Term | None = None,
     ) -> Iterator[Triple]:
-        """All triples matching the given positions (None is a wildcard)."""
-        for t in self.sorted_triples():
-            if subject is not None and t.subject != subject:
-                continue
-            if predicate is not None and t.predicate != predicate:
-                continue
-            if obj is not None and t.object != obj:
-                continue
-            yield t
+        """All triples matching the given positions (None is a wildcard).
+
+        With a position bound the triples come in no particular order (it
+        can change between runs); with none bound, in `sorted_triples` order.
+        """
+        if subject is None and predicate is None and obj is None:
+            return iter(self.sorted_triples())
+        return iter(self._lookup(subject, predicate, obj))
+
+    def count(
+        self,
+        subject: Term | None = None,
+        predicate: Iri | None = None,
+        obj: Term | None = None,
+    ) -> int:
+        """How many triples `match` yields for the same positions."""
+        return len(self._lookup(subject, predicate, obj))
 
     def subjects(self, predicate: Iri | None = None, obj: Term | None = None) -> list[Term]:
         return sorted({t.subject for t in self.match(None, predicate, obj)}, key=lambda x: x.n3())

@@ -7,10 +7,13 @@ import random
 import pytest
 
 from ndfluents import (
+    RDF_TYPE,
     AnnotatedStatement,
     DimensionRegistry,
+    Graph,
     Literal,
     Namespace,
+    Triple,
     XSD,
     annotate,
     conventional_dimension,
@@ -66,6 +69,35 @@ def random_corpus(rng: random.Random, serial: int) -> list[AnnotatedStatement]:
         ]
         statements.append(annotate(subject, predicate, obj, *assignments))
     return statements
+
+
+def part_chain(depth: int) -> Graph:
+    """`EX.p0` temporalPartOf `EX.p1` ... `EX.p<depth-1>` temporalPartOf
+    `EX.Paris`, with the temporal extent `EX.y2016` only on the outermost
+    part and `EX.p0 EX.population 5`; beside it, `EX.q` is a part of Paris
+    in `EX.y2017` with `EX.q EX.population 7`."""
+    temporal = temporal_dimension()
+    triples = [Triple(EX.y2016, RDF_TYPE, temporal.context_class)]
+    for i in range(depth):
+        parent = EX[f"p{i + 1}"] if i + 1 < depth else EX.Paris
+        triples.append(Triple(EX[f"p{i}"], temporal.part_of, parent))
+        triples.append(Triple(EX[f"p{i}"], RDF_TYPE, temporal.part_class))
+    triples.append(Triple(EX[f"p{depth - 1}"], temporal.extent, EX.y2016))
+    triples.append(Triple(EX.p0, EX.population, Literal("5", datatype=XSD.integer)))
+    return Graph(triples).union(chain_outsider())
+
+
+def chain_outsider() -> Graph:
+    """The triples of `part_chain` outside the `EX.y2016` slice."""
+    temporal = temporal_dimension()
+    return Graph(
+        [
+            Triple(EX.q, temporal.part_of, EX.Paris),
+            Triple(EX.q, RDF_TYPE, temporal.part_class),
+            Triple(EX.q, temporal.extent, EX.y2017),
+            Triple(EX.q, EX.population, Literal("7", datatype=XSD.integer)),
+        ]
+    )
 
 
 @pytest.fixture

@@ -2,10 +2,14 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import EX
+from conftest import EX, part_chain
 
 from ndfluents import (
     RDF,
@@ -32,6 +36,17 @@ from ndfluents.vocabulary import (
 )
 
 FIXTURE_CSV = "fixtures/world_population.csv"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(args, hash_seed="0"):
+    """Run the command line in a fresh interpreter with the given hash seed."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "ndfluents.cli", *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 @pytest.fixture
@@ -437,6 +452,66 @@ class TestQuery:
             "1500,459300000.00,4\n"
             "1900,1648000000.00,4\n"
         )
+
+
+class TestSubprocess:
+    def test_context_query_on_a_deep_part_chain(self, tmp_path):
+        graph = tmp_path / "chain.nt"
+        graph.write_text(serialize_ntriples(part_chain(3000)), encoding="utf-8")
+        pattern = tmp_path / "pattern.rq"
+        pattern.write_text(
+            "CONTEXT temporal <http://example.org/y2016>\n"
+            "?part <http://example.org/population> ?v .\n"
+            "AGG SUM ?v AS total\n",
+            encoding="utf-8",
+        )
+        done = run_cli(["query", graph, "--pattern", pattern])
+        assert (done.returncode, done.stdout) == (0, "total\n5\n")
+        assert "Traceback" not in done.stderr
+
+    def test_output_does_not_depend_on_the_hash_seed(self, tmp_path):
+        statements = tmp_path / "population.csv"
+        descriptions = tmp_path / "descriptions.ttl"
+        graph = tmp_path / "population.ttl"
+        assert main(["ingest-csv", FIXTURE_CSV, "-o", str(statements), "--descriptions", str(descriptions)]) == 0
+        assert main(["contextualize", str(statements), "--merge", str(descriptions), "-o", str(graph)]) == 0
+        faulty = tmp_path / "faulty.ttl"
+        part = "<http://dbpedia.org/resource/Earth@interval_0_source_Biraben>"
+        faulty.write_text(
+            graph.read_text(encoding="utf-8")
+            + f"{part} a <http://purl.org/NET/ndfluents#Context> ;\n"
+            "    <http://purl.org/NET/ndfluents/4dFluents#temporalPartOf> "
+            "<http://dbpedia.org/resource/Mars> , "
+            "<http://purl.org/NET/ndfluents/population#interval_0> ;\n"
+            "    <http://example.org/linked> "
+            "<http://dbpedia.org/resource/Earth@interval_-400_source_Biraben> .\n"
+            "<http://example.org/x> a <http://purl.org/NET/ndfluents/4dFluents#TemporalPart> .\n",
+            encoding="utf-8",
+        )
+        pattern = tmp_path / "pattern.rq"
+        pattern.write_text(
+            "PREFIX 4d: <http://purl.org/NET/ndfluents/4dFluents#>\n"
+            "PREFIX time: <http://www.w3.org/2006/time#>\n"
+            "PREFIX dbo: <http://dbpedia.org/ontology/>\n"
+            "?part dbo:populationTotal ?pop .\n"
+            "?part 4d:temporalExtent ?interval .\n"
+            "?interval time:intervalDuring ?spec .\n"
+            "?spec time:hasDateTimeDescription ?desc .\n"
+            "?desc time:year ?year .\n"
+            "GROUP BY ?year\n"
+            "AGG AVG ?pop AS avg_population\n"
+            "AGG COUNT DISTINCT ?part AS estimates\n",
+            encoding="utf-8",
+        )
+        commands = {
+            "contextualize": ["contextualize", statements, "--merge", descriptions],
+            "query": ["query", graph, "--pattern", pattern],
+            "validate": ["validate", faulty],
+        }
+        for name, args in commands.items():
+            runs = [run_cli(args, hash_seed) for hash_seed in ("0", "1")]
+            assert [done.returncode for done in runs] == [1 if name == "validate" else 0] * 2
+            assert runs[0].stdout and runs[0].stdout == runs[1].stdout, name
 
 
 class TestErrorPaths:

@@ -6,6 +6,7 @@ import pytest
 
 from ndfluents import (
     AnnotatedStatement,
+    BlankNode,
     CombinationModel,
     ContextAssignment,
     DimensionRegistry,
@@ -344,6 +345,66 @@ class TestDecontextualize:
         )
         with pytest.raises(PatternError):
             decontextualize(g, temporal_registry)
+
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (Triple(EX.p1, TEMPORAL.extent, EX.t2), "at most one context per dimension"),
+            (Triple(EX.p1, EX.knows, BlankNode("b0")), "blank nodes"),
+        ],
+        ids=["two-temporal-extents", "blank-object"],
+    )
+    def test_unrepresentable_statement_is_a_pattern_error(self, temporal_registry, extra, message):
+        g = Graph(
+            [
+                Triple(EX.p1, RDF_TYPE, TEMPORAL.part_class),
+                Triple(EX.p1, TEMPORAL.part_of, EX.Paris),
+                Triple(EX.p1, TEMPORAL.extent, EX.t1),
+                Triple(EX.p1, EX.capitalOf, EX.France),
+                extra,
+            ]
+        )
+        with pytest.raises(PatternError, match=message):
+            decontextualize(g, temporal_registry)
+
+
+class TestMintingCollisions:
+    # Both temporal contexts have the local name y2016, so suffix minting
+    # gives both statements the part ex:Paris@src_y2016.
+    COLLIDING = [
+        annotate(EX.Paris, EX.capitalOf, EX.France, ("temporal", Iri("http://a.org/y2016")), ("provenance", EX.src)),
+        annotate(EX.Paris, EX.capitalOf, EX.France, ("temporal", Iri("http://b.org/y2016")), ("provenance", EX.src)),
+    ]
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            CombinationModel.multi_context(),
+            CombinationModel.contexts_in_context(["temporal", "provenance"]),
+            CombinationModel.combined_extent(),
+        ],
+        ids=["multi", "nested", "combined"],
+    )
+    def test_suffix_collision_names_both_contexts(self, two_dim_registry, model):
+        with pytest.raises(PatternError) as raised:
+            contextualize(self.COLLIDING, two_dim_registry, model)
+        message = str(raised.value)
+        assert "<http://a.org/y2016>" in message and "<http://b.org/y2016>" in message
+        assert "mode = hash" in message
+
+    def test_hash_minting_keeps_the_parts_apart(self, two_dim_registry):
+        g = contextualize(
+            self.COLLIDING,
+            two_dim_registry,
+            CombinationModel.multi_context(),
+            MintingPolicy(mode="hash"),
+        )
+        assert set(decontextualize(g, two_dim_registry)) == set(self.COLLIDING)
+
+    def test_repeated_statement_reuses_its_part(self, temporal_registry, paris_statement):
+        g = contextualize([paris_statement] * 2, temporal_registry, CombinationModel.multi_context())
+        assert decontextualize(g, temporal_registry) == [paris_statement]
 
 
 class TestBaselineEncodings:

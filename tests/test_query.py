@@ -28,7 +28,7 @@ from ndfluents import (
     temporal_dimension,
 )
 
-from conftest import EX, corpus_registry, random_corpus
+from conftest import EX, chain_outsider, corpus_registry, part_chain, random_corpus
 
 TEMPORAL = temporal_dimension()
 
@@ -338,6 +338,28 @@ class TestContextSlice:
         )
         piece = context_slice(graph, two_dim_registry, EX.t1)
         assert set(decontextualize(piece, two_dim_registry)) == {statement}
+
+    def test_deep_part_chain_does_not_recurse(self, temporal_registry):
+        # Every part of the chain reaches the context only through all of
+        # its ancestors, 3000 links up.
+        graph = part_chain(3000)
+        piece = context_slice(graph, temporal_registry, EX.y2016)
+        assert set(piece) == set(graph) - set(chain_outsider())
+
+    def test_part_of_cycle_reaches_the_hit_from_every_member(self, temporal_registry):
+        graph = Graph(
+            [
+                Triple(EX.a, TEMPORAL.part_of, EX.b),
+                Triple(EX.b, TEMPORAL.part_of, EX.a),
+                Triple(EX.b, TEMPORAL.part_of, EX.c),
+                Triple(EX.c, TEMPORAL.extent, EX.y2016),
+                Triple(EX.c, TEMPORAL.part_of, EX.Paris),
+                Triple(EX.a, EX.population, Literal("1", datatype=XSD.integer)),
+                Triple(EX.b, EX.population, Literal("2", datatype=XSD.integer)),
+            ]
+        )
+        piece = context_slice(graph, temporal_registry, EX.y2016)
+        assert set(piece) == set(graph)
 
     def test_match_with_context_filter_needs_registry(self):
         pattern = Pattern(

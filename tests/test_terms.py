@@ -1,5 +1,7 @@
 """Term model: IRIs, blank nodes, literals, triples, graphs, sort keys."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -112,6 +114,21 @@ class TestTripleAndGraph:
         t = Triple(EX.s, EX.p, Literal("x"))
         assert t.n3() == '<http://example.org/s> <http://example.org/p> "x" .'
 
+    @pytest.mark.parametrize(
+        "subject, obj",
+        [
+            ("http://example.org/s", EX.o),
+            (Literal("x"), EX.o),
+            (None, EX.o),
+            (EX.s, "x"),
+            (EX.s, 1),
+            (EX.s, None),
+        ],
+    )
+    def test_non_term_positions_are_rejected(self, subject, obj):
+        with pytest.raises(ValueError):
+            Triple(subject, EX.p, obj)
+
     def test_quad_requires_graph_name(self):
         q = Quad(EX.s, EX.p, EX.o, EX.g)
         assert q.graph == EX.g
@@ -157,3 +174,49 @@ class TestTripleAndGraph:
         g = Graph([Triple(EX.a, EX.p, EX.b), Triple(EX.c, EX.p, Literal("x"))])
         assert EX.a in g.subjects() and EX.c in g.subjects()
         assert Literal("x") in g.objects()
+
+    def test_match_with_every_position_bound_is_membership(self):
+        t = Triple(EX.a, EX.p, EX.b)
+        g = Graph([t])
+        assert list(g.match(EX.a, EX.p, EX.b)) == [t]
+        assert list(g.match(EX.a, EX.p, EX.c)) == []
+        assert list(g.match(Literal("x"), EX.p, EX.b)) == []
+
+    def test_unbound_match_is_sorted(self):
+        g = Graph([Triple(EX.c, EX.p, EX.o), Triple(EX.a, EX.p, EX.o), Triple(EX.b, EX.p, EX.o)])
+        assert list(g.match()) == list(g.sorted_triples())
+
+
+_NODES = [EX.a, EX.b, EX.c, BlankNode("x")]
+_PREDICATES = [EX.p, EX.q, RDF_TYPE]
+_OBJECTS = _NODES + [Literal("1", datatype=XSD.integer), Literal("a"), Literal("a", language="en")]
+
+
+@given(
+    st.sets(
+        st.builds(
+            Triple,
+            st.sampled_from(_NODES),
+            st.sampled_from(_PREDICATES),
+            st.sampled_from(_OBJECTS),
+        ),
+        max_size=30,
+    ),
+    st.sampled_from(_NODES),
+    st.sampled_from(_PREDICATES),
+    st.sampled_from(_OBJECTS),
+)
+def test_match_and_count_agree_with_a_brute_force_filter(triples, s, p, o):
+    g = Graph(triples)
+    for bound in itertools.product((False, True), repeat=3):
+        subject, predicate, obj = (value if on else None for value, on in zip((s, p, o), bound))
+        expected = {
+            t
+            for t in g
+            if (subject is None or t.subject == subject)
+            and (predicate is None or t.predicate == predicate)
+            and (obj is None or t.object == obj)
+        }
+        matched = list(g.match(subject, predicate, obj))
+        assert len(matched) == len(expected) and set(matched) == expected
+        assert g.count(subject, predicate, obj) == len(matched)
