@@ -6,6 +6,17 @@ blank nodes, string literals with `^^datatype` / `@lang`, and `;` / `,`
 predicate/object lists. No collections, no anonymous `[]` nodes, no numeric
 or boolean shorthand, no quoted triples.
 
+One tokenizer serves all three formats. A compiled regex, matched at the
+current offset, skips whitespace and `#` comments and reads one whole token:
+an IRI, a string literal or a prefixed name is a single match, and escapes
+are decoded only in a span that holds a backslash. A token records the
+offset it starts at, not a line and column: those are worked out from the
+offset only when a `ParseError` is raised (only "\\n" starts a line; "\\r"
+and tab count as one column each). When an IRI or a string literal is
+malformed, its regex stops at the first character it cannot read, and the
+error names that character's position, the escape's backslash, or the
+token's start for an unterminated one.
+
 Blank node labels are relabeled canonically (`_:b0`, `_:b1`, ... in first
 occurrence order) at parse time so round-trips are deterministic.
 """
@@ -13,10 +24,10 @@ occurrence order) at parse time so round-trips are deterministic.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import Iterator
 from urllib.parse import urljoin
 
-from .terms import BlankNode, Graph, Iri, Literal, Quad, Term, Triple, XSD_STRING
+from .terms import RDF_TYPE, XSD_STRING, BlankNode, Graph, Iri, Literal, Term, Triple
 
 
 class ParseError(ValueError):
@@ -51,210 +62,135 @@ def normalize_format(fmt: str) -> str:
         raise ValueError(f"unknown RDF format: {fmt!r} (expected ntriples, nquads, or turtle)")
 
 
+# --- escapes ---------------------------------------------------------------
+
+_ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
+# A \U escape beyond U+10FFFF does not match, so it reads as malformed.
+_UCHAR = r"u[0-9A-Fa-f]{4}|U(?:000[0-9A-Fa-f]|0010)[0-9A-Fa-f]{4}"
+_ECHAR = r"[tbnrf\"'\\]"
+_ESCAPE_RE = re.compile(rf"\\({_UCHAR}|{_ECHAR}|[uU]|.?)", re.DOTALL)
+
+
+def _decode_escape(m: re.Match) -> str:
+    code = m.group(1)
+    if len(code) > 1:
+        return chr(int(code[1:], 16))
+    if code in _ESCAPES:
+        return _ESCAPES[code]
+    reason = "malformed \\u escape" if code in ("u", "U") else f"unsupported escape \\{code}"
+    raise ValueError(reason)
+
+
+def unescape(body: str) -> str:
+    r"""Decode the escapes of a quoted literal or IRI body: `\t \b \n \r \f
+    \" \' \\`, `\uXXXX` and `\UXXXXXXXX`. The graph parser and the pattern
+    parser share it. Raises `ValueError` naming the first malformed one."""
+    return _ESCAPE_RE.sub(_decode_escape, body) if "\\" in body else body
+
+
 # --- tokenizer -------------------------------------------------------------
 
+# Token kinds, as error messages name them.
 IRIREF = "IRIREF"
 PNAME = "PNAME"
 BLANK = "BLANK"
 STRING = "STRING"
 LANGTAG = "LANGTAG"
-CARETS = "^^"
 DOT = "."
-SEMI = ";"
-COMMA = ","
 KW_A = "a"
 PREFIX_DIRECTIVE = "@prefix"
 BASE_DIRECTIVE = "@base"
 EOF = "EOF"
 
-_PN_LOCAL_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-")
-_WS = " \t\r\n"
+# A token is (kind, value, offset of its first character, prefix of a PNAME).
+Token = tuple[str, str, int, str]
+
+_PN = "[A-Za-z0-9_.-]"
+_IRI_CHAR = r'[^\n\r "<>{}|^`\\]'
+_STRING_CHAR = r'[^"\\\n\r]'
+# Skips whitespace and comments, then reads one token. An IRI or a string
+# always matches: the regex stops at the first character it cannot read, and
+# a missing closing delimiter marks the token as malformed. The last two
+# alternatives catch any other character and the end of the text, so a
+# match never fails and never backtracks into the skipped text.
+_TOKEN_RE = re.compile(
+    r"(?P<skip>(?:[ \t\r\n]+|#[^\n]*)*)(?:"
+    rf"<(?P<iri>{_IRI_CHAR}*(?:\\(?:{_UCHAR}){_IRI_CHAR}*)*)(?P<iri_end>>?)"
+    rf"|\"(?P<string>{_STRING_CHAR}*(?:\\(?:{_ECHAR}|{_UCHAR}){_STRING_CHAR}*)*)(?P<string_end>\"?)"
+    rf"|_:(?P<blank>{_PN}*(?<!\.))"
+    r"|@(?P<at>(?:[^\W_]|-)*)"
+    r"|(?P<punct>\^\^|[.;,])"
+    rf"|(?P<prefix>{_PN}*):(?P<local>{_PN}*(?<!\.))"
+    rf"|(?P<word>{_PN}+)"
+    r"|(?P<other>.)"
+    r"|\Z)",
+    re.DOTALL,
+)
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str
-    value: str
-    line: int
-    column: int
-    extra: str = ""  # prefix part of a PNAME
+def _error(text: str, reason: str, offset: int, cls: type[ParseError] = ParseError) -> ParseError:
+    """`reason` at the 1-based line and column of `offset`."""
+    return cls(reason, text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset))
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+def _malformed(text: str, start: int, stop: int, what: str) -> ParseError:
+    """The fault in the IRI or string literal opened at `start`, whose regex
+    stopped at `stop`."""
+    if stop == len(text):
+        return _error(text, f"unterminated {what}", start)
+    ch = text[stop]
+    if ch in "\n\r":
+        return _error(text, f"newline inside {what}", stop)
+    if ch == "\\":
+        try:
+            _decode_escape(_ESCAPE_RE.match(text, stop))
+        except ValueError as exc:
+            return _error(text, str(exc), stop)
+        # a string literal's escape, which an IRI does not allow
+        return _error(text, f"unsupported escape {text[stop:stop + 2]}", stop)
+    return _error(text, f"forbidden character {ch!r} in IRI", stop)
 
-    def _error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.col)
 
-    def _advance(self, n: int = 1) -> None:
-        for _ in range(n):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
-
-    def _skip_ws_and_comments(self) -> None:
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in _WS:
-                self._advance()
-            elif ch == "#":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
+def _tokens(text: str) -> Iterator[Token]:
+    match = _TOKEN_RE.match
+    pos = 0
+    while True:
+        m = match(text, pos)
+        pos = m.end()
+        start = m.end("skip")
+        kind = m.lastgroup
+        if kind == "iri_end":
+            if pos == m.end("iri"):
+                raise _malformed(text, start, pos, "IRI")
+            yield IRIREF, unescape(m.group("iri")), start, ""
+        elif kind == "local":
+            yield PNAME, m.group("local"), start, m.group("prefix")
+        elif kind == "punct":
+            value = m.group("punct")
+            yield value, value, start, ""
+        elif kind == "string_end":
+            if pos == m.end("string"):
+                raise _malformed(text, start, pos, "string literal")
+            yield STRING, unescape(m.group("string")), start, ""
+        elif kind == "blank":
+            if pos == start + 2:
+                raise _error(text, "empty blank node label", start)
+            yield BLANK, m.group("blank"), start, ""
+        elif kind == "at":
+            word = m.group("at")
+            if word in ("prefix", "base"):
+                yield "@" + word, "@" + word, start, ""
             else:
-                return
-
-    def next_token(self) -> Token:
-        self._skip_ws_and_comments()
-        line, col = self.line, self.col
-        if self.pos >= len(self.text):
-            return Token(EOF, "", line, col)
-        ch = self._peek()
-
-        if ch == "<":
-            return self._iriref(line, col)
-        if ch == '"':
-            return self._string(line, col)
-        if ch == "_" and self._peek(1) == ":":
-            return self._blank(line, col)
-        if ch == "@":
-            return self._at_word(line, col)
-        if ch == "^" and self._peek(1) == "^":
-            self._advance(2)
-            return Token(CARETS, "^^", line, col)
-        if ch in ".;,":
-            # A '.' can also start a malformed pname; treat bare '.' as terminator.
-            self._advance()
-            return Token({".": DOT, ";": SEMI, ",": COMMA}[ch], ch, line, col)
-        return self._pname_or_keyword(line, col)
-
-    def _iriref(self, line: int, col: int) -> Token:
-        self._advance()  # <
-        out: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise ParseError("unterminated IRI", line, col)
-            ch = self._peek()
-            if ch == ">":
-                self._advance()
-                return Token(IRIREF, "".join(out), line, col)
-            if ch in "\n\r":
-                raise ParseError("newline inside IRI", self.line, self.col)
-            if ch == "\\":
-                out.append(self._uchar())
-                continue
-            if ch in ' "<{}|^`':
-                raise self._error(f"forbidden character {ch!r} in IRI")
-            out.append(ch)
-            self._advance()
-
-    def _uchar(self) -> str:
-        # at backslash; supports \uXXXX and \UXXXXXXXX
-        start_line, start_col = self.line, self.col
-        self._advance()
-        kind = self._peek()
-        width = {"u": 4, "U": 8}.get(kind)
-        if width is None:
-            raise ParseError(f"unsupported escape \\{kind}", start_line, start_col)
-        self._advance()
-        digits = self.text[self.pos : self.pos + width]
-        if len(digits) < width or any(d not in "0123456789abcdefABCDEF" for d in digits):
-            raise ParseError("malformed \\u escape", start_line, start_col)
-        self._advance(width)
-        return chr(int(digits, 16))
-
-    def _string(self, line: int, col: int) -> Token:
-        self._advance()  # opening quote
-        out: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise ParseError("unterminated string literal", line, col)
-            ch = self._peek()
-            if ch == '"':
-                self._advance()
-                return Token(STRING, "".join(out), line, col)
-            if ch in "\n\r":
-                raise ParseError("newline inside string literal", self.line, self.col)
-            if ch == "\\":
-                nxt = self._peek(1)
-                simple = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
-                          '"': '"', "'": "'", "\\": "\\"}
-                if nxt in simple:
-                    out.append(simple[nxt])
-                    self._advance(2)
-                elif nxt in "uU":
-                    out.append(self._uchar())
-                else:
-                    raise self._error(f"unsupported escape \\{nxt}")
-                continue
-            out.append(ch)
-            self._advance()
-
-    def _blank(self, line: int, col: int) -> Token:
-        self._advance(2)  # _:
-        out: list[str] = []
-        while self._peek() and self._peek() in _PN_LOCAL_CHARS:
-            out.append(self._peek())
-            self._advance()
-        label = "".join(out)
-        # back off trailing dots: they terminate the statement
-        while label.endswith("."):
-            label = label[:-1]
-            self.pos -= 1
-            self.col -= 1
-        if not label:
-            raise ParseError("empty blank node label", line, col)
-        return Token(BLANK, label, line, col)
-
-    def _at_word(self, line: int, col: int) -> Token:
-        self._advance()  # @
-        out: list[str] = []
-        while self._peek() and (self._peek().isalnum() or self._peek() == "-"):
-            out.append(self._peek())
-            self._advance()
-        word = "".join(out)
-        if word == "prefix":
-            return Token(PREFIX_DIRECTIVE, "@prefix", line, col)
-        if word == "base":
-            return Token(BASE_DIRECTIVE, "@base", line, col)
-        return Token(LANGTAG, word, line, col)
-
-    def _pname_or_keyword(self, line: int, col: int) -> Token:
-        out: list[str] = []
-        while self._peek() in _PN_LOCAL_CHARS or self._peek() == ":":
-            ch = self._peek()
-            out.append(ch)
-            self._advance()
-            if ch == ":":
-                break
-        prefix = "".join(out)
-        if not prefix:
-            raise self._error(f"unexpected character {self._peek()!r}")
-        if prefix == "a":
-            return Token(KW_A, "a", line, col)
-        if not prefix.endswith(":"):
-            raise ParseError(f"expected ':' in prefixed name, got {prefix!r}", line, col)
-        local_chars: list[str] = []
-        while self._peek() and self._peek() in _PN_LOCAL_CHARS:
-            local_chars.append(self._peek())
-            self._advance()
-        local = "".join(local_chars)
-        while local.endswith("."):
-            local = local[:-1]
-            self.pos -= 1
-            self.col -= 1
-        return Token(PNAME, local, line, col, extra=prefix[:-1])
+                yield LANGTAG, word, start, ""
+        elif kind == "word":
+            if m.group("word") != "a":
+                raise _error(text, f"expected ':' in prefixed name, got {m.group('word')!r}", start)
+            yield KW_A, "a", start, ""
+        elif kind == "other":
+            raise _error(text, f"unexpected character {m.group('other')!r}", start)
+        else:
+            yield EOF, "", start, ""
+            return
 
 
 # --- parser ----------------------------------------------------------------
@@ -268,40 +204,46 @@ class _Parser:
     directives, prefixed names, `a`, `;`/`,` lists, and relative IRIs."""
 
     def __init__(self, text: str, *, strict: bool, quads: bool, base: str | None = None):
-        self.lexer = _Lexer(text)
+        self.text = text
+        self._next_token = _tokens(text).__next__
         self.strict = strict
         self.quads = quads
         self.base = base
         self.prefixes: dict[str, str] = {}
-        self.token = self.lexer.next_token()
-        self.quad_list: list[Quad] = []
+        self.token = self._next_token()
+        self.graphs: dict[Iri | None, set[Triple]] = {}
         self._blank_map: dict[str, BlankNode] = {}
+        # Each distinct IRI of the document becomes one shared object.
+        self._iris: dict[str, Iri] = {RDF_TYPE.value: RDF_TYPE, XSD_STRING.value: XSD_STRING}
 
     def _advance(self) -> None:
-        self.token = self.lexer.next_token()
+        self.token = self._next_token()
 
     def _error(self, message: str, token: Token | None = None) -> ParseError:
-        tok = token or self.token
-        return ParseError(message, tok.line, tok.column)
+        return _error(self.text, message, (token or self.token)[2])
 
     def _expect(self, kind: str) -> Token:
-        if self.token.kind != kind:
-            raise self._error(f"expected {kind}, got {self.token.kind} {self.token.value!r}")
         tok = self.token
+        if tok[0] != kind:
+            raise self._error(f"expected {kind}, got {tok[0]} {tok[1]!r}")
         self._advance()
         return tok
 
-    def _resolve_iri(self, ref: str, token: Token) -> Iri:
-        if not _SCHEME_RE.match(ref):
-            if self.base is None:
-                raise RelativeIriError(
-                    f"relative IRI {ref!r} with no base", token.line, token.column
-                )
-            ref = urljoin(self.base, ref)
-        try:
-            return Iri(ref)
-        except ValueError as exc:
-            raise self._error(str(exc), token)
+    def _resolve_iri(self, ref: str, offset: int) -> Iri:
+        # Keys are absolute IRIs, so a relative reference never hits.
+        iri = self._iris.get(ref)
+        if iri is None:
+            if not _SCHEME_RE.match(ref):
+                if self.base is None:
+                    raise _error(self.text, f"relative IRI {ref!r} with no base", offset, RelativeIriError)
+                ref = urljoin(self.base, ref)
+            iri = self._iris.get(ref)
+            if iri is None:
+                try:
+                    iri = self._iris[ref] = Iri(ref)
+                except ValueError as exc:
+                    raise _error(self.text, str(exc), offset)
+        return iri
 
     def _blank_node(self, label: str) -> BlankNode:
         node = self._blank_map.get(label)
@@ -311,110 +253,104 @@ class _Parser:
         return node
 
     def _term(self, position: str) -> Term:
-        tok = self.token
-        if tok.kind == IRIREF:
+        kind, value, offset, prefix = self.token
+        if kind == IRIREF:
             self._advance()
-            return self._resolve_iri(tok.value, tok)
-        if tok.kind == BLANK:
+            return self._resolve_iri(value, offset)
+        if kind == BLANK:
             self._advance()
-            return self._blank_node(tok.value)
-        if tok.kind == PNAME:
+            return self._blank_node(value)
+        if kind == PNAME:
             if self.strict:
                 raise self._error("prefixed names are not allowed in this format")
-            ns = self.prefixes.get(tok.extra)
+            ns = self.prefixes.get(prefix)
             if ns is None:
-                raise self._error(f"undefined prefix {tok.extra + ':'!r}")
+                raise self._error(f"undefined prefix {prefix + ':'!r}")
             self._advance()
-            return self._resolve_iri(ns + tok.value, tok)
-        if tok.kind == STRING:
+            return self._resolve_iri(ns + value, offset)
+        if kind == STRING:
             self._advance()
-            if self.token.kind == LANGTAG:
-                lang = self.token.value
+            if self.token[0] == LANGTAG:
+                lang = self.token[1]
                 if not _LANGTAG_RE.match(lang):
                     raise self._error(f"malformed language tag @{lang}")
                 self._advance()
-                return Literal(tok.value, language=lang)
-            if self.token.kind == CARETS:
+                return Literal(value, language=lang)
+            if self.token[0] == "^^":
                 self._advance()
                 dt_tok = self.token
-                if dt_tok.kind == IRIREF:
-                    self._advance()
-                    dt = self._resolve_iri(dt_tok.value, dt_tok)
-                elif dt_tok.kind == PNAME and not self.strict:
-                    dt = self._term("datatype")  # reuse PNAME path
+                if dt_tok[0] == IRIREF or (dt_tok[0] == PNAME and not self.strict):
+                    datatype = self._term("datatype")
                 else:
                     raise self._error("expected datatype IRI after ^^")
-                if not isinstance(dt, Iri):
-                    raise self._error("datatype must be an IRI", dt_tok)
-                return Literal(tok.value, datatype=dt)
-            return Literal(tok.value, datatype=XSD_STRING)
-        if tok.kind == KW_A:
-            if self.strict or position != "predicate":
-                raise self._error(f"expected {position} term, got {tok.kind} {tok.value!r}")
+                try:
+                    return Literal(value, datatype=datatype)
+                except ValueError as exc:
+                    raise self._error(str(exc), dt_tok)
+            return Literal(value, datatype=XSD_STRING)
+        if kind == KW_A and not self.strict and position == "predicate":
             self._advance()
-            from .terms import RDF_TYPE
-
             return RDF_TYPE
-        raise self._error(f"expected {position} term, got {tok.kind} {tok.value!r}")
+        raise self._error(f"expected {position} term, got {kind} {value!r}")
 
     def _directive(self) -> None:
-        if self.token.kind == PREFIX_DIRECTIVE:
-            self._advance()
+        directive = self.token[0]
+        self._advance()
+        if directive == PREFIX_DIRECTIVE:
             name_tok = self._expect(PNAME)
-            if name_tok.value:
+            if name_tok[1]:
                 raise self._error("expected bare prefix (e.g. ex:) in @prefix", name_tok)
             iri_tok = self._expect(IRIREF)
-            self.prefixes[name_tok.extra] = self._resolve_iri(iri_tok.value, iri_tok).value
-            self._expect(DOT)
+            self.prefixes[name_tok[3]] = self._resolve_iri(iri_tok[1], iri_tok[2]).value
         else:
-            self._advance()
             iri_tok = self._expect(IRIREF)
-            self.base = self._resolve_iri(iri_tok.value, iri_tok).value
-            self._expect(DOT)
+            self.base = self._resolve_iri(iri_tok[1], iri_tok[2]).value
+        self._expect(DOT)
 
     def _statement(self) -> None:
         subj_tok = self.token
         subject = self._term("subject")
         if isinstance(subject, Literal):
             raise self._error("subject must not be a literal", subj_tok)
-        seen_pairs: list[tuple[Term, Term]] = []
+        pairs: list[tuple[Iri, Term]] = []
         while True:
             pred_tok = self.token
             predicate = self._term("predicate")
             if not isinstance(predicate, Iri):
                 raise self._error("predicate must be an IRI", pred_tok)
             while True:
-                seen_pairs.append((predicate, self._term("object")))
-                if not self.strict and self.token.kind == COMMA:
+                pairs.append((predicate, self._term("object")))
+                if not self.strict and self.token[0] == ",":
                     self._advance()
                     continue
                 break
-            if not self.strict and self.token.kind == SEMI:
+            if not self.strict and self.token[0] == ";":
                 self._advance()
-                if self.token.kind == DOT:  # trailing semicolon
+                if self.token[0] == DOT:  # trailing semicolon
                     break
                 continue
             break
         graph_name: Iri | None = None
-        if self.quads and self.token.kind != DOT:
+        if self.quads and self.token[0] != DOT:
             g_tok = self.token
-            graph_term = self._term("graph label")
-            if not isinstance(graph_term, Iri):
+            graph_name = self._term("graph label")
+            if not isinstance(graph_name, Iri):
                 raise self._error("graph label must be an IRI", g_tok)
-            graph_name = graph_term
         self._expect(DOT)
-        for predicate, obj in seen_pairs:
-            self.quad_list.append(Quad(subject, predicate, obj, graph_name))
+        triples = self.graphs.setdefault(graph_name, set())
+        for predicate, obj in pairs:
+            triples.add(Triple(subject, predicate, obj))
 
-    def run(self) -> list[Quad]:
-        while self.token.kind != EOF:
-            if self.token.kind in (PREFIX_DIRECTIVE, BASE_DIRECTIVE):
+    def run(self) -> dict[Iri | None, set[Triple]]:
+        """The parsed triples by graph name; `None` names the default graph."""
+        while self.token[0] != EOF:
+            if self.token[0] in (PREFIX_DIRECTIVE, BASE_DIRECTIVE):
                 if self.strict:
                     raise self._error("directives are not allowed in this format")
                 self._directive()
             else:
                 self._statement()
-        return self.quad_list
+        return self.graphs
 
 
 def _decode(document: str | bytes) -> str:
@@ -427,23 +363,18 @@ def _decode(document: str | bytes) -> str:
 
 
 def parse_ntriples(document: str | bytes) -> Graph:
-    quads = _Parser(_decode(document), strict=True, quads=False).run()
-    return Graph(q.triple() for q in quads)
+    return Graph(_Parser(_decode(document), strict=True, quads=False).run().get(None, ()))
 
 
 def parse_nquads(document: str | bytes) -> list[Graph]:
     """Parse N-Quads into one Graph per graph label (default graph first)."""
-    quads = _Parser(_decode(document), strict=True, quads=True).run()
-    by_name: dict[Iri | None, set[Triple]] = {}
-    for q in quads:
-        by_name.setdefault(q.graph, set()).add(q.triple())
+    by_name = _Parser(_decode(document), strict=True, quads=True).run()
     names = sorted(by_name, key=lambda n: ("" if n is None else n.value))
     return [Graph(by_name[name], name=name) for name in names]
 
 
 def parse_turtle(document: str | bytes, base: str | None = None) -> Graph:
-    quads = _Parser(_decode(document), strict=False, quads=False, base=base).run()
-    return Graph(q.triple() for q in quads)
+    return Graph(_Parser(_decode(document), strict=False, quads=False, base=base).run().get(None, ()))
 
 
 def parse(document: str | bytes, fmt: str, base: str | None = None) -> Graph | list[Graph]:

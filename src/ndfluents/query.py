@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
 from .contextualize import _Reader
+from .parser import unescape
 from .terms import (
     RDF_TYPE,
     XSD,
@@ -555,17 +556,6 @@ _PATTERN_TOKEN_RE = re.compile(
 _INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
 _DECIMAL_RE = re.compile(r"^[+-]?[0-9]*\.[0-9]+$")
 
-_ESCAPES = {
-    "t": "\t",
-    "n": "\n",
-    "r": "\r",
-    "b": "\b",
-    "f": "\f",
-    '"': '"',
-    "'": "'",
-    "\\": "\\",
-}
-
 PATTERN_GRAMMAR = """\
 A pattern file is line-oriented. Blank lines and `#` comments are skipped.
 
@@ -603,36 +593,6 @@ def _tokenize_pattern_line(line: str, line_number: int) -> list[tuple[str, str]]
                 tokens.append((kind, value))
                 break
     return tokens
-
-
-def _unescape(body: str, line_number: int) -> str:
-    out: list[str] = []
-    index = 0
-    while index < len(body):
-        ch = body[index]
-        if ch != "\\":
-            out.append(ch)
-            index += 1
-            continue
-        if index + 1 >= len(body):
-            raise QueryError(f"line {line_number}: dangling escape in literal")
-        nxt = body[index + 1]
-        if nxt in _ESCAPES:
-            out.append(_ESCAPES[nxt])
-            index += 2
-        elif nxt in ("u", "U"):
-            width = 4 if nxt == "u" else 8
-            digits = body[index + 2 : index + 2 + width]
-            if len(digits) != width:
-                raise QueryError(f"line {line_number}: bad \\{nxt} escape")
-            try:
-                out.append(chr(int(digits, 16)))
-            except ValueError:
-                raise QueryError(f"line {line_number}: bad \\{nxt} escape") from None
-            index += 2 + width
-        else:
-            raise QueryError(f"line {line_number}: unknown escape \\{nxt}")
-    return "".join(out)
 
 
 class _PatternParser:
@@ -756,7 +716,10 @@ class _PatternParser:
                 terms.append(self._term_from_token(value, line_number))
                 index += 1
             elif kind == "string":
-                lexical = _unescape(value[1:-1], line_number)
+                try:
+                    lexical = unescape(value[1:-1])
+                except ValueError as exc:
+                    raise QueryError(f"line {line_number}: {exc}") from None
                 language = None
                 datatype = None
                 if index + 1 < len(tokens) and tokens[index + 1][0] == "langtag":

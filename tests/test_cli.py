@@ -469,6 +469,13 @@ class TestSubprocess:
         assert (done.returncode, done.stdout) == (0, "total\n5\n")
         assert "Traceback" not in done.stderr
 
+    def test_malformed_graph_exits_two_with_a_positioned_error(self, tmp_path):
+        graph = tmp_path / "bad.ttl"
+        graph.write_text('<http://e.org/s> <http://e.org/p> "x" .\n_:a <http://e.org/p> "\\U00110000" .\n')
+        done = run_cli(["validate", graph])
+        assert done.returncode == 2
+        assert done.stderr == f"error: {graph}: line 2, column 23: malformed \\u escape\n"
+
     def test_output_does_not_depend_on_the_hash_seed(self, tmp_path):
         statements = tmp_path / "population.csv"
         descriptions = tmp_path / "descriptions.ttl"

@@ -444,6 +444,16 @@ AGG AVG ?v AS avg
         with pytest.raises(QueryError):
             parse_pattern(text)
 
+    @pytest.mark.parametrize("escape", ["\\u+04A", "\\u1_23", "\\u 04A", "\\U0011FFFF", "\\q"])
+    def test_malformed_literal_escapes_rejected(self, escape):
+        # `int(digits, 16)` alone would read "\u+04A" as "J".
+        with pytest.raises(QueryError, match="line 2: (malformed|unsupported)"):
+            parse_pattern(f'# escapes\n?s <http://e.org/p> "x{escape}" .\n')
+
+    def test_literal_escapes_decoded(self):
+        pattern = parse_pattern('?s <http://e.org/p> "\\u004A\\U0001F600\\t\\"" .\n')
+        assert pattern.patterns[0].object == Literal('J\U0001F600\t"')
+
 
 class TestResultTable:
     def test_to_csv_renders_iris_literals_and_numbers(self):
