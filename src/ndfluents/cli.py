@@ -69,6 +69,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as error:
         raise _UsageError(f"cannot read {path}: {error.strerror or error}") from None
+    except UnicodeDecodeError as error:
+        raise _UsageError(f"cannot read {path}: not UTF-8 at byte {error.start}") from None
 
 
 def _write_text(text: str, out: str | None) -> None:

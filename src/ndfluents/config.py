@@ -37,9 +37,9 @@ Declaring any dimension section replaces the default registry.
 from __future__ import annotations
 
 import dataclasses
-from configparser import ConfigParser, Error as ConfigParserError
+from configparser import ConfigParser, MissingSectionHeaderError, ParsingError
+from configparser import Error as ConfigParserError
 from dataclasses import dataclass
-from typing import Iterable
 
 from .contextualize import (
     DEFAULT_CONTEXT_BASE,
@@ -146,24 +146,7 @@ class Config:
         """The TBox this configuration calls for: the core module, one
         module per dimension, and the optional blocks the flags and the
         combination model require."""
-        axioms = core_axioms(self.vocab)
-        if self.datatype_axioms:
-            axioms += datatype_axioms(self.vocab)
-        dims = list(self.registry)
-        for dim in dims:
-            axioms += dimension_module(dim, self.vocab)
-            if self.restriction_axioms:
-                axioms += dimension_restriction_axioms(dim, self.vocab)
-        if self.model.kind == MODEL_CONTEXTS_IN_CONTEXT:
-            axioms.append(transitivity_axiom(self.vocab))
-        if self.model.kind == MODEL_COMBINED_EXTENT:
-            axioms.append(functional_extent_axiom(self.vocab))
-            axioms += member_context_axioms(self.vocab)
-            for names in self._combined_name_sets():
-                combined = self.registry.combined(list(names))
-                members = [self.registry.get(name) for name in names]
-                axioms += combined_dimension_module(members, combined, self.vocab)
-        return axioms
+        return [axiom for _, module in self.modules() for axiom in module]
 
     def modules(self) -> list[tuple[str, list[Axiom]]]:
         """The same TBox as `axioms()`, split into named modules."""
@@ -185,26 +168,17 @@ class Config:
             combined_block = [functional_extent_axiom(self.vocab)]
             combined_block += member_context_axioms(self.vocab)
             out.append(("combined-extent", combined_block))
-            for names in self._combined_name_sets():
-                combined = self.registry.combined(list(names))
+            for names in self.registry.combined_name_sets():
                 members = [self.registry.get(name) for name in names]
                 out.append(
                     (
                         f"combined-{'-'.join(names)}",
-                        combined_dimension_module(members, combined, self.vocab),
+                        combined_dimension_module(
+                            members, self.registry.combined(names), self.vocab
+                        ),
                     )
                 )
         return out
-
-    def _combined_name_sets(self) -> list[tuple[str, ...]]:
-        from itertools import combinations
-
-        names = sorted(self.registry.names())
-        return [
-            combo
-            for size in range(2, len(names) + 1)
-            for combo in combinations(names, size)
-        ]
 
     def prefixes(self) -> dict[str, str]:
         """A prefix map for readable Turtle output."""
@@ -285,6 +259,14 @@ def load_config(text: str) -> Config:
     parser = ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         parser.read_string(text)
+    except MissingSectionHeaderError as error:
+        raise ConfigError(
+            f"cannot parse config: line {error.lineno}: expected a [section] header"
+        ) from None
+    except ParsingError as error:
+        raise ConfigError(
+            f"cannot parse config: line {error.errors[0][0]}: expected key = value"
+        ) from None
     except ConfigParserError as error:
         raise ConfigError(f"cannot parse config: {error}") from None
 

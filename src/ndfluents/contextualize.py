@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from itertools import combinations
 
 from .terms import (
     RDF,
@@ -27,10 +26,10 @@ from .terms import (
     BlankNode,
     Graph,
     Iri,
-    Literal,
     Namespace,
     Term,
     Triple,
+    term_sort_key,
 )
 from .vocabulary import CORE, ContextDimension, CoreVocabulary, DimensionRegistry
 
@@ -234,11 +233,10 @@ class _Builder:
         # Each minted part IRI with the entity and assignments it stands for.
         self.minted: dict[Iri, tuple[Iri, frozenset[tuple[str, Iri]]]] = {}
         # Predicates that would be swallowed as scaffolding when kept as-is.
-        self.reserved = {RDF_TYPE, RDFS.subClassOf, RDFS.subPropertyOf,
-                         vocab.contextualPartOf, vocab.contextualExtent, vocab.memberContext}
-        for dim in registry:
-            self.reserved.add(dim.part_of)
-            self.reserved.add(dim.extent)
+        pattern = registry.pattern_vocabulary(vocab)
+        self.reserved = pattern.part_of | pattern.extents | {
+            RDF_TYPE, RDFS.subClassOf, RDFS.subPropertyOf, vocab.memberContext,
+        }
 
     def add(self, statement: AnnotatedStatement) -> None:
         pairs = statement.assignment_pairs()
@@ -396,69 +394,38 @@ def contextualize(
 
 
 class _Reader:
+    """Reads contextual parts back out of a graph through its indexes; of
+    several faults, the first in sorted-triple order is raised."""
+
     def __init__(self, graph: Graph, registry: DimensionRegistry, vocab: CoreVocabulary):
         self.graph = graph
-        self.registry = registry
         self.vocab = vocab
-        dims = list(registry)
         # Combined dimensions are recognized alongside the registered ones so
         # combined-extent output decontextualizes with the same registry.
-        self.recognized: list[tuple[ContextDimension | None, Iri, Iri]] = []
-        self.class_to_dim: dict[Iri, ContextDimension] = {}
-        for dim in dims:
-            self.recognized.append((dim, dim.part_of, dim.extent))
-            self.class_to_dim[dim.context_class] = dim
-        for size in range(2, len(dims) + 1):
-            for combo in combinations(sorted(d.name for d in dims), size):
-                combined = registry.combined(list(combo))
-                self.recognized.append((None, combined.part_of, combined.extent))
-        self.recognized.append((None, vocab.contextualPartOf, vocab.contextualExtent))
-
-        self.part_of_props = {p for _, p, _ in self.recognized}
-        self.extent_props = {e for _, _, e in self.recognized}
-        self.extent_dim = {e: d for d, _, e in self.recognized}
-        self.scaffolding = self.part_of_props | self.extent_props | {
+        self.pattern = registry.pattern_vocabulary(vocab)
+        self.scaffolding = self.pattern.part_of | self.pattern.extents | {
             RDF_TYPE, RDFS.subPropertyOf, vocab.memberContext,
         }
+        self.parts = self.pattern.parts(graph)
+        self._walks: dict[Term, tuple[Term, set[tuple[str, Iri]]]] = {}
 
-        self.parents: dict[Term, dict[Iri, set[Term]]] = {}
-        self.extents: dict[Term, list[tuple[ContextDimension | None, Iri]]] = {}
-        self.types: dict[Term, set[Iri]] = {}
-        self.members: dict[Term, set[Iri]] = {}
-        for t in graph:
-            if t.predicate in self.part_of_props:
-                self.parents.setdefault(t.subject, {}).setdefault(t.predicate, set()).add(t.object)
-            elif t.predicate in self.extent_props and isinstance(t.object, Iri):
-                self.extents.setdefault(t.subject, []).append((self.extent_dim[t.predicate], t.object))
-            elif t.predicate == RDF_TYPE and isinstance(t.object, Iri):
-                self.types.setdefault(t.subject, set()).add(t.object)
-            elif t.predicate == vocab.memberContext and isinstance(t.object, Iri):
-                self.members.setdefault(t.subject, set()).add(t.object)
-
-        part_classes = {d.part_class for d in dims} | {self.vocab.ContextualPart}
-        self.typed_parts = {
-            r for r, classes in self.types.items()
-            if any(c in part_classes or self._is_combined_part_class(c) for c in classes)
-        }
-
-    def _is_combined_part_class(self, cls: Iri) -> bool:
-        return cls.value.startswith(f"{self.registry.combined_base}#") and cls.value.endswith("Part")
-
-    def is_part(self, term: Term) -> bool:
-        return term in self.parents or term in self.typed_parts
-
-    def context_assignments(self, part: Term) -> set[tuple[str, Iri]]:
-        """Dimension-attributed contexts reachable from one part's extents."""
+    def context_assignments(self, edges: list[Triple]) -> set[tuple[str, Iri]]:
+        """Dimension-attributed contexts reachable from one part's extent edges."""
         found: set[tuple[str, Iri]] = set()
-        for dim, ctx in self.extents.get(part, ()):
+        for edge in sorted(edges, key=Triple.sort_key):
+            dim = self.pattern.extent_dimension.get(edge.predicate)
             if dim is not None:
-                found.add((dim.name, ctx))
+                found.add((dim.name, edge.object))
                 continue
             # combined or core extent: expand members, attribute by context type
-            targets = self.members.get(ctx) or {ctx}
+            targets = {
+                t.object for t in self.graph.match(edge.object)
+                if t.predicate == self.vocab.memberContext and isinstance(t.object, Iri)
+            } or {edge.object}
             for member in sorted(targets):
                 attributed = [
-                    d for c in self.types.get(member, ()) if (d := self.class_to_dim.get(c))
+                    d for t in self.graph.match(member)
+                    if t.predicate == RDF_TYPE and (d := self.pattern.context_dimension.get(t.object))
                 ]
                 if not attributed:
                     raise PatternError(
@@ -471,31 +438,41 @@ class _Reader:
 
     def walk(self, part: Term) -> tuple[Term, set[tuple[str, Iri]]]:
         """Follow partOf edges to the first non-part, collecting contexts."""
+        walked = self._walks.get(part)
+        if walked is not None:
+            return walked
         contexts: set[tuple[str, Iri]] = set()
         current = part
         seen: set[Term] = set()
-        while self.is_part(current):
+        while current in self.parts:
             if current in seen:
                 raise PatternError(f"partOf cycle at {current.n3()}")
             seen.add(current)
-            contexts |= self.context_assignments(current)
-            by_prop = self.parents.get(current)
+            by_prop: dict[Iri, set[Term]] = {}
+            part_extents: list[Triple] = []
+            for t in self.graph.match(current):
+                if t.predicate in self.pattern.part_of:
+                    by_prop.setdefault(t.predicate, set()).add(t.object)
+                elif t.predicate in self.pattern.extents and isinstance(t.object, Iri):
+                    part_extents.append(t)
+            found = self.context_assignments(part_extents)
+            contexts |= found
             if not by_prop:
                 raise PatternError(f"part {current.n3()} has no partOf edge")
-            targets = set()
-            for prop, values in by_prop.items():
-                if len(values) > 1:
+            for prop in sorted(by_prop, key=Iri.n3):
+                if len(by_prop[prop]) > 1:
                     raise PatternError(
-                        f"part {current.n3()} has {len(values)} values for {prop.n3()}; "
+                        f"part {current.n3()} has {len(by_prop[prop])} values for {prop.n3()}; "
                         "contextualPartOf is functional"
                     )
-                targets |= values
+            targets = set().union(*by_prop.values())
             if len(targets) > 1:
                 raise PatternError(f"part {current.n3()} belongs to more than one entity")
-            if not self.extents.get(current):
+            if not part_extents:
                 raise PatternError(f"part {current.n3()} has no extent")
             current = next(iter(targets))
-        return current, contexts
+        walked = self._walks[part] = (current, contexts)
+        return walked
 
 
 def decontextualize(
@@ -512,29 +489,30 @@ def decontextualize(
     reader = _Reader(graph, registry, vocab)
     reverse = predicate_map or {}
     recovered: set[AnnotatedStatement] = set()
-    for triple in graph:
-        if triple.predicate in reader.scaffolding or not reader.is_part(triple.subject):
-            continue
-        subject, contexts = reader.walk(triple.subject)
-        obj: Term = triple.object
-        if reader.is_part(triple.object):
-            obj, object_contexts = reader.walk(triple.object)
-            contexts = contexts | object_contexts
-        if not isinstance(subject, Iri):
-            raise PatternError(f"chain from {triple.subject.n3()} ends at non-IRI {subject.n3()}")
-        if not contexts:
-            raise PatternError(f"no contexts recoverable for {triple.n3()}")
-        if selection is not None and not {ctx for _, ctx in contexts} & set(selection):
-            continue
-        predicate = reverse.get(triple.predicate, triple.predicate)
-        try:
-            statement = AnnotatedStatement(
-                Triple(subject, predicate, obj),
-                frozenset(ContextAssignment(d, c) for d, c in contexts),
-            )
-        except ValueError as error:
-            raise PatternError(f"cannot recover a statement from {triple.n3()}: {error}") from None
-        recovered.add(statement)
+    # Sorted parts, then each part's sorted triples: the graph's own order.
+    for part in sorted(reader.parts, key=term_sort_key):
+        data = [t for t in graph.match(part) if t.predicate not in reader.scaffolding]
+        for triple in sorted(data, key=Triple.sort_key):
+            subject, contexts = reader.walk(triple.subject)
+            obj: Term = triple.object
+            if triple.object in reader.parts:
+                obj, object_contexts = reader.walk(triple.object)
+                contexts = contexts | object_contexts
+            if not isinstance(subject, Iri):
+                raise PatternError(f"chain from {triple.subject.n3()} ends at non-IRI {subject.n3()}")
+            if not contexts:
+                raise PatternError(f"no contexts recoverable for {triple.n3()}")
+            if selection is not None and not {ctx for _, ctx in contexts} & set(selection):
+                continue
+            predicate = reverse.get(triple.predicate, triple.predicate)
+            try:
+                statement = AnnotatedStatement(
+                    Triple(subject, predicate, obj),
+                    frozenset(ContextAssignment(d, c) for d, c in contexts),
+                )
+            except ValueError as error:
+                raise PatternError(f"cannot recover a statement from {triple.n3()}: {error}") from None
+            recovered.add(statement)
     return sorted(
         recovered,
         key=lambda s: (s.base.sort_key(), [(d, c.value) for d, c in s.assignment_pairs()]),

@@ -23,12 +23,12 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from functools import partial
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .contextualize import _Reader
 from .parser import unescape
 from .terms import (
     RDF_TYPE,
@@ -406,6 +406,18 @@ def match(
 # Context slicing
 
 
+def _closure(nodes: Iterable[Term], step: Callable[[Term], Iterable[Term]]) -> set[Term]:
+    """`nodes` and every node reachable from them by repeated `step`s."""
+    found: set[Term] = set()
+    frontier = list(nodes)
+    while frontier:
+        node = frontier.pop()
+        if node not in found:
+            found.add(node)
+            frontier.extend(step(node))
+    return found
+
+
 def context_slice(
     graph: Graph,
     registry: DimensionRegistry,
@@ -426,79 +438,68 @@ def context_slice(
     `dimension`, when given, only accepts extent edges attributed to that
     dimension (directly or via a typed member context).
     """
-    reader = _Reader(graph, registry, vocab)
+    if dimension is not None and dimension not in registry:
+        raise QueryError(
+            f"unknown dimension {dimension!r} in the context filter; "
+            f"registered: {', '.join(registry.names())}"
+        )
+    pattern = registry.pattern_vocabulary(vocab)
+    is_part = partial(pattern.is_part, graph)
 
-    def direct_hit(part: Term) -> bool:
-        for dim, ctx in reader.extents.get(part, ()):
-            members = reader.members.get(ctx)
-            if dim is not None:
-                if ctx == context and (dimension is None or dim.name == dimension):
-                    return True
-            elif members:
-                for member in members:
-                    if member != context:
-                        continue
-                    if dimension is None:
-                        return True
-                    attributed = {
-                        d.name
-                        for c in reader.types.get(member, ())
-                        if (d := reader.class_to_dim.get(c)) is not None
-                    }
-                    if dimension in attributed:
-                        return True
-            elif ctx == context and dimension is None:
-                return True
-        return False
+    # Direct hits. The extent of a registered dimension attributes its
+    # context by itself. Any other extent reaches `context` through a
+    # combined context that lists it as a member, attributed by the
+    # member's types, or directly when `context` lists no members and no
+    # dimension is asked for.
+    hits = [
+        t.subject
+        for prop, dim in pattern.extent_dimension.items()
+        if dimension is None or dim.name == dimension
+        for t in graph.match(None, prop, context)
+    ]
+    attributed = {
+        pattern.context_dimension[t.object].name
+        for t in graph.match(context, RDF_TYPE)
+        if t.object in pattern.context_dimension
+    }
+    targets = [
+        link.subject
+        for link in graph.match(None, vocab.memberContext, context)
+        if isinstance(link.subject, Iri) and (dimension is None or dimension in attributed)
+    ]
+    if dimension is None and not any(
+        isinstance(t.object, Iri) for t in graph.match(context, vocab.memberContext)
+    ):
+        targets.append(context)
+    for prop in pattern.extents - pattern.extent_dimension.keys():
+        hits.extend(t.subject for target in targets for t in graph.match(None, prop, target))
 
-    def parents_of(part: Term) -> set[Term]:
-        out: set[Term] = set()
-        for targets in reader.parents.get(part, {}).values():
-            out.update(targets)
-        return out
+    def children(node: Term) -> Iterator[Term]:
+        return (t.subject for prop in pattern.part_of for t in graph.match(None, prop, node))
+
+    def parent_parts(node: Term) -> Iterator[Term]:
+        return (t.object for prop in pattern.part_of for t in graph.match(node, prop) if is_part(t.object))
 
     # A part is in the slice when it or a part-chain ancestor is a direct
     # hit, so walk down from every hit along the partOf edges reversed.
-    children: dict[Term, list[Term]] = {}
-    for part, by_prop in reader.parents.items():
-        for targets in by_prop.values():
-            for parent in targets:
-                children.setdefault(parent, []).append(part)
-    all_parts = set(reader.parents) | set(reader.typed_parts)
-    frontier = [node for node in all_parts | set(children) if direct_hit(node)]
-    reaching = set(frontier)
-    while frontier:
-        for child in children.get(frontier.pop(), ()):
-            if child not in reaching:
-                reaching.add(child)
-                frontier.append(child)
-    reached = reaching & all_parts
-
+    reached = {node for node in _closure(hits, children) if is_part(node)}
     # Scaffolding closure: every chain ancestor of a kept part comes along so
     # the slice stays decontextualizable.
-    closure: set[Term] = set()
-    frontier = list(reached)
-    while frontier:
-        part = frontier.pop()
-        if part in closure:
-            continue
-        closure.add(part)
-        for parent in parents_of(part):
-            if parent not in closure and reader.is_part(parent):
-                frontier.append(parent)
+    chains = _closure(reached, parent_parts)
 
-    scaffold_predicates = reader.part_of_props | reader.extent_props | {
-        vocab.memberContext
-    }
+    # Each kept part's scaffolding, and the data triples of the parts in the
+    # slice whose object is not a part outside it.
+    scaffold_predicates = pattern.part_of | pattern.extents | {vocab.memberContext, RDF_TYPE}
     kept: set[Triple] = set()
     contexts: set[Term] = set()
-    for triple in graph:
-        if triple.subject in closure and (
-            triple.predicate in scaffold_predicates or triple.predicate == RDF_TYPE
-        ):
-            kept.add(triple)
-            if triple.predicate in reader.extent_props:
-                contexts.add(triple.object)
+    for part in chains:
+        for triple in graph.match(part):
+            if triple.predicate in scaffold_predicates:
+                kept.add(triple)
+                if triple.predicate in pattern.extents:
+                    contexts.add(triple.object)
+            elif part in reached and (triple.object in reached or not is_part(triple.object)):
+                kept.add(triple)
 
     # Member links and the member contexts themselves.
     for ctx in list(contexts):
@@ -508,29 +509,17 @@ def context_slice(
 
     # Context description closure (typing plus any non-scaffolding triples
     # hanging off the context nodes, e.g. interval year descriptions).
-    frontier = list(contexts)
-    seen_nodes: set[Term] = set()
-    while frontier:
-        node = frontier.pop()
-        if node in seen_nodes or reader.is_part(node):
-            continue
-        seen_nodes.add(node)
-        for triple in graph.match(node, None, None):
-            if triple.predicate in reader.part_of_props:
-                continue
-            kept.add(triple)
-            obj = triple.object
-            if not isinstance(obj, Literal) and not reader.is_part(obj):
-                frontier.append(obj)
+    def description(node: Term) -> list[Triple]:
+        return [t for t in graph.match(node) if t.predicate not in pattern.part_of]
 
-    for triple in graph:
-        if triple.predicate in scaffold_predicates or triple.predicate == RDF_TYPE:
-            continue
-        if triple.subject not in reached:
-            continue
-        if reader.is_part(triple.object) and triple.object not in reached:
-            continue
-        kept.add(triple)
+    def described(node: Term) -> Iterator[Term]:
+        return (
+            t.object for t in description(node)
+            if not isinstance(t.object, Literal) and not is_part(t.object)
+        )
+
+    for node in _closure((ctx for ctx in contexts if not is_part(ctx)), described):
+        kept.update(description(node))
 
     return Graph(kept, name=graph.name)
 

@@ -20,8 +20,7 @@ rule for statements between parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass
 
 from .terms import OWL, RDF_TYPE, RDFS, Graph, Iri, Literal, Term, Triple
 from .vocabulary import (
@@ -89,8 +88,12 @@ class _RuleIndex:
         self.transitive: set[Iri] = set()
         self.functional: set[Iri] = set()
         self.inverse_functional: set[Iri] = set()
+        # AllValuesFrom rules twice over: (via, cls) by the restricted
+        # property, and (property, cls) by `via`.
         self.avf_domain: dict[Iri, set[tuple[Iri, Iri]]] = {}
         self.avf_range: dict[Iri, set[tuple[Iri, Iri]]] = {}
+        self.avf_domain_by_via: dict[Iri, set[tuple[Iri, Iri]]] = {}
+        self.avf_range_by_via: dict[Iri, set[tuple[Iri, Iri]]] = {}
         self.disjoint: list[tuple[Iri, Iri]] = []
         for ax in axioms:
             if ax.kind == SUB_CLASS_OF:
@@ -111,9 +114,13 @@ class _RuleIndex:
             elif ax.kind == INVERSE_FUNCTIONAL:
                 self.inverse_functional.add(ax.terms[0])
             elif ax.kind == ALL_VALUES_FROM_DOMAIN:
-                self.avf_domain.setdefault(ax.terms[0], set()).add((ax.terms[1], ax.terms[2]))
+                prop, via, cls = ax.terms
+                self.avf_domain.setdefault(prop, set()).add((via, cls))
+                self.avf_domain_by_via.setdefault(via, set()).add((prop, cls))
             elif ax.kind == ALL_VALUES_FROM_RANGE:
-                self.avf_range.setdefault(ax.terms[0], set()).add((ax.terms[1], ax.terms[2]))
+                prop, via, cls = ax.terms
+                self.avf_range.setdefault(prop, set()).add((via, cls))
+                self.avf_range_by_via.setdefault(via, set()).add((prop, cls))
             elif ax.kind == DISJOINT_CLASSES:
                 self.disjoint.append((ax.terms[0], ax.terms[1]))
         # Properties in the partOf family: functional conflicts on these are
@@ -205,13 +212,12 @@ def saturate(
                     if not isinstance(z, Literal):
                         out.append(Triple(z, RDF_TYPE, cls))
         # the new triple may be the `via` edge of an AllValuesFrom axiom
-        for prop, pairs in idx.avf_domain.items():
-            for via, cls in pairs:
-                if via == p and sp.get((prop, s)) and not isinstance(o, Literal):
+        if not isinstance(o, Literal):
+            for prop, cls in idx.avf_domain_by_via.get(p, ()):
+                if sp.get((prop, s)):
                     out.append(Triple(o, RDF_TYPE, cls))
-        for prop, pairs in idx.avf_range.items():
-            for via, cls in pairs:
-                if via == p and po.get((prop, s)) and not isinstance(o, Literal):
+            for prop, cls in idx.avf_range_by_via.get(p, ()):
+                if po.get((prop, s)):
                     out.append(Triple(o, RDF_TYPE, cls))
         out.extend(check_functional(t))
         return out
@@ -249,36 +255,6 @@ def saturate(
 # --- validation ---------------------------------------------------------------
 
 
-@dataclass
-class _PatternProps:
-    part_of: set[Iri] = field(default_factory=set)
-    extents: set[Iri] = field(default_factory=set)
-    part_classes: set[Iri] = field(default_factory=set)
-    context_classes: set[Iri] = field(default_factory=set)
-
-
-def _pattern_props(registry: DimensionRegistry, vocab: CoreVocabulary) -> _PatternProps:
-    props = _PatternProps()
-    dims = list(registry)
-    for dim in dims:
-        props.part_of.add(dim.part_of)
-        props.extents.add(dim.extent)
-        props.part_classes.add(dim.part_class)
-        props.context_classes.add(dim.context_class)
-    for size in range(2, len(dims) + 1):
-        for combo in combinations(sorted(d.name for d in dims), size):
-            combined = registry.combined(list(combo))
-            props.part_of.add(combined.part_of)
-            props.extents.add(combined.extent)
-            props.part_classes.add(combined.part_class)
-            props.context_classes.add(combined.context_class)
-    props.part_of.add(vocab.contextualPartOf)
-    props.extents.add(vocab.contextualExtent)
-    props.part_classes.add(vocab.ContextualPart)
-    props.context_classes.add(vocab.Context)
-    return props
-
-
 def validate(
     graph: Graph,
     axioms: list[Axiom],
@@ -287,90 +263,93 @@ def validate(
     *,
     same_extent: bool = True,
 ) -> list[Violation]:
-    props = _pattern_props(registry, vocab)
+    pattern = registry.pattern_vocabulary(vocab)
     result = saturate(graph, axioms, vocab)
     saturated = result.all
     violations: dict[tuple, Violation] = {
         _violation_key(v): v for v in result.violations
     }
 
-    types: dict[Term, set[Iri]] = {}
-    for t in saturated.match(predicate=RDF_TYPE):
-        if isinstance(t.object, Iri):
-            types.setdefault(t.subject, set()).add(t.object)
-
-    part_of_edges: dict[Term, dict[Iri, set[Term]]] = {}
-    extent_edges: dict[Term, dict[Iri, set[Term]]] = {}
-    for t in graph:
-        if t.predicate in props.part_of:
-            part_of_edges.setdefault(t.subject, {}).setdefault(t.predicate, set()).add(t.object)
-        elif t.predicate in props.extents:
-            extent_edges.setdefault(t.subject, {}).setdefault(t.predicate, set()).add(t.object)
-
     def add(v: Violation) -> None:
         violations.setdefault(_violation_key(v), v)
 
+    linked = {t.subject for prop in pattern.part_of for t in graph.match(None, prop)}
+    typed_parts: set[Term] = set()
+    contexts: set[Term] = set()
+    for t in saturated.match(None, RDF_TYPE):
+        if t.object in pattern.part_classes:
+            typed_parts.add(t.subject)
+        if t.object in pattern.context_classes:
+            contexts.add(t.subject)
+
     # Context and ContextualPart are disjoint even when the caller passed no
     # axioms: the check defines pattern conformance.
-    for resource, classes in types.items():
-        if vocab.Context in classes and vocab.ContextualPart in classes:
+    for resource in contexts & typed_parts:
+        cited = (Triple(resource, RDF_TYPE, vocab.Context),
+                 Triple(resource, RDF_TYPE, vocab.ContextualPart))
+        if all(t in saturated for t in cited):
             add(Violation(
                 VIOLATION_DISJOINT,
                 (resource,),
                 f"typed both {vocab.Context.n3()} and {vocab.ContextualPart.n3()}, which are disjoint",
-                (Triple(resource, RDF_TYPE, vocab.Context),
-                 Triple(resource, RDF_TYPE, vocab.ContextualPart)),
+                cited,
             ))
 
-    # Functionality of partOf over asserted edges, per property.
-    for part, by_prop in sorted(part_of_edges.items(), key=lambda kv: kv[0].n3()):
-        for prop, targets in sorted(by_prop.items()):
-            if len(targets) > 1:
-                cited = tuple(sorted((Triple(part, prop, o) for o in targets), key=Triple.sort_key))
+    for prop in pattern.part_of:
+        edges_by_part: dict[Term, list[Triple]] = {}
+        for edge in graph.match(None, prop):
+            edges_by_part.setdefault(edge.subject, []).append(edge)
+            # partOf must not point into a context.
+            if edge.object in contexts:
+                add(Violation(
+                    VIOLATION_RANGE_COMPLEMENT,
+                    (edge.subject, edge.object),
+                    f"{prop.n3()} points at a context individual",
+                    (edge,),
+                ))
+        # Functionality of partOf over asserted edges, per property.
+        for part, edges in edges_by_part.items():
+            if len(edges) > 1:
                 add(Violation(
                     VIOLATION_FUNCTIONAL,
                     (part,),
-                    f"{prop.n3()} is functional but has {len(targets)} values",
-                    cited,
+                    f"{prop.n3()} is functional but has {len(edges)} values",
+                    tuple(sorted(edges, key=Triple.sort_key)),
                 ))
 
     # Parts must have a partOf edge.
-    for resource, classes in sorted(types.items(), key=lambda kv: kv[0].n3()):
-        if classes & props.part_classes and resource not in part_of_edges:
-            add(Violation(
-                VIOLATION_MISSING_PART_OF,
-                (resource,),
-                "typed as a contextual part but carries no partOf edge",
-                tuple(Triple(resource, RDF_TYPE, c) for c in sorted(classes & props.part_classes)),
-            ))
-
-    # partOf must not point into a context.
-    for part, by_prop in sorted(part_of_edges.items(), key=lambda kv: kv[0].n3()):
-        for prop, targets in sorted(by_prop.items()):
-            for target in sorted(targets, key=lambda x: x.n3()):
-                if types.get(target, set()) & ({vocab.Context} | props.context_classes):
-                    add(Violation(
-                        VIOLATION_RANGE_COMPLEMENT,
-                        (part, target),
-                        f"{prop.n3()} points at a context individual",
-                        (Triple(part, prop, target),),
-                    ))
+    for resource in typed_parts - linked:
+        add(Violation(
+            VIOLATION_MISSING_PART_OF,
+            (resource,),
+            "typed as a contextual part but carries no partOf edge",
+            tuple(
+                typing for cls in sorted(pattern.part_classes)
+                if (typing := Triple(resource, RDF_TYPE, cls)) in saturated
+            ),
+        ))
 
     if same_extent:
-        scaffolding = props.part_of | props.extents | {
+        scaffolding = pattern.part_of | pattern.extents | {
             RDF_TYPE, RDFS.subPropertyOf, RDFS.subClassOf, SAME_AS,
             vocab.memberContext,
         }
-        def is_part(r: Term) -> bool:
-            return r in part_of_edges or bool(types.get(r, set()) & props.part_classes)
+        parts = linked | typed_parts
+
+        def extents_of(part: Term) -> dict[Iri, set[Term]]:
+            found: dict[Iri, set[Term]] = {}
+            for t in graph.match(part):
+                if t.predicate in pattern.extents:
+                    found.setdefault(t.predicate, set()).add(t.object)
+            return found
 
         for t in graph.sorted_triples():
             if t.predicate in scaffolding:
                 continue
-            if not (is_part(t.subject) and is_part(t.object)):
+            if not (t.subject in parts and t.object in parts):
                 continue
-            subject_extents = extent_edges.get(t.subject, {})
-            object_extents = extent_edges.get(t.object, {})
+            subject_extents = extents_of(t.subject)
+            object_extents = extents_of(t.object)
             for prop in sorted(set(subject_extents) & set(object_extents)):
                 if subject_extents[prop] != object_extents[prop]:
                     add(Violation(

@@ -11,8 +11,11 @@ and deterministic in order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from .terms import RDF_TYPE, BlankNode, Graph, Iri, Namespace, OWL, RDFS, Triple
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Mapping
+
+from .terms import RDF_TYPE, BlankNode, Graph, Iri, Namespace, OWL, RDFS, Term, Triple
 
 DEFAULT_NAMESPACE = "http://purl.org/NET/ndfluents#"
 DEFAULT_DIMENSION_ROOT = "http://purl.org/NET/ndfluents/"
@@ -224,6 +227,34 @@ def combine_dimensions(
     )
 
 
+@dataclass(frozen=True)
+class PatternVocabulary:
+    """The partOf and extent properties and the part and context classes of
+    every registered and combined dimension and of the core vocabulary. Only
+    registered dimensions attribute contexts: by extent property, or by
+    context class for the contexts that combined and core extents reach."""
+
+    part_of: frozenset[Iri]
+    extents: frozenset[Iri]
+    part_classes: frozenset[Iri]
+    context_classes: frozenset[Iri]
+    extent_dimension: Mapping[Iri, ContextDimension]
+    context_dimension: Mapping[Iri, ContextDimension]
+
+    def is_part(self, graph: Graph, term: Term) -> bool:
+        """Whether `term` has a partOf edge or a part type in `graph`."""
+        return any(
+            t.predicate in self.part_of or (t.predicate == RDF_TYPE and t.object in self.part_classes)
+            for t in graph.match(term)
+        )
+
+    def parts(self, graph: Graph) -> set[Term]:
+        """Every resource with a partOf edge or a part type in `graph`."""
+        return {t.subject for prop in self.part_of for t in graph.match(None, prop)} | {
+            t.subject for t in graph.match(None, RDF_TYPE) if t.object in self.part_classes
+        }
+
+
 class DimensionRegistry:
     """Known dimensions by name, plus the base IRI for minting combined
     dimensions."""
@@ -234,6 +265,7 @@ class DimensionRegistry:
         combined_base: str = DEFAULT_COMBINED_BASE,
     ):
         self._dims: dict[str, ContextDimension] = {}
+        self._patterns: dict[CoreVocabulary, PatternVocabulary] = {}
         self.combined_base = combined_base
         for dim in dimensions or ():
             self.add(dim)
@@ -243,6 +275,7 @@ class DimensionRegistry:
         if existing is not None and existing != dim:
             raise ValueError(f"dimension {dim.name!r} already registered with different IRIs")
         self._dims[dim.name] = dim
+        self._patterns.clear()
 
     def get(self, name: str) -> ContextDimension:
         try:
@@ -255,6 +288,34 @@ class DimensionRegistry:
 
     def combined(self, names: list[str] | tuple[str, ...]) -> ContextDimension:
         return combine_dimensions([self.get(n) for n in names], base=self.combined_base)
+
+    def combined_name_sets(self) -> list[tuple[str, ...]]:
+        """Every set of two or more registered names, as a sorted tuple:
+        the dimensions the combined-extent model can combine."""
+        names = self.names()
+        return [combo for size in range(2, len(names) + 1) for combo in combinations(names, size)]
+
+    def pattern_vocabulary(self, vocab: CoreVocabulary = CORE) -> PatternVocabulary:
+        """The pattern vocabulary of these dimensions under `vocab`, built
+        once per vocabulary until a dimension is added."""
+        pattern = self._patterns.get(vocab)
+        if pattern is None:
+            dims = list(self)
+            combined = [self.combined(names) for names in self.combined_name_sets()]
+            every = dims + combined
+            # A combined or core extent attributes through member contexts,
+            # even where a registered dimension reuses its IRI.
+            shadowed = {c.extent for c in combined} | {vocab.contextualExtent}
+            pattern = PatternVocabulary(
+                part_of=frozenset([d.part_of for d in every] + [vocab.contextualPartOf]),
+                extents=frozenset([d.extent for d in every] + [vocab.contextualExtent]),
+                part_classes=frozenset([d.part_class for d in every] + [vocab.ContextualPart]),
+                context_classes=frozenset([d.context_class for d in every] + [vocab.Context]),
+                extent_dimension={d.extent: d for d in dims if d.extent not in shadowed},
+                context_dimension={d.context_class: d for d in dims},
+            )
+            self._patterns[vocab] = pattern
+        return pattern
 
     def __contains__(self, name: str) -> bool:
         return name in self._dims

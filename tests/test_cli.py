@@ -521,6 +521,71 @@ class TestSubprocess:
             assert runs[0].stdout and runs[0].stdout == runs[1].stdout, name
 
 
+_CSV_HEADER = "subject,predicate,object,objectType,dim1,ctx1\n"
+_CSV_ROW = "http://e.org/a,http://e.org/p,http://e.org/b,iri,temporal,http://e.org/t1\n"
+
+# (input kind, file content, a piece of the one error line); each kind is
+# fed to the command that reads it.
+MALFORMED_INPUTS = {
+    "csv-truncated": ("csv", (_CSV_HEADER + _CSV_ROW)[:70], "row 2: expected at least one"),
+    "csv-open-quote": ("csv", _CSV_HEADER + 'http://e.org/a,http://e.org/p,"http://e.org/b,iri\n', "row 2"),
+    "csv-wrong-header": ("csv", "subj,pred,obj,type,dim1,ctx1\n" + _CSV_ROW, "bad header"),
+    "csv-empty": ("csv", "", "empty statements CSV"),
+    "csv-relative-iri": ("csv", _CSV_HEADER + _CSV_ROW.replace("http://e.org/a", "a"), "row 2: IRI is not absolute"),
+    "csv-relative-context": ("csv", _CSV_HEADER + _CSV_ROW.replace("http://e.org/t1", "t1"), "row 2: IRI is not absolute"),
+    "csv-undecodable": ("csv", _CSV_HEADER.encode() + b"http://e.org/\xff" + _CSV_ROW[14:].encode(), "not UTF-8 at byte 59"),
+    "csv-dangling-dimension": ("csv", _CSV_HEADER[:-1] + ",dim2\n" + _CSV_ROW[:-1] + ",provenance\n", "row 2: dangling dimension"),
+    "csv-unknown-dimension": ("csv", _CSV_HEADER + _CSV_ROW.replace("temporal", "spatial"), "unknown dimension: 'spatial'"),
+    "config-truncated": ("config", "[core]\nmodel", "line 2: expected key = value"),
+    "config-bad-section-header": ("config", "[core\nmodel = multi-context\n", "line 1: expected a [section] header"),
+    "config-unknown-section": ("config", "[weird]\n", "unknown config section [weird]"),
+    "config-relative-iri": ("config", "[core]\nnamespace = relative#\n", "IRI is not absolute"),
+    "config-undecodable": ("config", b"[core]\nnamespace = \xff\n", "not UTF-8 at byte 19"),
+    "config-dangling-dimension": (
+        "config",
+        "[core]\nmodel = contexts-in-context\nnesting_order = temporal, spatial\n",
+        "nesting_order names unregistered dimensions: spatial",
+    ),
+    "config-unknown-key": ("config", "[dimension.spatial]\ncolour = red\n", "unknown keys: colour"),
+    "pattern-truncated": ("pattern", "?s ?p", "line 1: a triple pattern needs exactly 3 terms"),
+    "pattern-bad-group": ("pattern", "?s ?p ?o .\nGROUP BY\n", "line 2: expected GROUP BY ?variable"),
+    "pattern-relative-iri": ("pattern", "<rel> ?p ?o .\n", "IRI is not absolute"),
+    "pattern-undecodable": ("pattern", b'?s ?p "\xff" .\n', "not UTF-8 at byte 7"),
+    "pattern-dangling-dimension": ("pattern", "?s ?p ?o .\nCONTEXT temporal\n", "line 2: expected CONTEXT dimension <iri>"),
+    "pattern-unknown-dimension": (
+        "pattern",
+        "?s ?p ?o .\nCONTEXT temporl <http://e.org/t1>\n",
+        "unknown dimension 'temporl' in the context filter; registered: provenance, temporal",
+    ),
+}
+
+
+class TestMalformedInputs:
+    """Every malformed statements, config or pattern file exits 2 with one
+    `error:` line and no traceback, in a fresh interpreter."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_exits_two_with_one_error_line(self, tmp_path, case):
+        kind, content, expected = MALFORMED_INPUTS[case]
+        bad = tmp_path / f"bad.{kind}"
+        if isinstance(content, str):
+            content = content.encode("utf-8")
+        bad.write_bytes(content)
+        good_csv = tmp_path / "good.csv"
+        good_csv.write_text(_CSV_HEADER + _CSV_ROW, encoding="utf-8")
+        graph = tmp_path / "graph.nt"
+        graph.write_text("<http://e.org/a@t1> <http://e.org/p> <http://e.org/b@t1> .\n", encoding="utf-8")
+        argv = {
+            "csv": ["contextualize", bad],
+            "config": ["contextualize", good_csv, "-c", bad],
+            "pattern": ["query", graph, "--pattern", bad],
+        }[kind]
+        done = run_cli(argv)
+        lines = done.stderr.splitlines()
+        assert (done.returncode, done.stdout, len(lines)) == (2, "", 1), done.stderr
+        assert lines[0].startswith("error: ") and expected in lines[0]
+
+
 class TestErrorPaths:
     def test_missing_file(self, capsys):
         assert main(["validate", "no/such/file.ttl"]) == 2
@@ -543,6 +608,15 @@ class TestErrorPaths:
         assert main(["validate", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "bad.nt" in err
+
+    def test_context_filter_with_an_unregistered_dimension(self, tmp_path, graph_file, capsys):
+        pattern = tmp_path / "pattern.rq"
+        pattern.write_text("?s ?p ?o .\nCONTEXT temporl <http://example.org/year508>\n", encoding="utf-8")
+        assert main(["query", str(graph_file), "--pattern", str(pattern)]) == 2
+        assert capsys.readouterr().err == (
+            "error: unknown dimension 'temporl' in the context filter; "
+            "registered: provenance, temporal\n"
+        )
 
     def test_malformed_pattern(self, tmp_path, graph_file, capsys):
         pattern = tmp_path / "pattern.rq"

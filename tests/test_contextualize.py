@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndfluents import (
     AnnotatedStatement,
@@ -239,6 +241,15 @@ class TestPredicateModes:
         with pytest.raises(ValueError):
             contextualize([stmt], temporal_registry, CombinationModel.multi_context())
 
+    @pytest.mark.parametrize("role", ["part_of", "extent"])
+    def test_keep_rejects_combined_scaffolding_predicates(self, two_dim_registry, role):
+        # decontextualize reads these as scaffolding, so the statement would
+        # vanish on the way back.
+        predicate = getattr(two_dim_registry.combined(["provenance", "temporal"]), role)
+        stmt = annotate(EX.a, predicate, EX.b, ("temporal", EX.t1))
+        with pytest.raises(ValueError, match="collides with scaffolding vocabulary"):
+            contextualize([stmt], two_dim_registry, CombinationModel.multi_context())
+
     def test_subproperty_mode_links_predicate_to_dimension_property(
         self, temporal_registry, paris_statement
     ):
@@ -405,6 +416,53 @@ class TestMintingCollisions:
     def test_repeated_statement_reuses_its_part(self, temporal_registry, paris_statement):
         g = contextualize([paris_statement] * 2, temporal_registry, CombinationModel.multi_context())
         assert decontextualize(g, temporal_registry) == [paris_statement]
+
+
+# Contexts whose local names repeat across namespaces, so suffix minting
+# can give two different parts one IRI.
+_contexts = st.builds(
+    lambda namespace, local: Iri(namespace + local),
+    st.sampled_from(["http://a.org/", "http://b.org/ns#", "http://c.org/x/"]),
+    st.sampled_from(["y2016", "y508", "src"]),
+)
+_entities = st.sampled_from([EX.Paris, EX.France, EX.Lyon])
+
+
+@st.composite
+def _statements(draw):
+    assignments = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["temporal", "provenance"]), _contexts),
+            min_size=1,
+            max_size=2,
+            unique_by=lambda pair: pair[0],
+        )
+    )
+    obj = draw(st.one_of(_entities, st.builds(Literal, st.sampled_from(["1", "2"]))))
+    return annotate(draw(_entities), draw(st.sampled_from([EX.knows, EX.capitalOf])), obj, *assignments)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_statements(), min_size=1, max_size=6),
+    st.sampled_from([
+        CombinationModel.multi_context(),
+        CombinationModel.contexts_in_context(["temporal", "provenance"]),
+        CombinationModel.contexts_in_context(["provenance", "temporal"]),
+        CombinationModel.combined_extent(),
+    ]),
+    st.sampled_from(["suffix", "hash"]),
+)
+def test_round_trip_is_lossless_or_a_pattern_error(statements, model, mode):
+    """Never another exception, and never two parts merged in silence: a
+    merge would show as a statement lost or changed on the way back."""
+    registry = DimensionRegistry([TEMPORAL, PROVENANCE])
+    try:
+        graph = contextualize(statements, registry, model, MintingPolicy(mode=mode))
+        recovered = decontextualize(graph, registry)
+    except PatternError:
+        return
+    assert set(recovered) == set(statements)
 
 
 class TestBaselineEncodings:

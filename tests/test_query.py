@@ -361,6 +361,15 @@ class TestContextSlice:
         piece = context_slice(graph, temporal_registry, EX.y2016)
         assert set(piece) == set(graph)
 
+    def test_unregistered_dimension_is_rejected(self, two_dim_registry):
+        statement = annotate(EX.a, EX.p, EX.b, ("temporal", EX.t1))
+        graph = contextualize([statement], two_dim_registry, CombinationModel.multi_context())
+        with pytest.raises(QueryError, match="'temporl'.*registered: provenance, temporal"):
+            context_slice(graph, two_dim_registry, EX.t1, dimension="temporl")
+        pattern = parse_pattern(f"?s ?p ?o .\nCONTEXT temporl {EX.t1.n3()}\n")
+        with pytest.raises(QueryError, match="unknown dimension 'temporl'"):
+            match(graph, pattern, two_dim_registry)
+
     def test_match_with_context_filter_needs_registry(self):
         pattern = Pattern(
             (TriplePattern(Variable("x"), EX.p, Variable("y")),),

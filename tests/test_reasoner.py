@@ -6,6 +6,7 @@ from ndfluents import (
     CombinationModel,
     Config,
     Graph,
+    Literal,
     MintingPolicy,
     RDF_TYPE,
     Triple,
@@ -29,6 +30,8 @@ from ndfluents.reasoner import (
 )
 from ndfluents.vocabulary import (
     CORE,
+    all_values_from_domain,
+    all_values_from_range,
     functional,
     inverse_functional,
     property_domain,
@@ -227,6 +230,67 @@ class TestChainClosure:
             EX.Paris, (("temporal", EX.t1), ("provenance", EX.p1), ("trust", EX.w1))
         )
         assert Triple(innermost, CORE.contextualPartOf, EX.Paris) in result.all
+
+
+class TestAllValuesFrom:
+    """Each AllValuesFrom rule types only the values of its own `via`
+    property, whichever of its two edges comes first."""
+
+    def test_domain_rule_types_the_via_values_of_subjects(self):
+        axioms = [
+            all_values_from_domain(EX.hasPart, EX.partOf, EX.Part),
+            all_values_from_domain(EX.hasPart, EX.locatedIn, EX.Place),
+        ]
+        g = Graph([
+            Triple(EX.a, EX.hasPart, EX.b),
+            Triple(EX.a, EX.partOf, EX.whole),
+            Triple(EX.a, EX.partOf, Literal("not typed")),
+            Triple(EX.a, EX.locatedIn, EX.city),
+            # No hasPart edge from `other`, so its values stay untyped.
+            Triple(EX.other, EX.partOf, EX.elsewhere),
+        ])
+        assert set(saturate(g, axioms).derived) == {
+            Triple(EX.whole, RDF_TYPE, EX.Part),
+            Triple(EX.city, RDF_TYPE, EX.Place),
+        }
+
+    def test_range_rule_types_the_via_values_of_objects(self):
+        axioms = [
+            all_values_from_range(EX.hasPart, EX.partOf, EX.Part),
+            all_values_from_range(EX.owns, EX.locatedIn, EX.Place),
+        ]
+        g = Graph([
+            Triple(EX.a, EX.hasPart, EX.b),
+            Triple(EX.b, EX.partOf, EX.whole),
+            Triple(EX.b, EX.locatedIn, EX.city),
+            Triple(EX.c, EX.owns, EX.d),
+            Triple(EX.d, EX.locatedIn, EX.town),
+            Triple(EX.d, EX.partOf, EX.thing),
+        ])
+        assert set(saturate(g, axioms).derived) == {
+            Triple(EX.whole, RDF_TYPE, EX.Part),
+            Triple(EX.town, RDF_TYPE, EX.Place),
+        }
+
+    def test_rules_fire_when_either_edge_is_derived(self):
+        axioms = [
+            sub_property_of(EX.hasPiece, EX.hasPart),
+            sub_property_of(EX.directlyIn, EX.locatedIn),
+            all_values_from_domain(EX.hasPart, EX.locatedIn, EX.Place),
+            all_values_from_range(EX.hasPart, EX.locatedIn, EX.Site),
+        ]
+        g = Graph([
+            Triple(EX.a, EX.hasPiece, EX.b),
+            Triple(EX.a, EX.directlyIn, EX.city),
+            Triple(EX.b, EX.directlyIn, EX.site),
+        ])
+        assert set(saturate(g, axioms).derived) == {
+            Triple(EX.a, EX.hasPart, EX.b),
+            Triple(EX.a, EX.locatedIn, EX.city),
+            Triple(EX.b, EX.locatedIn, EX.site),
+            Triple(EX.city, RDF_TYPE, EX.Place),
+            Triple(EX.site, RDF_TYPE, EX.Site),
+        }
 
 
 class TestValidate:
