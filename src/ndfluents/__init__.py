@@ -81,7 +81,6 @@ from .terms import (
     Iri,
     Literal,
     Namespace,
-    Quad,
     Triple,
 )
 from .vocabulary import (
@@ -135,7 +134,6 @@ __all__ = [
     "ParseError",
     "Pattern",
     "PatternError",
-    "Quad",
     "QueryError",
     "RDF",
     "RDFS",

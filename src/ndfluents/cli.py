@@ -13,6 +13,7 @@ import argparse
 import json
 import logging
 import sys
+from itertools import count
 from pathlib import Path
 from typing import Sequence
 
@@ -36,7 +37,7 @@ from .parser import NQUADS, NTRIPLES, TURTLE, ParseError, normalize_format, pars
 from .query import QueryError, match, parse_pattern
 from .reasoner import saturate, validate
 from .serializer import canonicalize, serialize
-from .terms import Graph, Iri
+from .terms import BlankNode, Graph, Iri, Triple
 from .vocabulary import axioms_from_graph, axioms_to_graph
 
 log = logging.getLogger("ndfluents")
@@ -93,6 +94,28 @@ def _read_graph(path: str, fmt: str | None) -> Graph:
     for graph in data:
         merged = merged.union(graph)
     return Graph(merged)
+
+
+def _merge(graph: Graph, paths: Sequence[str]) -> Graph:
+    """`graph`, which has no blank nodes, merged with the graphs in `paths`.
+    A blank node label names a node only within its own file, so the blank
+    nodes of each file are renamed apart from those of the files before it,
+    as an RDF merge does."""
+    graphs = [_read_graph(path, None) for path in paths]
+    taken: set[BlankNode] = set()
+    for i, extra in enumerate(graphs):
+        blanks = {term for t in extra for term in (t.subject, t.object) if isinstance(term, BlankNode)}
+        clashes = sorted(blanks & taken)
+        if clashes:
+            used = taken | blanks
+            rename = dict(zip(clashes, (b for b in (BlankNode(f"b{n}") for n in count()) if b not in used)))
+            graphs[i] = Graph(
+                Triple(rename.get(t.subject, t.subject), t.predicate, rename.get(t.object, t.object))
+                for t in extra
+            )
+            blanks = (blanks - rename.keys()) | set(rename.values())
+        taken |= blanks
+    return graph.union(*graphs)
 
 
 def _write_graph(graph: Graph, out: str | None, fmt: str | None, config: Config) -> None:
@@ -188,8 +211,7 @@ def _cmd_contextualize(args: argparse.Namespace) -> int:
         config.vocab,
         predicate_mode=config.predicate_mode,
     )
-    for path in args.merge or ():
-        graph = graph.union(_read_graph(path, None))
+    graph = _merge(graph, args.merge or ())
     log.info(
         "contextualized %d statements into %d triples (%s)",
         len(statements),

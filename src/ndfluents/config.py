@@ -303,7 +303,7 @@ def load_config(text: str) -> Config:
     except ValueError as error:
         raise ConfigError(f"[core] namespace: {error}") from None
 
-    combined_base = core.get("combined_base", DEFAULT_COMBINED_BASE).strip()
+    combined_base = _parse_iri("core", "combined_base", core.get("combined_base", DEFAULT_COMBINED_BASE)).value
     if not dimensions:
         registry = DimensionRegistry(
             [temporal_dimension(), provenance_dimension()], combined_base
@@ -341,11 +341,12 @@ def load_config(text: str) -> Config:
     mode = minting.get("mode", MINT_SUFFIX).strip().lower()
     if mode not in (MINT_SUFFIX, MINT_HASH):
         raise ConfigError(f"[minting] mode must be {MINT_SUFFIX} or {MINT_HASH}")
+    context_base = _parse_iri("minting", "context_base", minting.get("context_base", DEFAULT_CONTEXT_BASE)).value
     try:
         policy = MintingPolicy(
             mode=mode,
             separator=minting.get("separator", "@").strip() or "@",
-            combined_context_base=minting.get("context_base", DEFAULT_CONTEXT_BASE).strip(),
+            combined_context_base=context_base,
         )
     except ValueError as error:
         raise ConfigError(f"[minting] {error}") from None

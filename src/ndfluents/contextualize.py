@@ -182,18 +182,6 @@ class MintingPolicy:
         return Iri(f"{statement.base.predicate.value}{self.separator}{digest}")
 
 
-def mint_part(
-    entity: Iri,
-    contexts: tuple[tuple[str, Iri], ...] | list[tuple[str, Iri]] | frozenset[ContextAssignment],
-    policy: MintingPolicy,
-) -> Iri:
-    pairs = tuple(
-        (c.dimension, c.context) if isinstance(c, ContextAssignment) else (c[0], c[1])
-        for c in contexts
-    )
-    return policy.mint_part(entity, pairs)
-
-
 def related_property_iri(predicate: Iri) -> Iri:
     """Default minted IRI for the related contextual property of a predicate."""
     sep = "_" if "#" in predicate.value else "#"

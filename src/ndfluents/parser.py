@@ -1,12 +1,14 @@
-"""Parsers for N-Triples, N-Quads, and a Turtle subset.
+"""Parsers for N-Triples, N-Quads and a Turtle subset, and `TermReader`,
+which reads their terms plus `?name` variables one line at a time.
 
 The Turtle subset covers what the generated ontologies and fixtures need:
-`@prefix` / `@base` directives, prefixed names, `<...>` IRIs, `a`, labeled
-blank nodes, string literals with `^^datatype` / `@lang`, and `;` / `,`
-predicate/object lists. No collections, no anonymous `[]` nodes, no numeric
-or boolean shorthand, no quoted triples.
+`@prefix` / `@base` directives, prefixed names (letters and digits of any
+script, `_`, `-` and `.`), `<...>` IRIs, `a`, labeled blank nodes, string
+literals with `^^datatype` / `@lang`, integers and decimals, and `;` / `,`
+predicate/object lists. No collections, no anonymous `[]` nodes, no doubles
+or booleans, no escapes in local names, no quoted triples.
 
-One tokenizer serves all three formats. A compiled regex, matched at the
+One tokenizer serves all of them. A compiled regex, matched at the
 current offset, skips whitespace and `#` comments and reads one whole token:
 an IRI, a string literal or a prefixed name is a single match, and escapes
 are decoded only in a span that holds a backslash. A token records the
@@ -27,7 +29,7 @@ import re
 from typing import Iterator
 from urllib.parse import urljoin
 
-from .terms import RDF_TYPE, XSD_STRING, BlankNode, Graph, Iri, Literal, Term, Triple
+from .terms import RDF_TYPE, XSD, XSD_STRING, BlankNode, Graph, Iri, Literal, Term, Triple
 
 
 class ParseError(ValueError):
@@ -81,10 +83,10 @@ def _decode_escape(m: re.Match) -> str:
     raise ValueError(reason)
 
 
-def unescape(body: str) -> str:
+def _unescape(body: str) -> str:
     r"""Decode the escapes of a quoted literal or IRI body: `\t \b \n \r \f
-    \" \' \\`, `\uXXXX` and `\UXXXXXXXX`. The graph parser and the pattern
-    parser share it. Raises `ValueError` naming the first malformed one."""
+    \" \' \\`, `\uXXXX` and `\UXXXXXXXX`. Raises `ValueError` naming the
+    first malformed one."""
     return _ESCAPE_RE.sub(_decode_escape, body) if "\\" in body else body
 
 
@@ -96,6 +98,8 @@ PNAME = "PNAME"
 BLANK = "BLANK"
 STRING = "STRING"
 LANGTAG = "LANGTAG"
+VAR = "VAR"
+NUMBER = "NUMBER"
 DOT = "."
 KW_A = "a"
 PREFIX_DIRECTIVE = "@prefix"
@@ -105,7 +109,9 @@ EOF = "EOF"
 # A token is (kind, value, offset of its first character, prefix of a PNAME).
 Token = tuple[str, str, int, str]
 
-_PN = "[A-Za-z0-9_.-]"
+# A name character: `\w` (a letter or digit of any script, or `_`), `.` or
+# `-`. The ASCII ones, listed first, match by a faster table lookup.
+_PN = r"[A-Za-z0-9_.\w-]"
 _IRI_CHAR = r'[^\n\r "<>{}|^`\\]'
 _STRING_CHAR = r'[^"\\\n\r]'
 # Skips whitespace and comments, then reads one token. An IRI or a string
@@ -121,6 +127,8 @@ _TOKEN_RE = re.compile(
     r"|@(?P<at>(?:[^\W_]|-)*)"
     r"|(?P<punct>\^\^|[.;,])"
     rf"|(?P<prefix>{_PN}*):(?P<local>{_PN}*(?<!\.))"
+    r"|\?(?P<var>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<number>[+-]?[0-9]*\.?[0-9]+)"
     rf"|(?P<word>{_PN}+)"
     r"|(?P<other>.)"
     r"|\Z)",
@@ -162,7 +170,7 @@ def _tokens(text: str) -> Iterator[Token]:
         if kind == "iri_end":
             if pos == m.end("iri"):
                 raise _malformed(text, start, pos, "IRI")
-            yield IRIREF, unescape(m.group("iri")), start, ""
+            yield IRIREF, _unescape(m.group("iri")), start, ""
         elif kind == "local":
             yield PNAME, m.group("local"), start, m.group("prefix")
         elif kind == "punct":
@@ -171,7 +179,7 @@ def _tokens(text: str) -> Iterator[Token]:
         elif kind == "string_end":
             if pos == m.end("string"):
                 raise _malformed(text, start, pos, "string literal")
-            yield STRING, unescape(m.group("string")), start, ""
+            yield STRING, _unescape(m.group("string")), start, ""
         elif kind == "blank":
             if pos == start + 2:
                 raise _error(text, "empty blank node label", start)
@@ -186,6 +194,10 @@ def _tokens(text: str) -> Iterator[Token]:
             if m.group("word") != "a":
                 raise _error(text, f"expected ':' in prefixed name, got {m.group('word')!r}", start)
             yield KW_A, "a", start, ""
+        elif kind == "var":
+            yield VAR, m.group("var"), start, ""
+        elif kind == "number":
+            yield NUMBER, m.group("number"), start, ""
         elif kind == "other":
             raise _error(text, f"unexpected character {m.group('other')!r}", start)
         else:
@@ -197,24 +209,28 @@ def _tokens(text: str) -> Iterator[Token]:
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 _LANGTAG_RE = re.compile(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$")
+_XSD_INTEGER, _XSD_DECIMAL = XSD.integer, XSD.decimal
 
 
 class _Parser:
     """Shared statement parser. Strict mode (N-Triples/N-Quads) disallows
     directives, prefixed names, `a`, `;`/`,` lists, and relative IRIs."""
 
-    def __init__(self, text: str, *, strict: bool, quads: bool, base: str | None = None):
-        self.text = text
-        self._next_token = _tokens(text).__next__
+    def __init__(self, *, strict: bool, quads: bool, base: str | None = None):
         self.strict = strict
         self.quads = quads
         self.base = base
         self.prefixes: dict[str, str] = {}
-        self.token = self._next_token()
         self.graphs: dict[Iri | None, set[Triple]] = {}
         self._blank_map: dict[str, BlankNode] = {}
         # Each distinct IRI of the document becomes one shared object.
         self._iris: dict[str, Iri] = {RDF_TYPE.value: RDF_TYPE, XSD_STRING.value: XSD_STRING}
+
+    def start(self, text: str) -> None:
+        """Read `text` from its first token on."""
+        self.text = text
+        self._next_token = _tokens(text).__next__
+        self.token = self._next_token()
 
     def _advance(self) -> None:
         self.token = self._next_token()
@@ -291,6 +307,9 @@ class _Parser:
         if kind == KW_A and not self.strict and position == "predicate":
             self._advance()
             return RDF_TYPE
+        if kind == NUMBER and not self.strict:
+            self._advance()
+            return Literal(value, datatype=_XSD_DECIMAL if "." in value else _XSD_INTEGER)
         raise self._error(f"expected {position} term, got {kind} {value!r}")
 
     def _directive(self) -> None:
@@ -341,8 +360,9 @@ class _Parser:
         for predicate, obj in pairs:
             triples.add(Triple(subject, predicate, obj))
 
-    def run(self) -> dict[Iri | None, set[Triple]]:
-        """The parsed triples by graph name; `None` names the default graph."""
+    def run(self, text: str) -> dict[Iri | None, set[Triple]]:
+        """The triples of `text` by graph name; `None` names the default graph."""
+        self.start(text)
         while self.token[0] != EOF:
             if self.token[0] in (PREFIX_DIRECTIVE, BASE_DIRECTIVE):
                 if self.strict:
@@ -351,6 +371,39 @@ class _Parser:
             else:
                 self._statement()
         return self.graphs
+
+
+_POSITIONS = ("subject", "predicate", "object")
+
+
+class TermReader:
+    """Reads the terms of a line-oriented file, such as a pattern file, one
+    line at a time. Its `prefixes` map (name to namespace IRI) holds for the
+    whole file, and each distinct IRI of the file becomes one object."""
+
+    def __init__(self) -> None:
+        self._parser = _Parser(strict=False, quads=False)
+        self.prefixes = self._parser.prefixes
+
+    def read(self, line: str) -> list[Term | str]:
+        """The terms of `line` up to an optional final `.`, a variable as its
+        name; `a` reads as rdf:type in the second position only. Raises
+        `ParseError` at a position in `line`."""
+        parser = self._parser
+        parser.start(line)
+        terms: list[Term | str] = []
+        while parser.token[0] not in (DOT, EOF):
+            if parser.token[0] == VAR:
+                terms.append(parser.token[1])
+                parser._advance()
+            else:
+                terms.append(parser._term(_POSITIONS[min(len(terms), 2)]))
+        if parser.token[0] == DOT:
+            parser._advance()
+            if parser.token[0] != EOF:
+                kind, value = parser.token[:2]
+                raise parser._error(f"expected end of line, got {kind} {value!r}")
+        return terms
 
 
 def _decode(document: str | bytes) -> str:
@@ -363,18 +416,18 @@ def _decode(document: str | bytes) -> str:
 
 
 def parse_ntriples(document: str | bytes) -> Graph:
-    return Graph(_Parser(_decode(document), strict=True, quads=False).run().get(None, ()))
+    return Graph(_Parser(strict=True, quads=False).run(_decode(document)).get(None, ()))
 
 
 def parse_nquads(document: str | bytes) -> list[Graph]:
     """Parse N-Quads into one Graph per graph label (default graph first)."""
-    by_name = _Parser(_decode(document), strict=True, quads=True).run()
+    by_name = _Parser(strict=True, quads=True).run(_decode(document))
     names = sorted(by_name, key=lambda n: ("" if n is None else n.value))
     return [Graph(by_name[name], name=name) for name in names]
 
 
 def parse_turtle(document: str | bytes, base: str | None = None) -> Graph:
-    return Graph(_Parser(_decode(document), strict=False, quads=False, base=base).run().get(None, ()))
+    return Graph(_Parser(strict=False, quads=False, base=base).run(_decode(document)).get(None, ()))
 
 
 def parse(document: str | bytes, fmt: str, base: str | None = None) -> Graph | list[Graph]:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .parser import unescape
+from .parser import ParseError, TermReader
 from .terms import (
     RDF_TYPE,
     XSD,
@@ -48,7 +48,8 @@ class QueryError(ValueError):
     """A malformed pattern, unusable aggregate input, or bad pattern file."""
 
 
-_VARIABLE_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_NAME = "[A-Za-z_][A-Za-z0-9_]*"
+_VARIABLE_RE = re.compile(f"^{_NAME}$")
 
 AVG = "AVG"
 COUNT = "COUNT"
@@ -528,23 +529,6 @@ def context_slice(
 # Textual pattern files
 
 
-_PATTERN_TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<iri><[^<>"{}|^`\\\s]*>) |
-        (?P<string>"(?:[^"\\]|\\.)*") |
-        (?P<var>\?[A-Za-z_][A-Za-z0-9_]*) |
-        (?P<langtag>@[A-Za-z]+(?:-[A-Za-z0-9]+)*) |
-        (?P<carets>\^\^) |
-        (?P<dot>\.(?=\s|$)) |
-        (?P<word>[^\s.][^\s]*?(?=\s|\.$|$)|[^\s]) |
-        $
-    )""",
-    re.VERBOSE,
-)
-
-_INTEGER_RE = re.compile(r"^[+-]?[0-9]+$")
-_DECIMAL_RE = re.compile(r"^[+-]?[0-9]*\.[0-9]+$")
-
 PATTERN_GRAMMAR = """\
 A pattern file is line-oriented. Blank lines and `#` comments are skipped.
 
@@ -558,35 +542,31 @@ A pattern file is line-oriented. Blank lines and `#` comments are skipped.
   SCALE n                       decimal places for AVG and non-integral
                                 aggregates (default 2)
 
-Each triple-pattern position is `?variable`, `<iri>`, `prefix:local`, the
-keyword `a` (rdf:type), a quoted literal with optional `@lang` or
-`^^datatype`, or a bare integer/decimal number.
+Terms are Turtle's plus `?variable`: `<iri>`, `prefix:local` (letters and
+digits of any script, `_`, `-` and `.`; write an IRI with `/`, `#` or `%`
+there as `<iri>`), `a` (rdf:type) as the predicate, a quoted literal with
+optional `@lang` or `^^datatype`, or a number (`5`, `-0.5`). Blank nodes
+are not allowed.
 """
 
-
-def _tokenize_pattern_line(line: str, line_number: int) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    position = 0
-    while position < len(line):
-        m = _PATTERN_TOKEN_RE.match(line, position)
-        if m is None or m.end() == position:
-            if line[position:].strip():
-                raise QueryError(
-                    f"line {line_number}: cannot read {line[position:].strip()!r}"
-                )
-            break
-        position = m.end()
-        for kind in ("iri", "string", "var", "langtag", "carets", "dot", "word"):
-            value = m.group(kind)
-            if value is not None:
-                tokens.append((kind, value))
-                break
-    return tokens
+# Each keyword line's regex, which a comment may follow, and the form its
+# error message names; `_<keyword>_line` handles the match. The terms of
+# PREFIX and CONTEXT lines are read by the TermReader.
+_KEYWORD_LINES = {
+    keyword: (re.compile(regex + r"\s*(?:#.*)?", re.IGNORECASE), form)
+    for keyword, regex, form in [
+        ("PREFIX", r"PREFIX\s+([^\W_][\w.-]*)?:\s*(<.*)", "PREFIX name: <iri>"),
+        ("GROUP", rf"GROUP\s+BY\s+\?({_NAME})", "GROUP BY ?variable"),
+        ("AGG", rf"AGG\s+([A-Za-z]+)\s+(DISTINCT\s+)?\?({_NAME})\s+AS\s+({_NAME})", "AGG FUNC [DISTINCT] ?var AS name"),
+        ("CONTEXT", r"CONTEXT\s+([A-Za-z][A-Za-z0-9]*)\s+(\S.*)", "CONTEXT dimension <iri>"),
+        ("SCALE", r"SCALE\s+([0-9]+)", "SCALE n"),
+    ]
+}
 
 
 class _PatternParser:
     def __init__(self) -> None:
-        self.prefixes: dict[str, str] = {}
+        self.reader = TermReader()
         self.patterns: list[TriplePattern] = []
         self.group_by: Variable | None = None
         self.aggregates: list[Aggregate] = []
@@ -594,23 +574,20 @@ class _PatternParser:
         self.scale = DEFAULT_SCALE
 
     def parse(self, text: str) -> Pattern:
-        for line_number, raw in enumerate(text.splitlines(), start=1):
+        # Only CR and LF end a line: a literal may hold any other line separator.
+        for line_number, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            upper = line.upper()
-            if upper.startswith("PREFIX "):
-                self._prefix_line(line, line_number)
-            elif upper.startswith("GROUP BY"):
-                self._group_line(line, line_number)
-            elif upper.startswith("AGG "):
-                self._agg_line(line, line_number)
-            elif upper.startswith("CONTEXT "):
-                self._context_line(line, line_number)
-            elif upper.startswith("SCALE "):
-                self._scale_line(line, line_number)
-            else:
+            keyword = line.split(None, 1)[0].upper()
+            if keyword not in _KEYWORD_LINES:
                 self._triple_line(line, line_number)
+                continue
+            regex, form = _KEYWORD_LINES[keyword]
+            m = regex.fullmatch(line)
+            if m is None:
+                raise QueryError(f"line {line_number}: expected {form}")
+            getattr(self, f"_{keyword.lower()}_line")(m, line_number)
         if not self.patterns:
             raise QueryError("pattern file has no triple patterns")
         return Pattern(
@@ -621,30 +598,25 @@ class _PatternParser:
             scale=self.scale,
         )
 
-    def _prefix_line(self, line: str, line_number: int) -> None:
-        m = re.match(r"^PREFIX\s+([A-Za-z0-9][A-Za-z0-9_.-]*)?:\s*<([^<>\s]*)>\s*$", line, re.IGNORECASE)
-        if m is None:
-            raise QueryError(f"line {line_number}: expected PREFIX name: <iri>")
-        self.prefixes[m.group(1) or ""] = m.group(2)
+    def _read(self, text: str, line_number: int) -> list[Term | Variable]:
+        try:
+            terms = self.reader.read(text)
+        except ParseError as exc:
+            raise QueryError(f"line {line_number}: {exc.reason}") from None
+        return [Variable(term) if isinstance(term, str) else term for term in terms]
 
-    def _group_line(self, line: str, line_number: int) -> None:
-        m = re.match(r"^GROUP\s+BY\s+\?([A-Za-z_][A-Za-z0-9_]*)\s*$", line, re.IGNORECASE)
-        if m is None:
-            raise QueryError(f"line {line_number}: expected GROUP BY ?variable")
+    def _prefix_line(self, m: re.Match, line_number: int) -> None:
+        terms = self._read(m.group(2), line_number)
+        if len(terms) != 1 or not isinstance(terms[0], Iri):
+            raise QueryError(f"line {line_number}: expected PREFIX name: <iri>")
+        self.reader.prefixes[m.group(1) or ""] = terms[0].value
+
+    def _group_line(self, m: re.Match, line_number: int) -> None:
         if self.group_by is not None:
             raise QueryError(f"line {line_number}: GROUP BY given twice")
         self.group_by = Variable(m.group(1))
 
-    def _agg_line(self, line: str, line_number: int) -> None:
-        m = re.match(
-            r"^AGG\s+([A-Za-z]+)\s+(DISTINCT\s+)?\?([A-Za-z_][A-Za-z0-9_]*)\s+AS\s+([A-Za-z_][A-Za-z0-9_]*)\s*$",
-            line,
-            re.IGNORECASE,
-        )
-        if m is None:
-            raise QueryError(
-                f"line {line_number}: expected AGG FUNC [DISTINCT] ?var AS name"
-            )
+    def _agg_line(self, m: re.Match, line_number: int) -> None:
         function = m.group(1).upper()
         if function not in AGGREGATE_FUNCTIONS:
             raise QueryError(f"line {line_number}: unknown aggregate {m.group(1)!r}")
@@ -652,94 +624,29 @@ class _PatternParser:
             Aggregate(function, Variable(m.group(3)), m.group(4), distinct=bool(m.group(2)))
         )
 
-    def _context_line(self, line: str, line_number: int) -> None:
-        m = re.match(r"^CONTEXT\s+([A-Za-z][A-Za-z0-9]*)\s+(\S+)\s*$", line, re.IGNORECASE)
-        if m is None:
-            raise QueryError(f"line {line_number}: expected CONTEXT dimension <iri>")
+    def _context_line(self, m: re.Match, line_number: int) -> None:
         if self.context is not None:
             raise QueryError(f"line {line_number}: CONTEXT given twice")
-        term = self._term_from_token(m.group(2), line_number)
-        if not isinstance(term, Iri):
+        terms = self._read(m.group(2), line_number)
+        if len(terms) != 1 or not isinstance(terms[0], Iri):
             raise QueryError(f"line {line_number}: context must be an IRI")
-        self.context = (m.group(1), term)
+        self.context = (m.group(1), terms[0])
 
-    def _scale_line(self, line: str, line_number: int) -> None:
-        m = re.match(r"^SCALE\s+([0-9]+)\s*$", line, re.IGNORECASE)
-        if m is None:
-            raise QueryError(f"line {line_number}: expected SCALE n")
+    def _scale_line(self, m: re.Match, line_number: int) -> None:
         self.scale = int(m.group(1))
 
-    def _term_from_token(self, token: str, line_number: int) -> Term | Variable:
-        if token.startswith("<") and token.endswith(">"):
-            return Iri(token[1:-1])
-        if token.startswith("?"):
-            return Variable(token[1:])
-        if token == "a":
-            return RDF_TYPE
-        if _INTEGER_RE.match(token):
-            return Literal(token, datatype=XSD.integer)
-        if _DECIMAL_RE.match(token):
-            return Literal(token, datatype=XSD.decimal)
-        if ":" in token:
-            prefix, _, local = token.partition(":")
-            if prefix not in self.prefixes:
-                raise QueryError(f"line {line_number}: unknown prefix {prefix!r}:")
-            return Iri(self.prefixes[prefix] + local)
-        raise QueryError(f"line {line_number}: cannot read term {token!r}")
-
     def _triple_line(self, line: str, line_number: int) -> None:
-        tokens = _tokenize_pattern_line(line, line_number)
-        if tokens and tokens[-1][0] == "dot":
-            tokens.pop()
-        terms: list[Term | Variable] = []
-        index = 0
-        while index < len(tokens):
-            kind, value = tokens[index]
-            if kind == "iri":
-                terms.append(Iri(value[1:-1]))
-                index += 1
-            elif kind == "var":
-                terms.append(Variable(value[1:]))
-                index += 1
-            elif kind == "word":
-                terms.append(self._term_from_token(value, line_number))
-                index += 1
-            elif kind == "string":
-                try:
-                    lexical = unescape(value[1:-1])
-                except ValueError as exc:
-                    raise QueryError(f"line {line_number}: {exc}") from None
-                language = None
-                datatype = None
-                if index + 1 < len(tokens) and tokens[index + 1][0] == "langtag":
-                    language = tokens[index + 1][1][1:]
-                    index += 1
-                elif index + 1 < len(tokens) and tokens[index + 1][0] == "carets":
-                    if index + 2 >= len(tokens):
-                        raise QueryError(f"line {line_number}: missing datatype after ^^")
-                    dt_kind, dt_value = tokens[index + 2]
-                    if dt_kind == "iri":
-                        datatype = Iri(dt_value[1:-1])
-                    elif dt_kind == "word" and ":" in dt_value:
-                        resolved = self._term_from_token(dt_value, line_number)
-                        if not isinstance(resolved, Iri):
-                            raise QueryError(f"line {line_number}: datatype must be an IRI")
-                        datatype = resolved
-                    else:
-                        raise QueryError(f"line {line_number}: datatype must be an IRI")
-                    index += 2
-                terms.append(Literal(lexical, language=language, datatype=datatype))
-                index += 1
-            else:
-                raise QueryError(f"line {line_number}: unexpected {value!r}")
+        terms = self._read(line, line_number)
         if len(terms) != 3:
             raise QueryError(
                 f"line {line_number}: a triple pattern needs exactly 3 terms, got {len(terms)}"
             )
         subject, predicate, obj = terms
+        if BlankNode in map(type, terms):
+            raise QueryError(f"line {line_number}: blank nodes are not allowed in a pattern; use a ?variable")
         if isinstance(subject, Literal):
             raise QueryError(f"line {line_number}: a literal cannot be a subject")
-        if isinstance(predicate, (Literal, BlankNode)):
+        if isinstance(predicate, Literal):
             raise QueryError(f"line {line_number}: the predicate must be an IRI or variable")
         self.patterns.append(TriplePattern(subject, predicate, obj))
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .terms import OWL, RDF_TYPE, RDFS, Graph, Iri, Literal, Term, Triple
+from .terms import OWL, RDF_TYPE, RDFS, Graph, Iri, Literal, Term, Triple, term_sort_key
 from .vocabulary import (
     ALL_VALUES_FROM_DOMAIN,
     ALL_VALUES_FROM_RANGE,
@@ -162,7 +162,8 @@ def saturate(
         out: list[Triple] = []
         p = t.predicate
         if p in idx.functional and t in asserted:
-            for other in sp.get((p, t.subject), ()):
+            # In term order, so the witness of a violation does not depend on set order.
+            for other in sorted(sp.get((p, t.subject), ()), key=term_sort_key):
                 if other == t.object or Triple(t.subject, p, other) not in asserted:
                     continue
                 if p in idx.part_of_family:

@@ -1,4 +1,4 @@
-"""RDF data model: terms, triples, quads, and immutable in-memory graphs.
+"""RDF data model: terms, triples, and immutable in-memory graphs.
 
 Terms use term equality throughout (lexical form + datatype + language tag
 for literals), never value equality. Graphs are frozen sets of triples.
@@ -170,17 +170,6 @@ class Triple:
 
     def __repr__(self) -> str:
         return f"Triple({self.n3()})"
-
-
-@dataclass(frozen=True)
-class Quad:
-    subject: Term
-    predicate: Term
-    object: Term
-    graph: Iri | None = None
-
-    def triple(self) -> Triple:
-        return Triple(self.subject, self.predicate, self.object)
 
 
 # Key functions of the hash indexes, one per combination of bound positions

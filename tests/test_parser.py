@@ -136,6 +136,12 @@ ex:s a ex:Thing ;
         g = parse_turtle(doc)
         assert Triple(EX.s, EX.p, EX.o) in g
 
+    def test_numbers_and_unicode_local_names(self):
+        doc = "@prefix ex: <http://e.org/> .\nex:São_Paulo ex:p 5, -0.5, -.5, +7, 4.0 .\n"
+        city, p = Iri("http://e.org/São_Paulo"), Iri("http://e.org/p")
+        numbers = [("5", XSD.integer), ("-0.5", XSD.decimal), ("-.5", XSD.decimal), ("+7", XSD.integer), ("4.0", XSD.decimal)]
+        assert parse_turtle(doc) == Graph(Triple(city, p, Literal(text, datatype=dt)) for text, dt in numbers)
+
     def test_relative_iri_without_base_rejected(self):
         with pytest.raises(RelativeIriError):
             parse_turtle("<s> <p> <o> .\n")
@@ -244,6 +250,8 @@ PARSE_ERRORS = [
     ("nq", f'{S} {P} {O} "g" .\n', "ParseError", "graph label must be an IRI", 1, 52),
     ("nq", f"{S} {P} {O} _:g .\n", "ParseError", "graph label must be an IRI", 1, 52),
     ("nt", f"{S} {P} ex:o .\n", "ParseError", "prefixed names are not allowed in this format", 1, 35),
+    ("nt", f"{S} {P} 5 .\n", "ParseError", "expected object term, got NUMBER '5'", 1, 35),
+    ("ttl", f"?x {P} {O} .\n", "ParseError", "expected subject term, got VAR 'x'", 1, 1),
     # directives
     ("nt", PFX, "ParseError", "directives are not allowed in this format", 1, 1),
     ("ttl", "@prefix ex:foo <http://e.org/> .\n", "ParseError", "expected bare prefix (e.g. ex:) in @prefix", 1, 9),

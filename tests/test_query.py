@@ -5,6 +5,8 @@ import random
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndfluents import (
     Aggregate,
@@ -447,6 +449,9 @@ AGG AVG ?v AS avg
             "?x <http://e.org/p> ?y\nSCALE x\n",  # bad scale
             '"lit" <http://e.org/p> ?y\n',  # literal subject
             "?x <http://e.org/p> ?y\nCONTEXT temporal notaniri\n",  # bad context
+            "_:b <http://e.org/p> ?y\n",  # blank node
+            "?x <http://e.org/p> ?y . ?z\n",  # a term after the dot
+            "PREFIX ex: <rel/>\n?x ex:p ?y\n",  # relative prefix IRI
         ],
     )
     def test_malformed_inputs_rejected(self, text):
@@ -462,6 +467,62 @@ AGG AVG ?v AS avg
     def test_literal_escapes_decoded(self):
         pattern = parse_pattern('?s <http://e.org/p> "\\u004A\\U0001F600\\t\\"" .\n')
         assert pattern.patterns[0].object == Literal('J\U0001F600\t"')
+
+
+# Pattern terms drawn with the text that writes them.
+_NS = "http://example.org/"
+_variables = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,6}", fullmatch=True).map(
+    lambda name: (Variable(name), f"?{name}")
+)
+_iris = st.one_of(
+    st.text(
+        alphabet=st.characters(blacklist_categories=("Cs",), min_codepoint=0x21, blacklist_characters='<>"{}|^`\\'),
+        max_size=8,
+    ).map(lambda local: (Iri(_NS + local), f"<{_NS}{local}>")),
+    st.text(
+        alphabet=st.one_of(st.characters(whitelist_categories=("Lu", "Ll", "Lo", "Nd")), st.sampled_from("_-")),
+        min_size=1,
+        max_size=8,
+    ).map(lambda local: (Iri(_NS + local), f"ex:{local}")),
+)
+_lexical = st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8)
+_signs = st.sampled_from(["", "+", "-"])
+_literals = st.one_of(
+    _lexical.map(lambda text: (Literal(text), Literal(text).n3())),
+    st.builds(
+        lambda text, tag: (Literal(text, language=tag), Literal(text, language=tag).n3()),
+        _lexical,
+        st.from_regex(r"[A-Za-z]{1,8}(-[A-Za-z0-9]{1,8}){0,2}", fullmatch=True),
+    ),
+    st.builds(
+        lambda text, dt: (Literal(text, datatype=dt[0]), f"{Literal(text).n3()}^^{dt[1]}"), _lexical, _iris
+    ),
+    st.builds(lambda sign, n: f"{sign}{n}", _signs, st.integers(0, 10**12)).map(
+        lambda text: (Literal(text, datatype=XSD.integer), text)
+    ),
+    st.builds(
+        lambda sign, whole, fraction: f"{sign}{whole}.{fraction}",
+        _signs,
+        st.integers(0, 10**6).map(str),
+        st.from_regex(r"[0-9]{1,6}", fullmatch=True),
+    ).map(lambda text: (Literal(text, datatype=XSD.decimal), text)),
+)
+_triple_lines = st.tuples(
+    st.one_of(_variables, _iris),
+    st.one_of(_variables, _iris, st.just((RDF_TYPE, "a"))),
+    st.one_of(_variables, _iris, _literals),
+    st.sampled_from(["", ".", " .", " . # a comment", "  # a comment"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_triple_lines, min_size=1, max_size=4))
+def test_written_patterns_parse_back_equal(lines):
+    text = "PREFIX ex: <http://example.org/>\n" + "".join(
+        f"{s[1]} {p[1]} {o[1]}{end}\n" for s, p, o, end in lines
+    )
+    expected = Pattern(tuple(TriplePattern(s[0], p[0], o[0]) for s, p, o, _ in lines))
+    assert parse_pattern(text) == expected
 
 
 class TestResultTable:

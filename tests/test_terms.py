@@ -12,7 +12,6 @@ from ndfluents import (
     Iri,
     Literal,
     Namespace,
-    Quad,
     RDF,
     RDF_TYPE,
     Triple,
@@ -128,10 +127,6 @@ class TestTripleAndGraph:
     def test_non_term_positions_are_rejected(self, subject, obj):
         with pytest.raises(ValueError):
             Triple(subject, EX.p, obj)
-
-    def test_quad_requires_graph_name(self):
-        q = Quad(EX.s, EX.p, EX.o, EX.g)
-        assert q.graph == EX.g
 
     def test_graph_deduplicates(self):
         t = Triple(EX.s, EX.p, EX.o)
