@@ -233,6 +233,8 @@ def _dimension_from_section(name: str, section: str, items: dict[str, str]) -> C
     base = items.get("base")
     if base is not None:
         base = base.strip()
+    if base:
+        _parse_iri(section, "base", base)
     try:
         if base:
             dim = conventional_dimension(name, base)

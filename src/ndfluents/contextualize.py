@@ -198,6 +198,14 @@ def _describe(assignments: frozenset[tuple[str, Iri]]) -> str:
     return ", ".join(f"{dim}={ctx.n3()}" for dim, ctx in sorted(assignments))
 
 
+def _entity_collision(part: Iri, owner: tuple[Iri, frozenset[tuple[str, Iri]]]) -> PatternError:
+    return PatternError(
+        f"minted part {part.n3()} for {owner[0].n3()} in {_describe(owner[1])} "
+        "is also an entity of the input; "
+        "rename the entity or set mode = hash under [minting]"
+    )
+
+
 class _Builder:
     def __init__(
         self,
@@ -218,8 +226,10 @@ class _Builder:
         self.predicate_map = predicate_map or {}
         self.triples: set[Triple] = set()
         self.descriptions: list[Graph] = []
-        # Each minted part IRI with the entity and assignments it stands for.
+        # Each minted part IRI with the entity and assignments it stands for,
+        # and the entities of the input: no part may equal one of them.
         self.minted: dict[Iri, tuple[Iri, frozenset[tuple[str, Iri]]]] = {}
+        self.entities: set[Iri] = set()
         # Predicates that would be swallowed as scaffolding when kept as-is.
         pattern = registry.pattern_vocabulary(vocab)
         self.reserved = pattern.part_of | pattern.extents | {
@@ -227,6 +237,11 @@ class _Builder:
         }
 
     def add(self, statement: AnnotatedStatement) -> None:
+        for entity in (statement.base.subject, statement.base.object):
+            if isinstance(entity, Iri) and entity not in self.entities:
+                if entity in self.minted:
+                    raise _entity_collision(entity, self.minted[entity])
+                self.entities.add(entity)
         pairs = statement.assignment_pairs()
         dims = [self.registry.get(name) for name, _ in pairs]  # raises on unregistered
         for assignment in statement.contexts:
@@ -258,7 +273,8 @@ class _Builder:
     def _mint_part(self, entity: Iri, pairs: tuple[tuple[str, Iri], ...]) -> Iri:
         """The part IRI for `entity` under `pairs`; two different parts must
         not share one, which suffix minting allows when contexts share a
-        local name."""
+        local name, and no part may be an entity of the input, which suffix
+        minting allows when an entity's IRI ends in a separator and suffix."""
         part = self.policy.mint_part(entity, pairs)
         owner = (entity, frozenset(pairs))
         previous = self.minted.setdefault(part, owner)
@@ -268,6 +284,8 @@ class _Builder:
                 f"{_describe(previous[1])} and {entity.n3()} in {_describe(owner[1])}; "
                 "give the contexts distinct local names or set mode = hash under [minting]"
             )
+        if part in self.entities:
+            raise _entity_collision(part, owner)
         return part
 
     def _context_pairs(self, pairs: tuple[tuple[str, Iri], ...]) -> list[tuple[ContextDimension, Iri]]:

@@ -223,8 +223,6 @@ class _Parser:
         self.prefixes: dict[str, str] = {}
         self.graphs: dict[Iri | None, set[Triple]] = {}
         self._blank_map: dict[str, BlankNode] = {}
-        # Each distinct IRI of the document becomes one shared object.
-        self._iris: dict[str, Iri] = {RDF_TYPE.value: RDF_TYPE, XSD_STRING.value: XSD_STRING}
 
     def start(self, text: str) -> None:
         """Read `text` from its first token on."""
@@ -246,20 +244,20 @@ class _Parser:
         return tok
 
     def _resolve_iri(self, ref: str, offset: int) -> Iri:
-        # Keys are absolute IRIs, so a relative reference never hits.
-        iri = self._iris.get(ref)
-        if iri is None:
-            if not _SCHEME_RE.match(ref):
-                if self.base is None:
-                    raise _error(self.text, f"relative IRI {ref!r} with no base", offset, RelativeIriError)
-                ref = urljoin(self.base, ref)
-            iri = self._iris.get(ref)
-            if iri is None:
-                try:
-                    iri = self._iris[ref] = Iri(ref)
-                except ValueError as exc:
-                    raise _error(self.text, str(exc), offset)
-        return iri
+        # Most references are absolute and already interned: build first,
+        # and resolve against the base only what `Iri` rejects for want of
+        # a scheme.
+        try:
+            return Iri(ref)
+        except ValueError as exc:
+            if _SCHEME_RE.match(ref):
+                raise _error(self.text, str(exc), offset)
+        if self.base is None:
+            raise _error(self.text, f"relative IRI {ref!r} with no base", offset, RelativeIriError)
+        try:
+            return Iri(urljoin(self.base, ref))
+        except ValueError as exc:
+            raise _error(self.text, str(exc), offset)
 
     def _blank_node(self, label: str) -> BlankNode:
         node = self._blank_map.get(label)

@@ -13,7 +13,7 @@ import re
 from collections.abc import Iterable
 
 from .parser import NQUADS, NTRIPLES, TURTLE, normalize_format
-from .terms import BlankNode, Graph, Iri, Literal, Term, Triple
+from .terms import RDF_TYPE, BlankNode, Graph, Iri, Literal, Term, Triple
 
 # Local names that can appear after `prefix:` without escaping. Anything
 # else falls back to the full <...> form rather than risking invalid Turtle.
@@ -55,11 +55,13 @@ def _relabel_sorted(graph: Graph) -> Graph:
 def canonicalize(graph: Graph) -> Graph:
     """Return the graph with canonical blank labels: serializing it and
     parsing the result gives back the same graph."""
+    blanks = sum(1 for t in graph for x in (t.subject, t.object) if isinstance(x, BlankNode))
+    if not blanks:
+        return graph
     current = graph
     # Converges immediately in practice; the bound guards against a labeling
     # that never stabilizes, which would break round-trip guarantees.
-    for _ in range(8 + sum(1 for t in graph for x in (t.subject, t.object)
-                           if isinstance(x, BlankNode))):
+    for _ in range(8 + blanks):
         relabeled = _relabel_sorted(current)
         if relabeled == current:
             return current
@@ -100,12 +102,17 @@ class _TurtleAbbreviator:
     def __init__(self, prefixes: dict[str, str]):
         self.by_base = {base: name for name, base in prefixes.items()}
         self.used: set[str] = set()
+        self._tokens: dict[Term, str] = {}
 
     def token(self, term: Term, *, as_predicate: bool = False) -> str:
-        from .terms import RDF_TYPE
-
-        if as_predicate and term == RDF_TYPE:
+        if as_predicate and term is RDF_TYPE:
             return "a"
+        token = self._tokens.get(term)
+        if token is None:
+            token = self._tokens[term] = self._abbreviate(term)
+        return token
+
+    def _abbreviate(self, term: Term) -> str:
         if isinstance(term, Iri):
             base, local = _split_iri(term)
             name = self.by_base.get(base)

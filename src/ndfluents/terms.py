@@ -1,17 +1,32 @@
 """RDF data model: terms, triples, and immutable in-memory graphs.
 
-Terms use term equality throughout (lexical form + datatype + language tag
-for literals), never value equality. Graphs are frozen sets of triples.
-Iterating a graph follows a deterministic total order, so serialization,
-triple counting and diffing are stable across runs; `Graph.match` answers
-from hash indexes and yields in no particular order.
+Terms are hash-consed: `Iri`, `BlankNode` and `Literal` are built through
+one process-wide intern table, so two equal terms (same kind and value; for
+a literal the lexical form, datatype and language tag after the datatype
+defaults apply) are the same object. Term equality is therefore identity,
+and a term's hash and equality are `object`'s, which run in C. Each term
+computes its N-Triples token and sort key once, when it is created, and is
+validated only then. The table is module state on purpose: one table per
+process is what makes identity mean equality. It holds its terms weakly, so
+it keeps alive no term that nothing else holds, and it takes a lock on a
+miss, so two threads that build the same term at once get one object.
+
+A `Triple` is a tuple `(subject, predicate, object)` that checks its
+positions when built; it compares and hashes as that tuple, so it also
+equals a plain tuple of the same three terms. Graphs are frozen sets of
+triples. Iterating a graph follows a deterministic total order, so
+serialization, triple counting and diffing are stable across runs;
+`Graph.match` answers from hash indexes and yields in no particular order.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from operator import attrgetter
+import threading
+import weakref
+from collections import namedtuple
+from functools import total_ordering
+from operator import itemgetter
 from typing import Collection, Iterable, Iterator
 
 
@@ -19,22 +34,80 @@ _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 _BAD_IRI_CHARS = re.compile(r'[\x00-\x20<>"{}|^`\\]')
 _LANG_RE = re.compile(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$")
 _BLANK_LABEL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
+_CANONICAL_BLANK_RE = re.compile(r"^b([0-9]+)$")
+
+# The intern table (see the module docstring). The shape of a key gives the
+# kind: an IRI's value (a str), a blank node's `(label,)`, a literal's
+# `(lexical, datatype, language)`. A hit reads the underlying dict of weak
+# references without the lock; a miss takes the lock, looks again, and only
+# then validates and builds the term.
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_REFS = _TABLE.data
+_LOCK = threading.Lock()
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Iri:
-    """An absolute IRI."""
+def _intern(cls: type, key: object, *fields: object) -> "Term":
+    with _LOCK:
+        term = _TABLE.get(key)
+        if term is None:
+            term = object.__new__(cls)
+            term._build(*fields)
+            _TABLE[key] = term
+    return term
 
-    value: str
 
-    def __post_init__(self) -> None:
-        if not _SCHEME_RE.match(self.value):
-            raise ValueError(f"IRI is not absolute (missing scheme): {self.value!r}")
-        if _BAD_IRI_CHARS.search(self.value):
-            raise ValueError(f"IRI contains forbidden character: {self.value!r}")
+@total_ordering
+class _Term:
+    """What the three term kinds share: the token and sort key computed at
+    creation, immutability, ordering within a kind, and pickling and copying
+    that give back the interned object. Each kind defines `_build`, which
+    validates and sets its slots on a table miss, and `_fields`, its
+    constructor's arguments."""
+
+    __slots__ = ("_token", "_key", "__weakref__")
 
     def n3(self) -> str:
-        return f"<{self.value}>"
+        return self._token
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+    def __lt__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() < other._fields()
+
+
+class Iri(_Term):
+    """An absolute IRI."""
+
+    __slots__ = ("value",)
+    value: str
+
+    def __new__(cls, value: str) -> Iri:
+        ref = _REFS.get(value)
+        term = ref() if ref is not None else None
+        return term if term is not None else _intern(cls, value, value)
+
+    def _build(self, value: str) -> None:
+        if not _SCHEME_RE.match(value):
+            raise ValueError(f"IRI is not absolute (missing scheme): {value!r}")
+        if _BAD_IRI_CHARS.search(value):
+            raise ValueError(f"IRI contains forbidden character: {value!r}")
+        token = f"<{value}>"
+        _set(self, "value", value)
+        _set(self, "_token", token)
+        _set(self, "_key", token)
+
+    def _fields(self) -> tuple:
+        return (self.value,)
 
     def local_name(self) -> str:
         """Substring after the last '#' or '/', used by suffix-style minting."""
@@ -47,16 +120,28 @@ class Iri:
         return f"Iri({self.value!r})"
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class BlankNode:
+class BlankNode(_Term):
+    __slots__ = ("label",)
     label: str
 
-    def __post_init__(self) -> None:
-        if not _BLANK_LABEL_RE.match(self.label):
-            raise ValueError(f"invalid blank node label: {self.label!r}")
+    def __new__(cls, label: str) -> BlankNode:
+        key = (label,)
+        ref = _REFS.get(key)
+        term = ref() if ref is not None else None
+        return term if term is not None else _intern(cls, key, label)
 
-    def n3(self) -> str:
-        return f"_:{self.label}"
+    def _build(self, label: str) -> None:
+        if not _BLANK_LABEL_RE.match(label):
+            raise ValueError(f"invalid blank node label: {label!r}")
+        # Canonical labels sort numerically (b2 before b10), which keeps
+        # canonical relabeling stable on graphs with many blanks.
+        m = _CANONICAL_BLANK_RE.match(label)
+        _set(self, "label", label)
+        _set(self, "_token", f"_:{label}")
+        _set(self, "_key", f"_:0{int(m.group(1)):020d}" if m else f"_:1{label}")
+
+    def _fields(self) -> tuple:
+        return (self.label,)
 
     def __repr__(self) -> str:
         return f"BlankNode({self.label!r})"
@@ -100,73 +185,88 @@ def _escape_literal(text: str) -> str:
     return "".join(_LITERAL_ESCAPES.get(ch, ch) for ch in text)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Literal:
+class Literal(_Term):
     """An RDF literal. A language tag forces rdf:langString; the datatype
     otherwise defaults to xsd:string."""
 
+    __slots__ = ("lexical", "datatype", "language")
     lexical: str
-    datatype: Iri = field(default=None)  # type: ignore[assignment]
-    language: str | None = None
+    datatype: Iri
+    language: str | None
 
-    def __post_init__(self) -> None:
-        if self.language is not None:
-            if not _LANG_RE.match(self.language):
-                raise ValueError(f"invalid language tag: {self.language!r}")
-            object.__setattr__(self, "datatype", RDF_LANG_STRING)
-        elif self.datatype is None:
-            object.__setattr__(self, "datatype", XSD_STRING)
-        elif self.datatype == RDF_LANG_STRING:
+    def __new__(cls, lexical: str, datatype: Iri | None = None, language: str | None = None) -> Literal:
+        if language is not None:
+            datatype = RDF_LANG_STRING
+        elif datatype is None:
+            datatype = XSD_STRING
+        key = (lexical, datatype, language)
+        ref = _REFS.get(key)
+        term = ref() if ref is not None else None
+        return term if term is not None else _intern(cls, key, *key)
+
+    def _build(self, lexical: str, datatype: Iri, language: str | None) -> None:
+        body = f'"{_escape_literal(lexical)}"'
+        if language is not None:
+            if not _LANG_RE.match(language):
+                raise ValueError(f"invalid language tag: {language!r}")
+            token = f"{body}@{language}"
+        elif not isinstance(datatype, Iri):
+            raise ValueError(f"literal datatype must be an IRI, got {datatype!r}")
+        elif datatype is RDF_LANG_STRING:
             raise ValueError("rdf:langString literal requires a language tag")
+        else:
+            token = body if datatype is XSD_STRING else f"{body}^^{datatype._token}"
+        _set(self, "lexical", lexical)
+        _set(self, "datatype", datatype)
+        _set(self, "language", language)
+        _set(self, "_token", token)
+        _set(self, "_key", token)
 
-    def n3(self) -> str:
-        body = f'"{_escape_literal(self.lexical)}"'
-        if self.language is not None:
-            return f"{body}@{self.language}"
-        if self.datatype == XSD_STRING:
-            return body
-        return f"{body}^^{self.datatype.n3()}"
+    def _fields(self) -> tuple:
+        return (self.lexical, self.datatype, self.language)
 
     def __repr__(self) -> str:
-        return f"Literal({self.n3()})"
+        return f"Literal({self._token})"
 
 
 Term = Iri | BlankNode | Literal
-
-_CANONICAL_BLANK_RE = re.compile(r"^b([0-9]+)$")
 
 
 def term_sort_key(term: Term) -> str:
     """Total ordering key for serialization. Identical to the N-Triples token
     except that canonical blank labels compare numerically (b2 before b10),
     which keeps canonical relabeling stable on graphs with many blanks."""
-    if isinstance(term, BlankNode):
-        m = _CANONICAL_BLANK_RE.match(term.label)
-        if m:
-            return f"_:0{int(m.group(1)):020d}"
-        return f"_:1{term.label}"
-    return term.n3()
+    return term._key
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
-    subject: Term
-    predicate: Term
-    object: Term
+class Triple(namedtuple("Triple", ("subject", "predicate", "object"))):
+    """A tuple `(subject, predicate, object)` whose positions are checked
+    when it is built. It hashes and compares as that tuple, so it equals a
+    plain tuple of the same three terms."""
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.predicate, Iri):
-            raise ValueError(f"triple predicate must be an IRI, got {self.predicate!r}")
-        if not isinstance(self.subject, (Iri, BlankNode)):
-            raise ValueError(f"triple subject must be an IRI or blank node, got {self.subject!r}")
-        if not isinstance(self.object, (Iri, BlankNode, Literal)):
-            raise ValueError(f"triple object must be an RDF term, got {self.object!r}")
+    __slots__ = ()
+
+    def __new__(cls, subject: Term, predicate: Iri, object: Term) -> Triple:
+        if not isinstance(predicate, Iri):
+            raise ValueError(f"triple predicate must be an IRI, got {predicate!r}")
+        if not isinstance(subject, (Iri, BlankNode)):
+            raise ValueError(f"triple subject must be an IRI or blank node, got {subject!r}")
+        if not isinstance(object, (Iri, BlankNode, Literal)):
+            raise ValueError(f"triple object must be an RDF term, got {object!r}")
+        return tuple.__new__(cls, (subject, predicate, object))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Term]) -> Triple:
+        # `_replace` builds through `_make`; keep it checked too.
+        return cls(*iterable)
 
     def n3(self) -> str:
-        return f"{self.subject.n3()} {self.predicate.n3()} {self.object.n3()} ."
+        subject, predicate, obj = self
+        return f"{subject._token} {predicate._token} {obj._token} ."
 
     def sort_key(self) -> tuple[str, str, str]:
-        return (term_sort_key(self.subject), self.predicate.n3(), term_sort_key(self.object))
+        subject, predicate, obj = self
+        return (subject._key, predicate._token, obj._key)
 
     def __repr__(self) -> str:
         return f"Triple({self.n3()})"
@@ -174,12 +274,12 @@ class Triple:
 
 # Key functions of the hash indexes, one per combination of bound positions
 # short of all three; each also names its index in `Graph._indexes`.
-_BY_S = attrgetter("subject")
-_BY_P = attrgetter("predicate")
-_BY_O = attrgetter("object")
-_BY_SP = attrgetter("subject", "predicate")
-_BY_SO = attrgetter("subject", "object")
-_BY_PO = attrgetter("predicate", "object")
+_BY_S = itemgetter(0)
+_BY_P = itemgetter(1)
+_BY_O = itemgetter(2)
+_BY_SP = itemgetter(0, 1)
+_BY_SO = itemgetter(0, 2)
+_BY_PO = itemgetter(1, 2)
 
 
 class Graph:
@@ -200,7 +300,7 @@ class Graph:
         self._triples = frozenset(triples)
         self.name = name
         self._sorted: tuple[Triple, ...] | None = None
-        self._indexes: dict[attrgetter, dict[object, Triple | list[Triple]]] = {}
+        self._indexes: dict[itemgetter, dict[object, Triple | list[Triple]]] = {}
 
     def sorted_triples(self) -> tuple[Triple, ...]:
         """Triples in lexicographic (subject, predicate, object) order."""
@@ -214,7 +314,7 @@ class Graph:
             triples.update(other)
         return Graph(triples, name=name if name is not None else self.name)
 
-    def _bucket(self, key: attrgetter, value: object) -> Collection[Triple]:
+    def _bucket(self, key: itemgetter, value: object) -> Collection[Triple]:
         """The triples whose positions read by `key` equal `value`."""
         index = self._indexes.get(key)
         if index is None:

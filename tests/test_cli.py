@@ -528,13 +528,19 @@ class TestSubprocess:
         )
         commands = {
             "contextualize": ["contextualize", statements, "--merge", descriptions],
+            "decontextualize": ["decontextualize", graph],
             "query": ["query", graph, "--pattern", pattern],
             "validate": ["validate", faulty],
+            "reason": ["reason", faulty],
         }
+        # Terms hash by address, so set order differs between any two
+        # processes, whatever the hash seed: equal output across these runs
+        # is what shows that no output depends on it.
         for name, args in commands.items():
             runs = [run_cli(args, hash_seed) for hash_seed in ("0", "1", "2")]
-            assert [done.returncode for done in runs] == [1 if name == "validate" else 0] * 3
-            assert runs[0].stdout and {done.stdout for done in runs} == {runs[0].stdout}, name
+            assert [done.returncode for done in runs] == [1 if name == "validate" else 0] * 3, name
+            outputs = {(done.stdout, done.stderr) for done in runs}
+            assert runs[0].stdout and outputs == {(runs[0].stdout, runs[0].stderr)}, name
 
 
 _CSV_HEADER = "subject,predicate,object,objectType,dim1,ctx1\n"
@@ -561,6 +567,9 @@ MALFORMED_INPUTS = {
     ),
     "config-relative-context-base": (
         "config", "[minting]\ncontext_base = rel\n", "[minting] context_base: IRI is not absolute (missing scheme): 'rel'"
+    ),
+    "config-relative-dimension-base": (
+        "config", "[dimension.trust]\nbase = rel#\n", "[dimension.trust] base: IRI is not absolute (missing scheme): 'rel#'"
     ),
     "config-undecodable": ("config", b"[core]\nnamespace = \xff\n", "not UTF-8 at byte 19"),
     "config-dangling-dimension": (

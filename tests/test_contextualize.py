@@ -404,6 +404,33 @@ class TestMintingCollisions:
         assert "<http://a.org/y2016>" in message and "<http://b.org/y2016>" in message
         assert "mode = hash" in message
 
+    # ex:Paris under temporal ex:y2016 mints ex:Paris@y2016, which the second
+    # statement uses as an entity.
+    ENTITY_COLLIDING = [
+        annotate(EX.Paris, EX.knows, EX.Lyon, ("temporal", EX.y2016)),
+        annotate(EX["Paris@y2016"], EX.knows, EX.Lyon, ("provenance", EX.src)),
+    ]
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["part-first", "entity-first"])
+    def test_a_part_equal_to_an_entity_names_both(self, two_dim_registry, reverse):
+        statements = self.ENTITY_COLLIDING[::-1] if reverse else self.ENTITY_COLLIDING
+        with pytest.raises(PatternError) as raised:
+            contextualize(statements, two_dim_registry, CombinationModel.multi_context())
+        assert str(raised.value) == (
+            "minted part <http://example.org/Paris@y2016> for <http://example.org/Paris> "
+            "in temporal=<http://example.org/y2016> is also an entity of the input; "
+            "rename the entity or set mode = hash under [minting]"
+        )
+
+    def test_hash_minting_keeps_a_part_apart_from_an_entity(self, two_dim_registry):
+        g = contextualize(
+            self.ENTITY_COLLIDING,
+            two_dim_registry,
+            CombinationModel.multi_context(),
+            MintingPolicy(mode="hash"),
+        )
+        assert set(decontextualize(g, two_dim_registry)) == set(self.ENTITY_COLLIDING)
+
     def test_hash_minting_keeps_the_parts_apart(self, two_dim_registry):
         g = contextualize(
             self.COLLIDING,
@@ -425,7 +452,11 @@ _contexts = st.builds(
     st.sampled_from(["http://a.org/", "http://b.org/ns#", "http://c.org/x/"]),
     st.sampled_from(["y2016", "y508", "src"]),
 )
-_entities = st.sampled_from([EX.Paris, EX.France, EX.Lyon])
+# Entities include IRIs that end in the separator and a context's local
+# name, so suffix minting can give a part the IRI of an entity.
+_entities = st.sampled_from(
+    [EX.Paris, EX.France, EX.Lyon, EX["Paris@y2016"], EX["Paris@src"], EX["Lyon@src_y508"]]
+)
 
 
 @st.composite

@@ -1,6 +1,14 @@
 """Term model: IRIs, blank nodes, literals, triples, graphs, sort keys."""
 
+import copy
+import gc
 import itertools
+import os
+import pickle
+import sys
+import threading
+import uuid
+import weakref
 
 import pytest
 from hypothesis import given
@@ -215,3 +223,113 @@ def test_match_and_count_agree_with_a_brute_force_filter(triples, s, p, o):
         matched = list(g.match(subject, predicate, obj))
         assert len(matched) == len(expected) and set(matched) == expected
         assert g.count(subject, predicate, obj) == len(matched)
+
+
+class TestInterning:
+    """Equal terms are one object, kept by a weak, locked intern table."""
+
+    def test_equal_terms_are_one_object(self):
+        assert Iri("http://e.org/same") is Iri("http://e.org/same")
+        assert BlankNode("same") is BlankNode("same")
+        assert Literal("x", language="en") is Literal("x", language="en")
+
+    def test_a_literal_with_the_default_datatype_is_the_plain_literal(self):
+        assert Literal("x") is Literal("x", XSD_STRING) is Literal("x", datatype=XSD.string)
+        assert Literal("x") is not Literal("x", language="en")
+        assert Literal("1", datatype=XSD.integer) is not Literal("1")
+
+    @pytest.mark.parametrize(
+        "term, attribute",
+        [
+            (Iri("http://e.org/a"), "value"),
+            (BlankNode("b0"), "label"),
+            (Literal("x"), "lexical"),
+            (Literal("x"), "datatype"),
+            (Literal("x"), "other"),
+        ],
+    )
+    def test_setting_or_deleting_an_attribute_raises(self, term, attribute):
+        with pytest.raises(AttributeError):
+            setattr(term, attribute, "changed")
+        with pytest.raises(AttributeError):
+            delattr(term, attribute)
+
+    @pytest.mark.parametrize(
+        "term",
+        [Iri("http://e.org/a"), BlankNode("b7"), Literal("x"), Literal("x", language="en"), Literal("1", XSD.integer)],
+    )
+    def test_pickle_and_copy_give_back_the_interned_object(self, term):
+        assert pickle.loads(pickle.dumps(term)) is term
+        assert copy.copy(term) is term
+        assert copy.deepcopy(term) is term
+
+    def test_a_triple_pickles_and_copies_to_an_equal_triple_of_the_same_terms(self):
+        triple = Triple(EX.s, EX.p, Literal("x", language="en"))
+        for clone in (pickle.loads(pickle.dumps(triple)), copy.copy(triple), copy.deepcopy(triple)):
+            assert clone == triple and type(clone) is Triple
+            assert all(a is b for a, b in zip(clone, triple))
+
+    def test_the_table_releases_a_term_that_nothing_holds(self):
+        value = "http://e.org/released-" + uuid.uuid4().hex
+        term = Iri(value)
+        ref = weakref.ref(term)
+        del term
+        gc.collect()
+        assert ref() is None
+        assert Iri(value).value == value
+
+    def test_threads_that_build_the_same_terms_get_one_object_each(self):
+        threads_count = 4 * (os.cpu_count() or 2)
+        values = [f"http://e.org/threaded/{uuid.uuid4().hex}/{n}" for n in range(200)]
+        barrier = threading.Barrier(threads_count)
+        built: list[list] = [None] * threads_count
+
+        def build(slot: int) -> None:
+            barrier.wait(timeout=10)
+            built[slot] = [(Iri(value), Literal(value, language="en")) for value in values]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(n,)) for n in range(threads_count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for position in range(len(values)):
+            assert len({id(run[position][0]) for run in built}) == 1
+            assert len({id(run[position][1]) for run in built}) == 1
+
+    def test_validation_errors_are_kept(self):
+        with pytest.raises(ValueError, match="not absolute"):
+            Iri("relative")
+        with pytest.raises(ValueError, match="requires a language tag"):
+            Literal("x", RDF_LANG_STRING)
+        with pytest.raises(ValueError, match="datatype must be an IRI"):
+            Literal("x", "http://e.org/dt")
+
+    def test_terms_order_within_a_kind(self):
+        assert sorted([EX.b, EX.a]) == [EX.a, EX.b]
+        assert BlankNode("a") < BlankNode("b") and Literal("a") <= Literal("b")
+        with pytest.raises(TypeError):
+            EX.a < BlankNode("a")
+
+
+class TestTripleTuple:
+    def test_a_triple_equals_the_plain_tuple_of_its_terms(self):
+        triple = Triple(EX.s, EX.p, EX.o)
+        assert triple == (EX.s, EX.p, EX.o) and hash(triple) == hash((EX.s, EX.p, EX.o))
+        subject, predicate, obj = triple
+        assert (subject, predicate, obj) == (triple.subject, triple.predicate, triple.object)
+
+    def test_replace_checks_positions_too(self):
+        triple = Triple(EX.s, EX.p, EX.o)
+        assert triple._replace(object=Literal("x")) == Triple(EX.s, EX.p, Literal("x"))
+        with pytest.raises(ValueError, match="predicate must be an IRI"):
+            triple._replace(predicate=Literal("x"))
+
+    def test_keyword_construction(self):
+        assert Triple(subject=EX.s, predicate=EX.p, object=EX.o) == Triple(EX.s, EX.p, EX.o)
