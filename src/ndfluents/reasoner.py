@@ -1,16 +1,31 @@
 """Forward-chaining rule engine over the axiom algebra, plus the
 pattern validator.
 
-`saturate` applies subclass/subproperty propagation, domain/range typing,
-transitive closure, functional/inverse-functional identity inference, and
-the AllValuesFrom-over-partOf rules to a fixpoint. sameAs conclusions are
-reported as derived triples but never applied as a congruence: the point of
-deriving them here is diagnostic.
+`saturate` computes the fixpoint of three groups of rules:
 
-Functional and inverse-functional rules only consider pairs of asserted
-triples. Derived edges (a transitive partOf hop, a subproperty projection)
-are not independent assertions, and counting them would brand every part
-chain a functional violation.
+- The schema rules: subClassOf, subPropertyOf, domain and range. Each has
+  one premise and a static TBox, so their closure from one triple depends
+  only on the triple's shape: its predicate, whether its object is a
+  literal, and the object itself where the predicate's super-properties
+  reach rdf:type (a class then has super-classes of its own). `_RuleIndex`
+  compiles that closure once per shape into a template over the triple's
+  subject and object. A triple from the input or from a join rule expands
+  its template in one step; the template's products need no expansion of
+  their own, since their consequences are already in the template.
+- The join rules: transitivity and the four AllValuesFrom lookups over a
+  `via` property. They run, semi-naively, only on triples whose predicate
+  heads one of them, against indexes kept only for the predicates they
+  read. The delta of each round is processed in no particular order.
+- The identity rules: functional and inverse-functional properties. They
+  consider asserted triples only: derived edges (a transitive partOf hop,
+  a subproperty projection) are not independent assertions, and counting
+  them would brand every part chain a functional violation. So they run
+  once, before the join rounds, on the asserted triples of each such
+  property in `Triple.sort_key` order; the witness of a partOf conflict is
+  then the two smallest asserted values, whatever the set order.
+
+sameAs conclusions are reported as derived triples but never applied as a
+congruence: the point of deriving them here is diagnostic.
 
 `validate` checks conformance of a contextual graph: disjointness of
 contexts and parts, functionality of partOf over asserted edges, parts
@@ -20,9 +35,10 @@ rule for statements between parts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
 
-from .terms import OWL, RDF_TYPE, RDFS, Graph, Iri, Literal, Term, Triple, term_sort_key
+from .terms import OWL, RDF_TYPE, RDFS, Graph, Iri, Literal, Term, Triple
 from .vocabulary import (
     ALL_VALUES_FROM_DOMAIN,
     ALL_VALUES_FROM_RANGE,
@@ -49,6 +65,10 @@ VIOLATION_MISSING_PART_OF = "MissingPartOf"
 VIOLATION_RANGE_COMPLEMENT = "RangeComplement"
 VIOLATION_SAME_EXTENT = "SameExtentRule"
 
+# Placeholders for the subject and object of the triple a template expands.
+_SUBJECT = object()
+_OBJECT = object()
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -70,13 +90,30 @@ def _violation_key(v: Violation) -> tuple:
 
 @dataclass(frozen=True)
 class InferenceResult:
+    """`rounds` holds the size of each round's delta: the first counts the
+    input with what its templates and the identity rules add, each later
+    one the new triples of one join round, so the sizes sum to the triples
+    of `source` and `derived` together."""
+
     source: Graph
     derived: Graph
     violations: tuple[Violation, ...]
+    rounds: tuple[int, ...] = field(default=(), compare=False)
 
     @property
     def all(self) -> Graph:
         return self.source.union(self.derived)
+
+
+# A compiled template, by the placeholders it fills: (_SUBJECT, q, _OBJECT)
+# as `q`, (_SUBJECT, q, c) and (_OBJECT, q, c) as `(q, c)`, and triples of
+# constants as they are.
+_Template = tuple[
+    tuple[Iri, ...],
+    tuple[tuple[Iri, Term], ...],
+    tuple[tuple[Iri, Term], ...],
+    tuple[tuple[Term, Iri, Term], ...],
+]
 
 
 class _RuleIndex:
@@ -126,6 +163,24 @@ class _RuleIndex:
         # Properties in the partOf family: functional conflicts on these are
         # pattern violations, not identity inferences (a part has one whole).
         self.part_of_family = self._family(vocab.contextualPartOf)
+        # Properties whose triples type their subject with their object, so
+        # the object's super-classes belong in their template.
+        self.types_object = self._family(RDF_TYPE)
+        self.join_heads = (
+            self.transitive | self.avf_domain.keys() | self.avf_range.keys()
+            | self.avf_domain_by_via.keys() | self.avf_range_by_via.keys()
+        )
+        # What the join rules look up: values by (predicate, subject) in
+        # `sp`, subjects by (predicate, object) in `po`; disjointness reads
+        # the typed subjects of each class from `po`.
+        self.sp_predicates = (
+            self.transitive | self.avf_domain.keys()
+            | self.avf_domain_by_via.keys() | self.avf_range_by_via.keys()
+        )
+        self.po_predicates = self.transitive | self.avf_range.keys()
+        if self.disjoint:
+            self.po_predicates.add(RDF_TYPE)
+        self.templates: dict[tuple, _Template] = {}
 
     def _family(self, root: Iri) -> set[Iri]:
         family = {root}
@@ -138,6 +193,34 @@ class _RuleIndex:
                     changed = True
         return family
 
+    def template(self, predicate: Iri, obj: Term) -> _Template:
+        """The schema rules' closure from a triple `(s, predicate, obj)`,
+        less the triple itself, over placeholders for `s` and, unless the
+        predicate types its subject with `obj`, for `obj`."""
+        literal = isinstance(obj, Literal)
+        seed = (_SUBJECT, predicate, obj if predicate in self.types_object else _OBJECT)
+        closure = {seed}
+        todo = [seed]
+        while todo:
+            s, p, o = todo.pop()
+            found = [(s, sup, o) for sup in self.super_props.get(p, ())]
+            found += [(s, RDF_TYPE, cls) for cls in self.domains.get(p, ())]
+            if p is RDF_TYPE and isinstance(o, Iri):
+                found += [(s, RDF_TYPE, sup) for sup in self.super_classes.get(o, ())]
+            if not (literal if o is _OBJECT else isinstance(o, Literal)):
+                found += [(o, RDF_TYPE, cls) for cls in self.ranges.get(p, ())]
+            for t in found:
+                if t not in closure:
+                    closure.add(t)
+                    todo.append(t)
+        closure.discard(seed)
+        return (
+            tuple(p for s, p, o in closure if s is _SUBJECT and o is _OBJECT),
+            tuple((p, o) for s, p, o in closure if s is _SUBJECT and o is not _OBJECT),
+            tuple((p, o) for s, p, o in closure if s is _OBJECT),
+            tuple(t for t in closure if t[0] is not _SUBJECT and t[0] is not _OBJECT),
+        )
+
 
 def saturate(
     graph: Graph,
@@ -145,95 +228,96 @@ def saturate(
     vocab: CoreVocabulary = CORE,
 ) -> InferenceResult:
     idx = _RuleIndex(axioms, vocab)
-    asserted = frozenset(graph)
-    everything: set[Triple] = set(asserted)
+    everything: set[Triple] = set(graph)
+    templates, types_object = idx.templates, idx.types_object
+    sp_predicates, po_predicates = idx.sp_predicates, idx.po_predicates
+    join_heads = idx.join_heads
+    indexed = sp_predicates | po_predicates  # every join head among them
     sp: dict[tuple[Iri, Term], set[Term]] = {}
     po: dict[tuple[Iri, Term], set[Term]] = {}
     violations: dict[tuple, Violation] = {}
 
-    def index(t: Triple) -> None:
-        sp.setdefault((t.predicate, t.subject), set()).add(t.object)
-        po.setdefault((t.predicate, t.object), set()).add(t.subject)
-
-    for t in everything:
-        index(t)
-
-    def check_functional(t: Triple) -> list[Triple]:
-        out: list[Triple] = []
-        p = t.predicate
-        if p in idx.functional and t in asserted:
-            # In term order, so the witness of a violation does not depend on set order.
-            for other in sorted(sp.get((p, t.subject), ()), key=term_sort_key):
-                if other == t.object or Triple(t.subject, p, other) not in asserted:
-                    continue
-                if p in idx.part_of_family:
-                    v = Violation(
-                        VIOLATION_FUNCTIONAL,
-                        (t.subject,),
-                        f"{p.n3()} is functional but has multiple values",
-                        tuple(sorted((t, Triple(t.subject, p, other)), key=Triple.sort_key)),
-                    )
-                    violations.setdefault(_violation_key(v), v)
-                elif not isinstance(other, Literal) and not isinstance(t.object, Literal):
-                    out.append(Triple(t.object, SAME_AS, other))
-                    out.append(Triple(other, SAME_AS, t.object))
-        if p in idx.inverse_functional and t in asserted:
-            for other in po.get((p, t.object), ()):
-                if other == t.subject or Triple(other, p, t.object) not in asserted:
-                    continue
-                out.append(Triple(t.subject, SAME_AS, other))
-                out.append(Triple(other, SAME_AS, t.subject))
-        return out
-
-    def apply_rules(t: Triple) -> list[Triple]:
-        out: list[Triple] = []
-        s, p, o = t.subject, t.predicate, t.object
-        if p == RDF_TYPE and isinstance(o, Iri):
-            for sup in idx.super_classes.get(o, ()):
-                out.append(Triple(s, RDF_TYPE, sup))
-        for sup in idx.super_props.get(p, ()):
-            out.append(Triple(s, sup, o))
-        for cls in idx.domains.get(p, ()):
-            out.append(Triple(s, RDF_TYPE, cls))
-        if not isinstance(o, Literal):
-            for cls in idx.ranges.get(p, ()):
-                out.append(Triple(o, RDF_TYPE, cls))
-        if p in idx.transitive and not isinstance(o, Literal):
-            for z in sp.get((p, o), ()):
-                out.append(Triple(s, p, z))
-            for w in po.get((p, s), ()):
-                out.append(Triple(w, p, o))
+    def join(s: Term, p: Iri, o: Term) -> list[tuple]:
+        """What the join rules derive from `(s, p, o)` and the indexed triples."""
+        out: list[tuple] = []
+        if p in idx.transitive:
+            # A literal `o` has no values of its own, but it is the value of
+            # every `w` that reaches `s`.
+            out += [(s, p, z) for z in sp.get((p, o), ())]
+            out += [(w, p, o) for w in po.get((p, s), ())]
         for via, cls in idx.avf_domain.get(p, ()):
-            for z in sp.get((via, s), ()):
-                if not isinstance(z, Literal):
-                    out.append(Triple(z, RDF_TYPE, cls))
+            out += [(z, RDF_TYPE, cls) for z in sp.get((via, s), ()) if not isinstance(z, Literal)]
         if not isinstance(o, Literal):
             for via, cls in idx.avf_range.get(p, ()):
-                for z in sp.get((via, o), ()):
-                    if not isinstance(z, Literal):
-                        out.append(Triple(z, RDF_TYPE, cls))
-        # the new triple may be the `via` edge of an AllValuesFrom axiom
-        if not isinstance(o, Literal):
+                out += [(z, RDF_TYPE, cls) for z in sp.get((via, o), ()) if not isinstance(z, Literal)]
+            # The triple may be the `via` edge of an AllValuesFrom axiom.
             for prop, cls in idx.avf_domain_by_via.get(p, ()):
                 if sp.get((prop, s)):
-                    out.append(Triple(o, RDF_TYPE, cls))
+                    out.append((o, RDF_TYPE, cls))
             for prop, cls in idx.avf_range_by_via.get(p, ()):
                 if po.get((prop, s)):
-                    out.append(Triple(o, RDF_TYPE, cls))
-        out.extend(check_functional(t))
+                    out.append((o, RDF_TYPE, cls))
         return out
 
-    delta = set(everything)
-    while delta:
-        fresh: set[Triple] = set()
-        for t in sorted(delta, key=Triple.sort_key):
-            for candidate in apply_rules(t):
-                if candidate not in everything and candidate not in fresh:
-                    fresh.add(candidate)
-        for t in fresh:
-            index(t)
-        everything |= fresh
-        delta = fresh
+    # The open triples of a round: the input and what the identity rules
+    # derive, then what the join rules derive. A candidate is tested as a
+    # plain tuple, which hashes and compares as a `Triple` does, so a
+    # duplicate builds no `Triple`.
+    opened = list(everything)
+    for c in _identity(graph, idx, violations):
+        if c not in everything:
+            t = Triple(*c)
+            everything.add(t)
+            opened.append(t)
+    delta = opened.copy()
+    rounds: list[int] = []
+    while opened:
+        # Each open triple adds the products of its template.
+        for s, p, o in opened:
+            key = (p, o) if p in types_object else (p, o.__class__)
+            template = templates.get(key)
+            if template is None:
+                template = templates[key] = idx.template(p, o)
+            on_both, on_subject, on_object, constant = template
+            for q in on_both:
+                if (s, q, o) not in everything:
+                    t = Triple(s, q, o)
+                    everything.add(t)
+                    delta.append(t)
+            for q, x in on_subject:
+                if (s, q, x) not in everything:
+                    t = Triple(s, q, x)
+                    everything.add(t)
+                    delta.append(t)
+            for q, x in on_object:
+                if (o, q, x) not in everything:
+                    t = Triple(o, q, x)
+                    everything.add(t)
+                    delta.append(t)
+            for c in constant:
+                if c not in everything:
+                    t = Triple(*c)
+                    everything.add(t)
+                    delta.append(t)
+        rounds.append(len(delta))
+        # Each triple is indexed before it joins, so of two triples that
+        # join, the later one finds the earlier.
+        opened = []
+        for t in delta:
+            s, p, o = t
+            if p not in indexed:
+                continue
+            if p in sp_predicates:
+                sp.setdefault((p, s), set()).add(o)
+            if p in po_predicates:
+                po.setdefault((p, o), set()).add(s)
+            if p in join_heads:
+                for c in join(s, p, o):
+                    if c not in everything:
+                        u = Triple(*c)
+                        everything.add(u)
+                        opened.append(u)
+        delta = opened.copy()
 
     for a, b in idx.disjoint:
         offenders = {
@@ -248,9 +332,43 @@ def saturate(
             )
             violations.setdefault(_violation_key(v), v)
 
-    derived = Graph(everything - set(asserted))
     ordered = tuple(sorted(violations.values(), key=_violation_key))
-    return InferenceResult(graph, derived, ordered)
+    derived = Graph(everything.difference(graph))
+    return InferenceResult(graph, derived, ordered, tuple(rounds))
+
+
+def _identity(graph: Graph, idx: _RuleIndex, violations: dict[tuple, Violation]) -> list[tuple]:
+    """The functional and inverse-functional rules over the asserted
+    triples: the sameAs pairs they derive, and the conflicts of the partOf
+    family, which they record in `violations`. The edges of each subject are
+    read in `Triple.sort_key` order, so a conflict cites the two smallest
+    asserted values."""
+    out: list[tuple] = []
+    for p in idx.functional:
+        values: dict[Term, list[Triple]] = {}
+        for t in sorted(graph.match(None, p), key=Triple.sort_key):
+            values.setdefault(t.subject, []).append(t)
+        for subject, edges in values.items():
+            if len(edges) < 2:
+                continue
+            if p in idx.part_of_family:
+                v = Violation(
+                    VIOLATION_FUNCTIONAL,
+                    (subject,),
+                    f"{p.n3()} is functional but has multiple values",
+                    (edges[0], edges[1]),
+                )
+                violations.setdefault(_violation_key(v), v)
+            else:
+                objects = [t.object for t in edges if not isinstance(t.object, Literal)]
+                out += [(x, SAME_AS, y) for x in objects for y in objects if x is not y]
+    for p in idx.inverse_functional:
+        holders: dict[Term, list[Term]] = {}
+        for t in graph.match(None, p):
+            holders.setdefault(t.object, []).append(t.subject)
+        for subjects in holders.values():
+            out += [(x, SAME_AS, y) for x in subjects for y in subjects if x is not y]
+    return out
 
 
 # --- validation ---------------------------------------------------------------
@@ -266,7 +384,7 @@ def validate(
 ) -> list[Violation]:
     pattern = registry.pattern_vocabulary(vocab)
     result = saturate(graph, axioms, vocab)
-    saturated = result.all
+    derived = result.derived
     violations: dict[tuple, Violation] = {
         _violation_key(v): v for v in result.violations
     }
@@ -277,7 +395,7 @@ def validate(
     linked = {t.subject for prop in pattern.part_of for t in graph.match(None, prop)}
     typed_parts: set[Term] = set()
     contexts: set[Term] = set()
-    for t in saturated.match(None, RDF_TYPE):
+    for t in chain(graph.match(None, RDF_TYPE), derived.match(None, RDF_TYPE)):
         if t.object in pattern.part_classes:
             typed_parts.add(t.subject)
         if t.object in pattern.context_classes:
@@ -288,7 +406,7 @@ def validate(
     for resource in contexts & typed_parts:
         cited = (Triple(resource, RDF_TYPE, vocab.Context),
                  Triple(resource, RDF_TYPE, vocab.ContextualPart))
-        if all(t in saturated for t in cited):
+        if all(t in graph or t in derived for t in cited):
             add(Violation(
                 VIOLATION_DISJOINT,
                 (resource,),
@@ -326,7 +444,7 @@ def validate(
             "typed as a contextual part but carries no partOf edge",
             tuple(
                 typing for cls in sorted(pattern.part_classes)
-                if (typing := Triple(resource, RDF_TYPE, cls)) in saturated
+                if (typing := Triple(resource, RDF_TYPE, cls)) in graph or typing in derived
             ),
         ))
 

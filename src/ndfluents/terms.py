@@ -386,10 +386,12 @@ class Graph:
         return len(self._lookup(subject, predicate, obj))
 
     def subjects(self, predicate: Iri | None = None, obj: Term | None = None) -> list[Term]:
-        return sorted({t.subject for t in self.match(None, predicate, obj)}, key=lambda x: x.n3())
+        """The distinct subjects of the matching triples, in `term_sort_key` order."""
+        return sorted({t.subject for t in self.match(None, predicate, obj)}, key=term_sort_key)
 
     def objects(self, subject: Term | None = None, predicate: Iri | None = None) -> list[Term]:
-        return sorted({t.object for t in self.match(subject, predicate, None)}, key=lambda x: x.n3())
+        """The distinct objects of the matching triples, in `term_sort_key` order."""
+        return sorted({t.object for t in self.match(subject, predicate, None)}, key=term_sort_key)
 
     def __len__(self) -> int:
         return len(self._triples)

@@ -359,6 +359,13 @@ class TestReason:
         assert list(full.match(predicate=temporal_dimension().extent))
         assert list(full.match(predicate=RDF.type, obj=CORE.ContextualPart))
 
+    def test_verbose_logs_the_size_of_each_round(self, graph_file, caplog):
+        with caplog.at_level(logging.INFO, logger="ndfluents"):
+            assert main(["-v", "reason", str(graph_file), "-o", os.devnull]) == 0
+        (line,) = [r.message for r in caplog.records if r.message.startswith("rounds ")]
+        rounds = json.loads(line.removeprefix("rounds "))
+        assert rounds and all(isinstance(size, int) and size > 0 for size in rounds)
+
     def test_extra_tbox_file(self, tmp_path, graph_file, capsys):
         from ndfluents.vocabulary import axioms_to_graph, sub_class_of
 

@@ -178,6 +178,13 @@ class TestTripleAndGraph:
         assert EX.a in g.subjects() and EX.c in g.subjects()
         assert Literal("x") in g.objects()
 
+    def test_subjects_and_objects_follow_iteration_order(self):
+        # Canonical blank labels sort numerically: _:b2 before _:b10.
+        g = Graph([Triple(BlankNode("b10"), EX.p, EX.o), Triple(BlankNode("b2"), EX.p, EX.o)])
+        assert g.subjects() == [t.subject for t in g] == [BlankNode("b2"), BlankNode("b10")]
+        g = Graph([Triple(EX.s, EX.p, BlankNode("b10")), Triple(EX.s, EX.p, BlankNode("b2"))])
+        assert g.objects() == [t.object for t in g] == [BlankNode("b2"), BlankNode("b10")]
+
     def test_match_with_every_position_bound_is_membership(self):
         t = Triple(EX.a, EX.p, EX.b)
         g = Graph([t])
