@@ -5,6 +5,12 @@ Subcommands: ``gen-ontology``, ``ingest-csv``, ``contextualize``,
 Data goes to standard output or ``--out``; logs go to standard error.
 Exit status is 0 on success, 1 when ``validate`` finds violations, and 2
 on usage, configuration, or input-format errors.
+
+``main(argv)`` returns the exit status and may be called repeatedly in one
+process. It builds the argument parser on its first call and reuses it
+(``build_parser()`` returns a new one); it looks up the command's function,
+and the commands look up this module's names, at call time; and it logs each
+call at that call's ``-v`` level to that call's ``sys.stderr``.
 """
 
 from __future__ import annotations
@@ -341,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", metavar="FILE", help="output file (default stdout)")
     p.add_argument("--format", metavar="FMT", help="turtle (default) or ntriples")
     p.add_argument("--split", metavar="DIR", help="write one file per module instead")
-    p.set_defaults(func=_cmd_gen_ontology)
 
     p = commands.add_parser(
         "ingest-csv", help="population-estimate CSV to annotated statements"
@@ -356,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the context-description graph (merge it back in with "
         "`contextualize --merge`)",
     )
-    p.set_defaults(func=_cmd_ingest_csv)
 
     p = commands.add_parser(
         "contextualize", help="annotated statements to a contextual-parts graph"
@@ -372,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-o", "--out", metavar="FILE", help="graph output (default stdout)")
     p.add_argument("--out-format", metavar="FMT", help="turtle (default) or ntriples")
-    p.set_defaults(func=_cmd_contextualize)
 
     p = commands.add_parser(
         "decontextualize", help="contextual-parts graph back to annotated statements"
@@ -388,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-o", "--out", metavar="FILE", help="statements output (default stdout)")
     _add_statement_io(p, reading=False)
-    p.set_defaults(func=_cmd_decontextualize)
 
     p = commands.add_parser(
         "validate", help="check the contextual-part pattern (exit 1 on violations)"
@@ -412,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="also write the violations as a JSON report",
     )
-    p.set_defaults(func=_cmd_validate)
 
     p = commands.add_parser("reason", help="saturate a graph under the configured TBox")
     _add_config(p)
@@ -426,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("-o", "--out", metavar="FILE", help="graph output (default stdout)")
     p.add_argument("--out-format", metavar="FMT", help="turtle (default) or ntriples")
-    p.set_defaults(func=_cmd_reason)
 
     p = commands.add_parser("query", help="run a pattern file and emit CSV")
     _add_config(p)
@@ -434,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True, metavar="FILE", help="pattern file")
     p.add_argument("--in-format", metavar="FMT", help="override input format")
     p.add_argument("-o", "--out", metavar="FILE", help="CSV output (default stdout)")
-    p.set_defaults(func=_cmd_query)
 
     p = commands.add_parser(
         "stats", help="triple counts per representation for a statement set"
@@ -443,31 +442,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("statements", help="annotated statements file")
     _add_statement_io(p, reading=True)
     p.add_argument("-o", "--out", metavar="FILE", help="CSV output (default stdout)")
-    p.set_defaults(func=_cmd_stats)
 
     return parser
 
 
+# Built by the first `main` call, not at import; parsing never changes it.
+_PARSER: argparse.ArgumentParser | None = None
+_LOG_FORMAT = logging.Formatter("%(levelname)s %(message)s")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     try:
         args = parser.parse_args(argv)
     except SystemExit as exit_:
         return int(exit_.code or 0)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=(
-            logging.WARNING
-            if args.verbose == 0
-            else logging.INFO if args.verbose == 1 else logging.DEBUG
-        ),
-        format="%(levelname)s %(message)s",
-    )
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
+    # This call's verbosity and standard error, for this call only.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_LOG_FORMAT)
+    level = log.level
+    log.setLevel(
+        logging.WARNING
+        if args.verbose == 0
+        else logging.INFO if args.verbose == 1 else logging.DEBUG
+    )
+    log.addHandler(handler)
     try:
-        return args.func(args)
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except (
         _UsageError,
         ConfigError,
@@ -487,6 +494,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             message = f"{getattr(args, 'graph', getattr(args, 'statements', 'input'))}: {message}"
         sys.stderr.write(f"error: {message}\n")
         return 2
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ rule for statements between parts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import chain
 
 from .terms import OWL, RDF_TYPE, RDFS, Graph, Iri, Literal, Term, Triple
@@ -455,6 +456,9 @@ def validate(
         }
         parts = linked | typed_parts
 
+        # A part is in many part-to-part triples: read its extents once. The
+        # cache lives only as long as this call.
+        @cache
         def extents_of(part: Term) -> dict[Iri, set[Term]]:
             found: dict[Iri, set[Term]] = {}
             for t in graph.match(part):

@@ -7,9 +7,14 @@ defaults apply) are the same object. Term equality is therefore identity,
 and a term's hash and equality are `object`'s, which run in C. Each term
 computes its N-Triples token and sort key once, when it is created, and is
 validated only then. The table is module state on purpose: one table per
-process is what makes identity mean equality. It holds its terms weakly, so
-it keeps alive no term that nothing else holds, and it takes a lock on a
-miss, so two threads that build the same term at once get one object.
+process is what makes identity mean equality. It is a plain dict from a
+term's key to a `weakref.ref` of the term, so it keeps alive no term that
+nothing else holds. Each reference's callback deletes its entry when the
+term dies, with `_weakref._remove_dead_weakref`, the atomic removal that
+`weakref.WeakValueDictionary` uses: it deletes the entry only if it still
+holds a dead reference, so it never drops the entry of a newer term with
+the same key. The table takes a lock on a miss, so two threads that build
+the same term at once get one object.
 
 A `Triple` is a tuple `(subject, predicate, object)` that checks its
 positions when built; it compares and hashes as that tuple, so it also
@@ -24,36 +29,44 @@ from __future__ import annotations
 import re
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from collections import namedtuple
-from functools import total_ordering
+from functools import partial, total_ordering
 from operator import itemgetter
 from typing import Collection, Iterable, Iterator
 
 
+_IRI_RE = re.compile(r'[A-Za-z][A-Za-z0-9+.-]*:[^\x00-\x20<>"{}|^`\\]*\Z')
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
-_BAD_IRI_CHARS = re.compile(r'[\x00-\x20<>"{}|^`\\]')
 _LANG_RE = re.compile(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$")
 _BLANK_LABEL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")
 _CANONICAL_BLANK_RE = re.compile(r"^b([0-9]+)$")
 
 # The intern table (see the module docstring). The shape of a key gives the
 # kind: an IRI's value (a str), a blank node's `(label,)`, a literal's
-# `(lexical, datatype, language)`. A hit reads the underlying dict of weak
-# references without the lock; a miss takes the lock, looks again, and only
-# then validates and builds the term.
-_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-_REFS = _TABLE.data
+# `(lexical, datatype, language)`. A hit reads the dict without the lock; a
+# miss takes the lock, looks again, and only then validates and builds the
+# term.
+_REFS: dict[object, weakref.ref] = {}
 _LOCK = threading.Lock()
 _set = object.__setattr__
 
 
+def _release(key: object, ref: weakref.ref, refs: dict = _REFS, remove=_remove_dead_weakref) -> None:
+    # The table and the removal are bound as defaults, as in
+    # `WeakValueDictionary`, so a term that dies at interpreter shutdown
+    # does not look up module globals that may be gone.
+    remove(refs, key)
+
+
 def _intern(cls: type, key: object, *fields: object) -> "Term":
     with _LOCK:
-        term = _TABLE.get(key)
+        ref = _REFS.get(key)
+        term = ref() if ref is not None else None
         if term is None:
             term = object.__new__(cls)
             term._build(*fields)
-            _TABLE[key] = term
+            _REFS[key] = weakref.ref(term, partial(_release, key))
     return term
 
 
@@ -97,9 +110,9 @@ class Iri(_Term):
         return term if term is not None else _intern(cls, value, value)
 
     def _build(self, value: str) -> None:
-        if not _SCHEME_RE.match(value):
-            raise ValueError(f"IRI is not absolute (missing scheme): {value!r}")
-        if _BAD_IRI_CHARS.search(value):
+        if not _IRI_RE.match(value):
+            if not _SCHEME_RE.match(value):
+                raise ValueError(f"IRI is not absolute (missing scheme): {value!r}")
             raise ValueError(f"IRI contains forbidden character: {value!r}")
         token = f"<{value}>"
         _set(self, "value", value)
@@ -179,10 +192,11 @@ RDF_LANG_STRING = RDF.langString
 XSD_STRING = XSD.string
 
 _LITERAL_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+_LITERAL_SPECIAL = re.compile("[" + re.escape("".join(_LITERAL_ESCAPES)) + "]")
 
 
 def _escape_literal(text: str) -> str:
-    return "".join(_LITERAL_ESCAPES.get(ch, ch) for ch in text)
+    return _LITERAL_SPECIAL.sub(lambda m: _LITERAL_ESCAPES[m.group()], text)
 
 
 class Literal(_Term):

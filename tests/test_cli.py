@@ -1,5 +1,7 @@
 """End-to-end command-line tests driven through `main(argv)`."""
 
+import contextlib
+import io
 import json
 import logging
 import os
@@ -24,7 +26,8 @@ from ndfluents import (
     default_config,
     write_statements_csv,
 )
-from ndfluents.cli import main
+from ndfluents import cli
+from ndfluents.cli import build_parser, main
 from ndfluents.parser import parse_ntriples, parse_turtle
 from ndfluents.serializer import serialize_ntriples
 from ndfluents.vocabulary import (
@@ -678,3 +681,111 @@ class TestErrorPaths:
         with caplog.at_level(logging.INFO, logger="ndfluents"):
             assert main(["-v", "contextualize", str(statements_csv), "-o", "/dev/null"]) == 0
         assert any("contextualized" in record.message for record in caplog.records)
+
+
+def _call(argv, parse=None):
+    """Exit code, stdout and stderr of `main(argv)`, or of `parse(argv)` when
+    given, each call with standard streams of its own."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if parse is None:
+            code = main(argv)
+        else:
+            try:
+                parse(argv)
+                code = 0
+            except SystemExit as exit_:
+                code = int(exit_.code or 0)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestRepeatedCalls:
+    """`main` reuses one parser: no call may see the options, the verbosity
+    or the streams of an earlier call."""
+
+    def test_each_call_logs_at_its_own_level_to_its_own_stderr(self, tmp_path):
+        quiet = _call(["gen-ontology", "-o", str(tmp_path / "a.ttl")])
+        verbose = _call(["-v", "gen-ontology", "-o", str(tmp_path / "b.ttl")])
+        debug = _call(["-vv", "gen-ontology", "-o", str(tmp_path / "c.ttl")])
+        quiet_again = _call(["gen-ontology", "-o", str(tmp_path / "d.ttl")])
+        assert quiet == quiet_again == (0, "", "")
+        assert verbose[0] == debug[0] == 0
+        assert verbose[2].startswith("INFO generated ") and verbose[2].endswith(" axioms\n")
+        assert debug[2] == verbose[2]
+
+    def test_a_call_leaves_the_logger_as_it_found_it(self, tmp_path):
+        logger = logging.getLogger("ndfluents")
+        before = (logger.level, list(logger.handlers))
+        _call(["-vv", "gen-ontology", "-o", str(tmp_path / "a.ttl")])
+        _call(["-v", "validate", "no/such/file.ttl"])
+        assert (logger.level, list(logger.handlers)) == before
+
+    def test_a_single_verbose_run_logs_to_stderr(self, tmp_path):
+        done = run_cli(["-v", "gen-ontology", "-o", tmp_path / "a.ttl"])
+        assert done.returncode == 0 and done.stdout == ""
+        assert done.stderr.startswith("INFO generated ") and done.stderr.count("\n") == 1
+
+    def test_options_do_not_carry_over(self, tmp_path, statements_csv, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_contextualize", lambda args: seen.append(vars(args)) or 0)
+        monkeypatch.setattr(cli, "_cmd_decontextualize", lambda args: seen.append(vars(args)) or 0)
+        calls = [
+            ["contextualize", str(statements_csv), "--merge", "a.ttl", "--merge", "b.ttl"],
+            ["contextualize", str(statements_csv), "--merge", "c.ttl"],
+            ["contextualize", str(statements_csv)],
+            ["decontextualize", "g.ttl", "--context", "http://e.org/x", "--context", "http://e.org/y"],
+            ["decontextualize", "g.ttl", "--context", "http://e.org/z"],
+            ["decontextualize", "g.ttl"],
+        ]
+        for argv in calls:
+            assert main(argv) == 0
+        assert seen == [vars(build_parser().parse_args(argv)) for argv in calls]
+        assert [args.get("merge") for args in seen[:3]] == [["a.ttl", "b.ttl"], ["c.ttl"], None]
+        assert [args.get("context") for args in seen[3:]] == [
+            ["http://e.org/x", "http://e.org/y"], ["http://e.org/z"], None,
+        ]
+
+    def test_merge_and_context_twice_then_none(self, tmp_path, statements_csv):
+        extra = tmp_path / "extra.nt"
+        extra.write_text(
+            '<http://example.org/Paris> <http://example.org/pop> "1" .\n', encoding="utf-8"
+        )
+        graph = tmp_path / "graph.ttl"
+        plain = _call(["contextualize", str(statements_csv)])
+        merged = _call(["contextualize", str(statements_csv), "--merge", str(extra)])
+        assert _call(["contextualize", str(statements_csv), "--merge", str(extra)]) == merged
+        assert _call(["contextualize", str(statements_csv)]) == plain != merged
+        graph.write_text(plain[1], encoding="utf-8")
+        everything = _call(["decontextualize", str(graph)])
+        sliced = _call(["decontextualize", str(graph), "--context", str(EX.year508)])
+        assert _call(["decontextualize", str(graph), "--context", str(EX.year508)]) == sliced
+        assert _call(["decontextualize", str(graph)]) == everything != sliced
+        assert everything[1] == statements_csv.read_text(encoding="utf-8")
+
+    def test_a_usage_error_between_two_good_calls(self, statements_csv):
+        good = _call(["contextualize", str(statements_csv)])
+        for bad in (["contextualize"], ["contextualize", "x.csv", "--format", "xml"], ["nope"]):
+            code, out, err = _call(bad)
+            assert (code, out, err) == _call(bad, build_parser().parse_args)
+            assert code == 2 and err.startswith("usage: ndfluents")
+        assert _call(["contextualize", str(statements_csv)]) == good
+        assert good[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["-h"]] + [[command, "--help"] for command in (
+            "gen-ontology", "ingest-csv", "contextualize", "decontextualize",
+            "validate", "reason", "query", "stats",
+        )],
+    )
+    def test_help_is_a_fresh_parsers(self, argv):
+        first = _call(argv)
+        assert first[0] == 0 and first[1].startswith("usage: ndfluents")
+        assert _call(argv) == first == _call(argv, build_parser().parse_args)
+
+    def test_build_parser_gives_a_parser_of_its_own(self):
+        parser = build_parser()
+        assert parser is not build_parser()
+        parser.add_argument("--extra")
+        code, _, err = _call(["gen-ontology", "--extra", "x"])
+        assert code == 2 and err.endswith("error: unrecognized arguments: --extra x\n")

@@ -5,6 +5,7 @@ import gc
 import itertools
 import os
 import pickle
+import re
 import sys
 import threading
 import uuid
@@ -25,6 +26,7 @@ from ndfluents import (
     Triple,
     XSD,
 )
+from ndfluents import terms
 from ndfluents.terms import RDF_LANG_STRING, XSD_STRING, term_sort_key
 
 EX = Namespace("http://example.org/")
@@ -91,6 +93,7 @@ class TestLiteral:
     def test_escaping_in_n3(self):
         lit = Literal('say "hi"\n')
         assert lit.n3() == '"say \\"hi\\"\\n"'
+        assert Literal("a\\b\r\tc é").n3() == '"a\\\\b\\r\\tc é"'
 
     def test_bad_language_tag_rejected(self):
         with pytest.raises(ValueError):
@@ -285,6 +288,26 @@ class TestInterning:
         assert ref() is None
         assert Iri(value).value == value
 
+    def test_the_table_drops_the_entry_of_a_released_term(self):
+        value = "http://e.org/dropped-" + uuid.uuid4().hex
+        iri, literal = Iri(value), Literal(value, language="en")
+        keys = (value, (value, RDF_LANG_STRING, "en"))
+        assert all(key in terms._REFS for key in keys)
+        del iri, literal
+        gc.collect()
+        assert not any(key in terms._REFS for key in keys)
+
+    def test_a_late_release_keeps_the_entry_of_a_newer_term(self):
+        value = "http://e.org/reborn-" + uuid.uuid4().hex
+        term = Iri(value)
+        ref = terms._REFS[value]
+        release = ref.__callback__
+        del term
+        gc.collect()
+        newer = Iri(value)
+        release(ref)  # the first term's callback, run once more, after the rebuild
+        assert terms._REFS[value]() is newer is Iri(value)
+
     def test_threads_that_build_the_same_terms_get_one_object_each(self):
         threads_count = 4 * (os.cpu_count() or 2)
         values = [f"http://e.org/threaded/{uuid.uuid4().hex}/{n}" for n in range(200)]
@@ -317,6 +340,33 @@ class TestInterning:
             Literal("x", RDF_LANG_STRING)
         with pytest.raises(ValueError, match="datatype must be an IRI"):
             Literal("x", "http://e.org/dt")
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("relative", "IRI is not absolute (missing scheme): 'relative'"),
+            ("", "IRI is not absolute (missing scheme): ''"),
+            ("http://e.org/a b", "IRI contains forbidden character: 'http://e.org/a b'"),
+            ("http://e.org/<a>", "IRI contains forbidden character: 'http://e.org/<a>'"),
+            ("http://e.org/a\n", "IRI contains forbidden character: 'http://e.org/a\\n'"),
+            ("rel ative", "IRI is not absolute (missing scheme): 'rel ative'"),
+            ("<rel>", "IRI is not absolute (missing scheme): '<rel>'"),
+        ],
+    )
+    def test_iri_errors_name_the_missing_scheme_before_a_forbidden_character(self, value, message):
+        with pytest.raises(ValueError) as raised:
+            Iri(value)
+        assert str(raised.value) == message
+
+    @given(st.text(alphabet="ab:/ <\\\n+.-1é", max_size=12))
+    def test_an_iri_is_accepted_exactly_when_it_has_a_scheme_and_no_forbidden_character(self, value):
+        valid = re.match(r"[A-Za-z][A-Za-z0-9+.-]*:", value) and not re.search(r'[\x00-\x20<>"{}|^`\\]', value)
+        try:
+            Iri(value)
+        except ValueError:
+            assert not valid
+        else:
+            assert valid
 
     def test_terms_order_within_a_kind(self):
         assert sorted([EX.b, EX.a]) == [EX.a, EX.b]
