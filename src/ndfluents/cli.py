@@ -96,10 +96,7 @@ def _read_graph(path: str, fmt: str | None) -> Graph:
     data = parse(text, resolved)
     if isinstance(data, Graph):
         return data
-    merged = Graph()
-    for graph in data:
-        merged = merged.union(graph)
-    return Graph(merged)
+    return Graph().union(*data)
 
 
 def _merge(graph: Graph, paths: Sequence[str]) -> Graph:

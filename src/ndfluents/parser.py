@@ -5,16 +5,26 @@ The Turtle subset covers what the generated ontologies and fixtures need:
 `@prefix` / `@base` directives, prefixed names (letters and digits of any
 script, `_`, `-` and `.`), `<...>` IRIs, `a`, labeled blank nodes, string
 literals with `^^datatype` / `@lang`, integers and decimals, and `;` / `,`
-predicate/object lists. No collections, no anonymous `[]` nodes, no doubles
-or booleans, no escapes in local names, no quoted triples.
+predicate/object lists, where `;` may repeat and may end the list
+(`ex:s ex:p ex:o ;; ex:q ex:r ; .`). No collections, no anonymous `[]`
+nodes, no doubles or booleans, no escapes in local names, no quoted triples.
 
-One tokenizer serves all of them. A compiled regex, matched at the
-current offset, skips whitespace and `#` comments and reads one whole token:
-an IRI, a string literal or a prefixed name is a single match, and escapes
-are decoded only in a span that holds a backslash. A token records the
-offset it starts at, not a line and column: those are worked out from the
-offset only when a `ParseError` is raised (only "\\n" starts a line; "\\r"
-and tab count as one column each). When an IRI or a string literal is
+One tokenizer and one statement walker serve all of them. The tokenizer is
+one regex with a single capture group, run over the whole document with
+`findall`: it skips whitespace and `#` comments and captures one whole
+token, so an IRI, a string literal or a prefixed name is one string, and a
+document becomes a list of strings that ends with an empty one. The walker
+reads that list by index and tells a token's kind from its first
+characters. Each distinct IRI, prefixed name, blank node label and number of
+a document is resolved and validated once, into a dict from token text to
+term, so a repeat costs one lookup; `@prefix` and `@base` empty the dict,
+since they change what a token means. Escapes are decoded only in a token
+that holds a backslash.
+
+A token carries no position. When a `ParseError` is raised, the regex is
+run again with `finditer` up to the failing token to find its offset, and
+the line and column are worked out from that (only "\\n" starts a line;
+"\\r" and tab count as one column each). When an IRI or a string literal is
 malformed, its regex stops at the first character it cannot read, and the
 error names that character's position, the escape's backslash, or the
 token's start for an unterminated one.
@@ -26,7 +36,7 @@ occurrence order) at parse time so round-trips are deterministic.
 from __future__ import annotations
 
 import re
-from typing import Iterator
+from itertools import islice
 from urllib.parse import urljoin
 
 from .terms import RDF_TYPE, XSD, XSD_STRING, BlankNode, Graph, Iri, Literal, Term, Triple
@@ -106,34 +116,80 @@ PREFIX_DIRECTIVE = "@prefix"
 BASE_DIRECTIVE = "@base"
 EOF = "EOF"
 
-# A token is (kind, value, offset of its first character, prefix of a PNAME).
-Token = tuple[str, str, int, str]
-
 # A name character: `\w` (a letter or digit of any script, or `_`), `.` or
 # `-`. The ASCII ones, listed first, match by a faster table lookup.
 _PN = r"[A-Za-z0-9_.\w-]"
 _IRI_CHAR = r'[^\n\r "<>{}|^`\\]'
 _STRING_CHAR = r'[^"\\\n\r]'
-# Skips whitespace and comments, then reads one token. An IRI or a string
+# An IRI or a string literal up to its closing delimiter, which is left out.
+_IRI = rf"<{_IRI_CHAR}*(?:\\(?:{_UCHAR}){_IRI_CHAR}*)*"
+_STRING = rf"\"{_STRING_CHAR}*(?:\\(?:{_ECHAR}|{_UCHAR}){_STRING_CHAR}*)*"
+_NUMBER = r"[+-]?[0-9]*\.?[0-9]+"
+# Skips whitespace and comments, then captures one token. An IRI or a string
 # always matches: the regex stops at the first character it cannot read, and
 # a missing closing delimiter marks the token as malformed. The last two
 # alternatives catch any other character and the end of the text, so a
-# match never fails and never backtracks into the skipped text.
+# match never fails, each starts where the last one ended, and the last
+# token of a document is the empty string.
 _TOKEN_RE = re.compile(
-    r"(?P<skip>(?:[ \t\r\n]+|#[^\n]*)*)(?:"
-    rf"<(?P<iri>{_IRI_CHAR}*(?:\\(?:{_UCHAR}){_IRI_CHAR}*)*)(?P<iri_end>>?)"
-    rf"|\"(?P<string>{_STRING_CHAR}*(?:\\(?:{_ECHAR}|{_UCHAR}){_STRING_CHAR}*)*)(?P<string_end>\"?)"
-    rf"|_:(?P<blank>{_PN}*(?<!\.))"
-    r"|@(?P<at>(?:[^\W_]|-)*)"
-    r"|(?P<punct>\^\^|[.;,])"
-    rf"|(?P<prefix>{_PN}*):(?P<local>{_PN}*(?<!\.))"
-    r"|\?(?P<var>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<number>[+-]?[0-9]*\.?[0-9]+)"
-    rf"|(?P<word>{_PN}+)"
-    r"|(?P<other>.)"
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*("
+    rf"{_IRI}>?"
+    rf"|{_STRING}\"?"
+    rf"|_:{_PN}*(?<!\.)"
+    r"|@(?:[^\W_]|-)*"
+    r"|\^\^|[.;,]"
+    rf"|{_PN}*:{_PN}*(?<!\.)"
+    r"|\?[A-Za-z_][A-Za-z0-9_]*"
+    rf"|{_NUMBER}"
+    rf"|{_PN}+"
+    r"|."
     r"|\Z)",
     re.DOTALL,
 )
+_CLOSED_STRING_RE = re.compile(rf"{_STRING}\"")
+_NUMBER_RE = re.compile(_NUMBER)
+_PN_RE = re.compile(_PN)
+_PUNCTUATION = ("^^", ".", ";", ",")
+
+
+def _kind(token: str) -> str | None:
+    """The kind of a token, told from its first characters; None if the
+    token is malformed."""
+    if not token:
+        return EOF
+    first = token[0]
+    if first == "<":
+        return IRIREF if token[-1] == ">" else None
+    if first == '"':
+        return STRING if _CLOSED_STRING_RE.fullmatch(token) else None
+    if first == "@":
+        return token if token in (PREFIX_DIRECTIVE, BASE_DIRECTIVE) else LANGTAG
+    if token in _PUNCTUATION:
+        return token
+    if token.startswith("_:"):
+        return BLANK if len(token) > 2 else None
+    if first == "?":
+        return VAR if len(token) > 1 else None
+    if ":" in token:
+        return PNAME
+    if token == KW_A:
+        return KW_A
+    return NUMBER if _NUMBER_RE.fullmatch(token) else None
+
+
+def _describe(token: str) -> tuple[str, str]:
+    """A token's kind and value, as error messages name them: an IRI or a
+    string decoded, a prefixed name's local part, and so on."""
+    kind = _kind(token)
+    if kind == IRIREF or kind == STRING:
+        return kind, _unescape(token[1:-1])
+    if kind == PNAME:
+        return kind, token.partition(":")[2]
+    if kind == BLANK:
+        return kind, token[2:]
+    if kind == LANGTAG or kind == VAR:
+        return kind, token[1:]
+    return kind, token
 
 
 def _error(text: str, reason: str, offset: int, cls: type[ParseError] = ParseError) -> ParseError:
@@ -159,52 +215,6 @@ def _malformed(text: str, start: int, stop: int, what: str) -> ParseError:
     return _error(text, f"forbidden character {ch!r} in IRI", stop)
 
 
-def _tokens(text: str) -> Iterator[Token]:
-    match = _TOKEN_RE.match
-    pos = 0
-    while True:
-        m = match(text, pos)
-        pos = m.end()
-        start = m.end("skip")
-        kind = m.lastgroup
-        if kind == "iri_end":
-            if pos == m.end("iri"):
-                raise _malformed(text, start, pos, "IRI")
-            yield IRIREF, _unescape(m.group("iri")), start, ""
-        elif kind == "local":
-            yield PNAME, m.group("local"), start, m.group("prefix")
-        elif kind == "punct":
-            value = m.group("punct")
-            yield value, value, start, ""
-        elif kind == "string_end":
-            if pos == m.end("string"):
-                raise _malformed(text, start, pos, "string literal")
-            yield STRING, _unescape(m.group("string")), start, ""
-        elif kind == "blank":
-            if pos == start + 2:
-                raise _error(text, "empty blank node label", start)
-            yield BLANK, m.group("blank"), start, ""
-        elif kind == "at":
-            word = m.group("at")
-            if word in ("prefix", "base"):
-                yield "@" + word, "@" + word, start, ""
-            else:
-                yield LANGTAG, word, start, ""
-        elif kind == "word":
-            if m.group("word") != "a":
-                raise _error(text, f"expected ':' in prefixed name, got {m.group('word')!r}", start)
-            yield KW_A, "a", start, ""
-        elif kind == "var":
-            yield VAR, m.group("var"), start, ""
-        elif kind == "number":
-            yield NUMBER, m.group("number"), start, ""
-        elif kind == "other":
-            raise _error(text, f"unexpected character {m.group('other')!r}", start)
-        else:
-            yield EOF, "", start, ""
-            return
-
-
 # --- parser ----------------------------------------------------------------
 
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
@@ -213,8 +223,13 @@ _XSD_INTEGER, _XSD_DECIMAL = XSD.integer, XSD.decimal
 
 
 class _Parser:
-    """Shared statement parser. Strict mode (N-Triples/N-Quads) disallows
-    directives, prefixed names, `a`, `;`/`,` lists, and relative IRIs."""
+    """The statement walker. Strict mode (N-Triples/N-Quads) disallows
+    directives, prefixed names, `a`, numbers, `;`/`,` lists, and relative
+    IRIs.
+
+    `start` tokenizes a document into `tokens`; the walker reads them by
+    index. `terms` maps the text of each IRI, prefixed name, blank node or
+    number token read so far to its term."""
 
     def __init__(self, *, strict: bool, quads: bool, base: str | None = None):
         self.strict = strict
@@ -225,39 +240,60 @@ class _Parser:
         self._blank_map: dict[str, BlankNode] = {}
 
     def start(self, text: str) -> None:
-        """Read `text` from its first token on."""
         self.text = text
-        self._next_token = _tokens(text).__next__
-        self.token = self._next_token()
+        self.tokens: list[str] = _TOKEN_RE.findall(text)
+        self.terms: dict[str, Term] = {}
 
-    def _advance(self) -> None:
-        self.token = self._next_token()
+    # Errors. Tokens carry no offset: the regex is run again up to the
+    # failing token. A malformed token is reported as soon as the walker
+    # reaches it, and a fault that shows only once a term's tokens are read
+    # (a relative IRI, a literal subject) yields to a malformed token right
+    # after them, so errors come in reading order with one token lookahead.
 
-    def _error(self, message: str, token: Token | None = None) -> ParseError:
-        return _error(self.text, message, (token or self.token)[2])
+    def _offset(self, i: int) -> int:
+        return next(islice(_TOKEN_RE.finditer(self.text), i, None)).start(1)
 
-    def _expect(self, kind: str) -> Token:
-        tok = self.token
-        if tok[0] != kind:
-            raise self._error(f"expected {kind}, got {tok[0]} {tok[1]!r}")
-        self._advance()
-        return tok
+    def _malformed_token(self, i: int) -> ParseError | None:
+        token = self.tokens[i]
+        if _kind(token) is not None:
+            return None
+        text, start = self.text, self._offset(i)
+        if token[0] == "<":
+            return _malformed(text, start, start + len(token), "IRI")
+        if token[0] == '"':
+            return _malformed(text, start, start + len(token), "string literal")
+        if token == "_:":
+            return _error(text, "empty blank node label", start)
+        if _PN_RE.match(token):
+            return _error(text, f"expected ':' in prefixed name, got {token!r}", start)
+        return _error(text, f"unexpected character {token!r}", start)
 
-    def _resolve_iri(self, ref: str, offset: int) -> Iri:
-        # Most references are absolute and already interned: build first,
-        # and resolve against the base only what `Iri` rejects for want of
-        # a scheme.
+    def _fail(self, reason: str, at: int, read: int | None = None, cls: type[ParseError] = ParseError) -> ParseError:
+        """`reason` at token `at`, unless the last token read, `read`
+        (default `at`), is malformed."""
+        malformed = self._malformed_token(at if read is None else read)
+        return malformed or _error(self.text, reason, self._offset(at), cls)
+
+    def _expected(self, what: str, i: int) -> ParseError:
+        kind, value = _describe(self.tokens[i])
+        return self._fail(f"expected {what}, got {kind} {value!r}", i)
+
+    # Terms.
+
+    def _resolve_iri(self, ref: str, i: int) -> Iri:
+        # Most references are absolute: build first, and resolve against the
+        # base only what `Iri` rejects for want of a scheme.
         try:
             return Iri(ref)
         except ValueError as exc:
             if _SCHEME_RE.match(ref):
-                raise _error(self.text, str(exc), offset)
+                raise self._fail(str(exc), i, i + 1)
         if self.base is None:
-            raise _error(self.text, f"relative IRI {ref!r} with no base", offset, RelativeIriError)
+            raise self._fail(f"relative IRI {ref!r} with no base", i, i + 1, RelativeIriError)
         try:
             return Iri(urljoin(self.base, ref))
         except ValueError as exc:
-            raise _error(self.text, str(exc), offset)
+            raise self._fail(str(exc), i, i + 1)
 
     def _blank_node(self, label: str) -> BlankNode:
         node = self._blank_map.get(label)
@@ -266,109 +302,151 @@ class _Parser:
             self._blank_map[label] = node
         return node
 
-    def _term(self, position: str) -> Term:
-        kind, value, offset, prefix = self.token
+    def _term(self, i: int, position: str) -> tuple[Term, int]:
+        """The term whose tokens start at token `i`, and the index of the
+        token after them."""
+        token = self.tokens[i]
+        term = self.terms.get(token)
+        if term is not None:
+            return term, i + 1
+        kind = _kind(token)
         if kind == IRIREF:
-            self._advance()
-            return self._resolve_iri(value, offset)
-        if kind == BLANK:
-            self._advance()
-            return self._blank_node(value)
-        if kind == PNAME:
+            term = self._resolve_iri(_unescape(token[1:-1]), i)
+        elif kind == BLANK:
+            term = self._blank_node(token[2:])
+        elif kind == STRING:
+            return self._literal(i)
+        elif kind == PNAME:
             if self.strict:
-                raise self._error("prefixed names are not allowed in this format")
+                raise self._fail("prefixed names are not allowed in this format", i)
+            prefix, _, local = token.partition(":")
             ns = self.prefixes.get(prefix)
             if ns is None:
-                raise self._error(f"undefined prefix {prefix + ':'!r}")
-            self._advance()
-            return self._resolve_iri(ns + value, offset)
-        if kind == STRING:
-            self._advance()
-            if self.token[0] == LANGTAG:
-                lang = self.token[1]
-                if not _LANGTAG_RE.match(lang):
-                    raise self._error(f"malformed language tag @{lang}")
-                self._advance()
-                return Literal(value, language=lang)
-            if self.token[0] == "^^":
-                self._advance()
-                dt_tok = self.token
-                if dt_tok[0] == IRIREF or (dt_tok[0] == PNAME and not self.strict):
-                    datatype = self._term("datatype")
-                else:
-                    raise self._error("expected datatype IRI after ^^")
-                try:
-                    return Literal(value, datatype=datatype)
-                except ValueError as exc:
-                    raise self._error(str(exc), dt_tok)
-            return Literal(value, datatype=XSD_STRING)
-        if kind == KW_A and not self.strict and position == "predicate":
-            self._advance()
-            return RDF_TYPE
-        if kind == NUMBER and not self.strict:
-            self._advance()
-            return Literal(value, datatype=_XSD_DECIMAL if "." in value else _XSD_INTEGER)
-        raise self._error(f"expected {position} term, got {kind} {value!r}")
-
-    def _directive(self) -> None:
-        directive = self.token[0]
-        self._advance()
-        if directive == PREFIX_DIRECTIVE:
-            name_tok = self._expect(PNAME)
-            if name_tok[1]:
-                raise self._error("expected bare prefix (e.g. ex:) in @prefix", name_tok)
-            iri_tok = self._expect(IRIREF)
-            self.prefixes[name_tok[3]] = self._resolve_iri(iri_tok[1], iri_tok[2]).value
+                raise self._fail(f"undefined prefix {prefix + ':'!r}", i)
+            term = self._resolve_iri(ns + local, i)
+        elif kind == NUMBER and not self.strict:
+            term = Literal(token, datatype=_XSD_DECIMAL if "." in token else _XSD_INTEGER)
+        elif kind == KW_A and not self.strict and position == "predicate":
+            return RDF_TYPE, i + 1
         else:
-            iri_tok = self._expect(IRIREF)
-            self.base = self._resolve_iri(iri_tok[1], iri_tok[2]).value
-        self._expect(DOT)
+            raise self._expected(f"{position} term", i)
+        self.terms[token] = term
+        return term, i + 1
 
-    def _statement(self) -> None:
-        subj_tok = self.token
-        subject = self._term("subject")
-        if isinstance(subject, Literal):
-            raise self._error("subject must not be a literal", subj_tok)
-        pairs: list[tuple[Iri, Term]] = []
-        while True:
-            pred_tok = self.token
-            predicate = self._term("predicate")
-            if not isinstance(predicate, Iri):
-                raise self._error("predicate must be an IRI", pred_tok)
-            while True:
-                pairs.append((predicate, self._term("object")))
-                if not self.strict and self.token[0] == ",":
-                    self._advance()
-                    continue
-                break
-            if not self.strict and self.token[0] == ";":
-                self._advance()
-                if self.token[0] == DOT:  # trailing semicolon
-                    break
-                continue
-            break
-        graph_name: Iri | None = None
-        if self.quads and self.token[0] != DOT:
-            g_tok = self.token
-            graph_name = self._term("graph label")
-            if not isinstance(graph_name, Iri):
-                raise self._error("graph label must be an IRI", g_tok)
-        self._expect(DOT)
-        triples = self.graphs.setdefault(graph_name, set())
-        for predicate, obj in pairs:
-            triples.add(Triple(subject, predicate, obj))
+    def _literal(self, i: int) -> tuple[Literal, int]:
+        tokens = self.tokens
+        lexical = _unescape(tokens[i][1:-1])
+        after = tokens[i + 1]
+        if after[:1] == "@" and after not in (PREFIX_DIRECTIVE, BASE_DIRECTIVE):
+            if not _LANGTAG_RE.match(after[1:]):
+                raise self._fail(f"malformed language tag {after}", i + 1)
+            return Literal(lexical, language=after[1:]), i + 2
+        if after != "^^":
+            return Literal(lexical, datatype=XSD_STRING), i + 1
+        at = i + 2
+        kind = _kind(tokens[at])
+        if kind != IRIREF and (kind != PNAME or self.strict):
+            raise self._fail("expected datatype IRI after ^^", at)
+        datatype, end = self._term(at, "datatype")
+        try:
+            return Literal(lexical, datatype=datatype), end
+        except ValueError as exc:
+            raise self._fail(str(exc), at, end)
+
+    # Statements.
+
+    def _directive(self, i: int) -> int:
+        """Reads the directive at token `i`; returns the index after it."""
+        tokens = self.tokens
+        at = i + 1
+        if tokens[i] == PREFIX_DIRECTIVE:
+            name = tokens[at]
+            if _kind(name) != PNAME:
+                raise self._expected(PNAME, at)
+            if not name.endswith(":"):
+                raise self._fail("expected bare prefix (e.g. ex:) in @prefix", at, at + 1)
+            at += 1
+        if _kind(tokens[at]) != IRIREF:
+            raise self._expected(IRIREF, at)
+        value = self._resolve_iri(_unescape(tokens[at][1:-1]), at).value
+        if tokens[i] == PREFIX_DIRECTIVE:
+            self.prefixes[name[:-1]] = value
+        else:
+            self.base = value
+        # A prefixed name or a relative IRI may now mean another term.
+        self.terms.clear()
+        if tokens[at + 1] != DOT:
+            raise self._expected(DOT, at + 1)
+        return at + 2
 
     def run(self, text: str) -> dict[Iri | None, set[Triple]]:
         """The triples of `text` by graph name; `None` names the default graph."""
         self.start(text)
-        while self.token[0] != EOF:
-            if self.token[0] in (PREFIX_DIRECTIVE, BASE_DIRECTIVE):
-                if self.strict:
-                    raise self._error("directives are not allowed in this format")
-                self._directive()
+        tokens, get = self.tokens, self.terms.get
+        strict, quads, graphs = self.strict, self.quads, self.graphs
+        default = graphs.setdefault(None, set())
+        add = default.add
+        i = 0
+        while tokens[i]:
+            token = tokens[i]
+            if token == PREFIX_DIRECTIVE or token == BASE_DIRECTIVE:
+                if strict:
+                    raise self._fail("directives are not allowed in this format", i)
+                i = self._directive(i)
+                continue
+            subject = get(token)
+            if subject is None or subject.__class__ is Literal:
+                subject, end = self._term(i, "subject")
+                if subject.__class__ is Literal:
+                    raise self._fail("subject must not be a literal", i, end)
+                i = end
             else:
-                self._statement()
-        return self.graphs
+                i += 1
+            while True:
+                token = tokens[i]
+                predicate = get(token)
+                if predicate.__class__ is Iri:
+                    i += 1
+                elif token == KW_A and not strict:
+                    predicate = RDF_TYPE
+                    i += 1
+                else:
+                    predicate, end = self._term(i, "predicate")
+                    if predicate.__class__ is not Iri:
+                        raise self._fail("predicate must be an IRI", i, end)
+                    i = end
+                while True:
+                    obj = get(tokens[i])
+                    if obj is None:
+                        obj, i = self._term(i, "object")
+                    else:
+                        i += 1
+                    token = tokens[i]
+                    if quads and token != DOT:
+                        name, end = self._term(i, "graph label")
+                        if name.__class__ is not Iri:
+                            raise self._fail("graph label must be an IRI", i, end)
+                        graphs.setdefault(name, set()).add(Triple(subject, predicate, obj))
+                        i = end
+                        break
+                    add(Triple(subject, predicate, obj))
+                    if token != "," or strict:
+                        break
+                    i += 1
+                if tokens[i] != ";" or strict:
+                    break
+                # `;` may repeat, and may end the list.
+                i += 1
+                while tokens[i] == ";":
+                    i += 1
+                if tokens[i] == DOT:
+                    break
+            if tokens[i] != DOT:
+                raise self._expected(DOT, i)
+            i += 1
+        if not default:
+            del graphs[None]
+        return graphs
 
 
 _POSITIONS = ("subject", "predicate", "object")
@@ -377,7 +455,7 @@ _POSITIONS = ("subject", "predicate", "object")
 class TermReader:
     """Reads the terms of a line-oriented file, such as a pattern file, one
     line at a time. Its `prefixes` map (name to namespace IRI) holds for the
-    whole file, and each distinct IRI of the file becomes one object."""
+    whole file."""
 
     def __init__(self) -> None:
         self._parser = _Parser(strict=False, quads=False)
@@ -389,18 +467,18 @@ class TermReader:
         `ParseError` at a position in `line`."""
         parser = self._parser
         parser.start(line)
+        tokens = parser.tokens
         terms: list[Term | str] = []
-        while parser.token[0] not in (DOT, EOF):
-            if parser.token[0] == VAR:
-                terms.append(parser.token[1])
-                parser._advance()
+        i = 0
+        while tokens[i] and tokens[i] != DOT:
+            if _kind(tokens[i]) == VAR:
+                terms.append(tokens[i][1:])
+                i += 1
             else:
-                terms.append(parser._term(_POSITIONS[min(len(terms), 2)]))
-        if parser.token[0] == DOT:
-            parser._advance()
-            if parser.token[0] != EOF:
-                kind, value = parser.token[:2]
-                raise parser._error(f"expected end of line, got {kind} {value!r}")
+                term, i = parser._term(i, _POSITIONS[min(len(terms), 2)])
+                terms.append(term)
+        if tokens[i] == DOT and tokens[i + 1]:
+            raise parser._expected("end of line", i + 1)
         return terms
 
 

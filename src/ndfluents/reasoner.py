@@ -9,9 +9,11 @@ pattern validator.
   literal, and the object itself where the predicate's super-properties
   reach rdf:type (a class then has super-classes of its own). `_RuleIndex`
   compiles that closure once per shape into a template over the triple's
-  subject and object. A triple from the input or from a join rule expands
-  its template in one step; the template's products need no expansion of
-  their own, since their consequences are already in the template.
+  subject and object, and is itself built once per TBox: equal axiom lists
+  share one index, templates included. A triple from the input or from a
+  join rule expands its template in one step; the template's products need
+  no expansion of their own, since their consequences are already in the
+  template.
 - The join rules: transitivity and the four AllValuesFrom lookups over a
   `via` property. They run, semi-naively, only on triples whose predicate
   heads one of them, against indexes kept only for the predicates they
@@ -36,7 +38,7 @@ rule for statements between parts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain
 
 from .terms import OWL, RDF_TYPE, RDFS, Graph, Iri, Literal, Term, Triple
@@ -223,12 +225,20 @@ class _RuleIndex:
         )
 
 
+@lru_cache(maxsize=16)
+def _rule_index(axioms: tuple[Axiom, ...], vocab: CoreVocabulary) -> _RuleIndex:
+    """The compiled rules of a TBox, built once and shared by every
+    `saturate` call on an equal axiom list. Its templates fill in as the
+    calls meet new triple shapes."""
+    return _RuleIndex(axioms, vocab)
+
+
 def saturate(
     graph: Graph,
     axioms: list[Axiom],
     vocab: CoreVocabulary = CORE,
 ) -> InferenceResult:
-    idx = _RuleIndex(axioms, vocab)
+    idx = _rule_index(tuple(axioms), vocab)
     everything: set[Triple] = set(graph)
     templates, types_object = idx.templates, idx.types_object
     sp_predicates, po_predicates = idx.sp_predicates, idx.po_predicates

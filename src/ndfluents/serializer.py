@@ -99,17 +99,18 @@ def _split_iri(iri: Iri) -> tuple[str, str]:
 
 
 class _TurtleAbbreviator:
+    """The Turtle token of each term, made once: `tokens` maps each term
+    seen so far to it, and `token` makes the token of a term not yet seen."""
+
     def __init__(self, prefixes: dict[str, str]):
         self.by_base = {base: name for name, base in prefixes.items()}
         self.used: set[str] = set()
-        self._tokens: dict[Term, str] = {}
+        self.tokens: dict[Term, str] = {}
 
-    def token(self, term: Term, *, as_predicate: bool = False) -> str:
-        if as_predicate and term is RDF_TYPE:
-            return "a"
-        token = self._tokens.get(term)
+    def token(self, term: Term) -> str:
+        token = self.tokens.get(term)
         if token is None:
-            token = self._tokens[term] = self._abbreviate(term)
+            token = self.tokens[term] = self._abbreviate(term)
         return token
 
     def _abbreviate(self, term: Term) -> str:
@@ -133,41 +134,35 @@ def serialize_turtle(graph: Graph, prefixes: dict[str, str] | None = None) -> st
     """Serialize as Turtle with subject grouping, preserving canonical order."""
     prefixes = dict(prefixes or {})
     abbr = _TurtleAbbreviator(prefixes)
+    cached, token = abbr.tokens.get, abbr.token
 
-    blocks: list[list[str]] = []
-    current_subject: Term | None = None
-    lines: list[str] = []
-    prev_predicate: Term | None = None
-    for triple in graph.sorted_triples():
-        if triple.subject != current_subject:
-            if lines:
-                blocks.append(lines)
-            current_subject = triple.subject
-            prev_predicate = None
-            lines = [abbr.token(triple.subject)]
-        if triple.predicate == prev_predicate:
-            lines[-1] += " ,"
-            lines.append(f"        {abbr.token(triple.object)}")
+    # Terms are interned, so a repeated subject or predicate is the same object.
+    body: list[str] = []
+    subject = predicate = None
+    for s, p, o in graph.sorted_triples():
+        o_token = cached(o) or token(o)
+        if s is subject and p is predicate:
+            body += (" ,\n        ", o_token)
+            continue
+        p_token = "a" if p is RDF_TYPE else cached(p) or token(p)
+        if s is subject:
+            body += (" ;\n    ", p_token, " ", o_token)
         else:
-            if prev_predicate is not None:
-                lines[-1] += " ;"
-            pred_token = abbr.token(triple.predicate, as_predicate=True)
-            lines.append(f"    {pred_token} {abbr.token(triple.object)}")
-            prev_predicate = triple.predicate
-    if lines:
-        blocks.append(lines)
+            if subject is not None:
+                body.append(" .\n\n")
+            body += (cached(s) or token(s), "\n    ", p_token, " ", o_token)
+            subject = s
+        predicate = p
+    if body:
+        body.append(" .\n")
 
     header = [
         f"@prefix {name}: <{base}> .\n"
         for name, base in sorted(prefixes.items())
-        if name in abbr.used or not blocks
+        if name in abbr.used or not body
     ]
-    body: list[str] = []
-    for block in blocks:
-        block[-1] += " ."
-        body.append("\n".join(block) + "\n")
     sep = "\n" if header and body else ""
-    return "".join(header) + sep + "\n".join(body)
+    return "".join(header) + sep + "".join(body)
 
 
 def serialize(

@@ -325,7 +325,8 @@ class Graph:
     def union(self, *others: "Graph | Iterable[Triple]", name: Iri | None = None) -> "Graph":
         triples = set(self._triples)
         for other in others:
-            triples.update(other)
+            # A graph's own set, not its iteration, which sorts.
+            triples.update(other._triples if isinstance(other, Graph) else other)
         return Graph(triples, name=name if name is not None else self.name)
 
     def _bucket(self, key: itemgetter, value: object) -> Collection[Triple]:

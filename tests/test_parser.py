@@ -1,5 +1,7 @@
 """N-Triples, N-Quads, and Turtle parsing."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from ndfluents import (
     serialize,
 )
 from ndfluents.parser import normalize_format
+from ndfluents.serializer import canonicalize
 
 EX = Namespace("http://example.org/")
 
@@ -123,6 +126,18 @@ ex:s a ex:Thing ;
                 Triple(EX.s, EX.p, EX.o2),
             ]
         )
+
+    def test_repeated_semicolons(self):
+        # predicateObjectList ::= verb objectList (';' (verb objectList)?)*
+        doc = "@prefix ex: <http://example.org/> . ex:a ex:p ex:b ;; ex:q ex:c ; ; .\nex:d ex:p ex:e ;.\n"
+        assert parse_turtle(doc) == Graph(
+            [Triple(EX.a, EX.p, EX.b), Triple(EX.a, EX.q, EX.c), Triple(EX.d, EX.p, EX.e)]
+        )
+
+    def test_semicolon_rejected_in_ntriples(self):
+        with pytest.raises(ParseError) as err:
+            parse_ntriples("<http://e.org/s> <http://e.org/p> <http://e.org/o> ; .\n")
+        assert (err.value.reason, err.value.column) == ("expected ., got ; ';'", 52)
 
     def test_digit_leading_prefix(self):
         doc = """\
@@ -239,7 +254,7 @@ PARSE_ERRORS = [
     ("nt", f"{S} {P} {O} _:b .\n", "ParseError", "expected ., got BLANK 'b'", 1, 52),
     ("nt", f"{S} {P} {O} , {O} .\n", "ParseError", "expected ., got , ','", 1, 52),
     ("ttl", f"{PFX}ex:s ex:p ex:o\nex:t ex:p ex:o .\n", "ParseError", "expected ., got PNAME 't'", 3, 1),
-    ("ttl", f"{PFX}ex:s ex:p ex:o ; ; .\n", "ParseError", "expected predicate term, got ; ';'", 2, 18),
+    ("ttl", f"{PFX}ex:s ; ex:p ex:o .\n", "ParseError", "expected predicate term, got ; ';'", 2, 6),
     ("ttl", "@base <http://e.org/> .\n@base <rel/> .\n<s> <p> <o> ,\n", "ParseError",
      "expected object term, got EOF ''", 4, 1),
     ("nt", f"{S} a {O} .\n", "ParseError", "expected predicate term, got a 'a'", 1, 18),
@@ -323,6 +338,42 @@ _graphs = st.lists(st.builds(Triple, _iris, _iris, st.one_of(_iris, _literals)),
 def test_round_trip_over_the_unicode_range(graph, fmt):
     text = serialize(graph, fmt, prefixes={"ex": "http://example.org/"})
     assert parse(text, fmt) == graph
+
+
+# Shared subjects, predicates and blank nodes, so that the Turtle has `;`,
+# `,`, `a` and `_:` tokens.
+_nodes = st.sampled_from([EX.s, EX.t, BlankNode("x"), BlankNode("y")])
+_shared_graphs = st.lists(
+    st.builds(
+        Triple,
+        st.one_of(_nodes, _iris),
+        st.one_of(st.sampled_from([EX.p, EX.q, RDF_TYPE]), _iris),
+        st.one_of(_nodes, _iris, _literals),
+    ),
+    max_size=12,
+).map(lambda triples: canonicalize(Graph(triples)))
+# A token of the serializer's output: a run without space, tab or line
+# break, except inside a quoted literal.
+_SERIALIZED_TOKEN_RE = re.compile(r'(?:"(?:[^"\\]|\\.)*"|[^ \t\r\n"])+')
+_separators = st.lists(
+    st.one_of(
+        st.sampled_from([" ", "\t", "\n", "\r", "\r\n"]),
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"), max_size=8).map(
+            lambda comment: f"#{comment}\n"
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_graphs, st.data())
+def test_turtle_reads_back_with_any_whitespace_and_comments_between_tokens(graph, data):
+    text = serialize(graph, "turtle", prefixes={"ex": "http://example.org/"})
+    tokens = _SERIALIZED_TOKEN_RE.findall(text)
+    spaced = "".join(data.draw(_separators) + token for token in tokens) + data.draw(_separators)
+    assert parse_turtle(spaced) == graph
 
 
 _VALID_DOCUMENTS = [

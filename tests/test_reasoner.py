@@ -36,8 +36,10 @@ from ndfluents.reasoner import (
     VIOLATION_RANGE_COMPLEMENT,
     VIOLATION_SAME_EXTENT,
     _RuleIndex,
+    _rule_index,
     _violation_key,
 )
+from ndfluents import reasoner
 from ndfluents.terms import term_sort_key
 from ndfluents.vocabulary import (
     CORE,
@@ -566,6 +568,27 @@ def _tbox_and_abox(draw):
 def test_saturate_agrees_with_the_rule_at_a_time_reference(case):
     graph, axioms = case
     _assert_matches_reference(graph, axioms)
+
+
+def test_equal_axiom_lists_share_one_rule_index(monkeypatch):
+    built = []
+
+    class CountingIndex(_RuleIndex):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(reasoner, "_RuleIndex", CountingIndex)
+    _rule_index.cache_clear()
+    axioms = [sub_class_of(EX.A, EX.B), transitive(EX.partOf)]
+    graph = Graph([Triple(EX.x, RDF_TYPE, EX.A), Triple(EX.x, EX.partOf, EX.y)])
+    first = saturate(graph, axioms)
+    assert saturate(graph, list(axioms)) == first
+    assert len(built) == 1
+    assert _rule_index(tuple(axioms), CORE) is _rule_index(tuple(list(axioms)), CORE)
+    changed = saturate(graph, axioms + [sub_class_of(EX.B, EX.C)])
+    assert len(built) == 2 and Triple(EX.x, RDF_TYPE, EX.C) in changed.derived
+    _rule_index.cache_clear()
 
 
 @pytest.mark.parametrize(

@@ -166,6 +166,14 @@ class TestTripleAndGraph:
         merged = g1.union(g2, name=EX.g1)
         assert len(merged) == 2 and merged.name == EX.g1
 
+    def test_union_does_not_sort_its_arguments(self):
+        g1 = Graph([Triple(EX.a, EX.p, EX.b), Triple(EX.c, EX.p, EX.d)])
+        g2 = Graph([Triple(EX.c, EX.p, EX.d), Triple(EX.e, EX.p, EX.f)])
+        extra = [Triple(EX.g, EX.p, EX.h)]
+        merged = g1.union(g2, extra)
+        assert g1._sorted is None and g2._sorted is None
+        assert merged == Graph(set(g1) | set(g2) | set(extra))
+
     def test_equality_includes_name(self):
         t = Triple(EX.a, EX.p, EX.b)
         assert Graph([t]) == Graph([t])
