@@ -29,6 +29,7 @@ from .terms import (
     Namespace,
     Term,
     Triple,
+    _unchecked_triple,
     term_sort_key,
 )
 from .vocabulary import CORE, ContextDimension, CoreVocabulary, DimensionRegistry
@@ -206,6 +207,15 @@ def _entity_collision(part: Iri, owner: tuple[Iri, frozenset[tuple[str, Iri]]]) 
     )
 
 
+def _predicate_map(mapping: dict[Iri, Iri] | None) -> dict[Iri, Iri]:
+    """`mapping`, or an empty map, once each value is known to be an IRI:
+    the values become predicates of triples built unchecked."""
+    for value in (mapping or {}).values():
+        if not isinstance(value, Iri):
+            raise ValueError(f"a predicate map value must be an IRI, got {value!r}")
+    return mapping or {}
+
+
 class _Builder:
     def __init__(
         self,
@@ -223,7 +233,7 @@ class _Builder:
         self.policy = policy
         self.vocab = vocab
         self.predicate_mode = predicate_mode
-        self.predicate_map = predicate_map or {}
+        self.predicate_map = _predicate_map(predicate_map)
         self.triples: set[Triple] = set()
         self.descriptions: list[Graph] = []
         # Each minted part IRI with the entity and assignments it stands for,
@@ -267,14 +277,18 @@ class _Builder:
             )
         if self.predicate_mode == PREDICATE_SUBPROPERTY:
             for dim in dims:
-                self.triples.add(Triple(predicate, RDFS.subPropertyOf, dim.contextual_property))
+                self.triples.add(
+                    _unchecked_triple((predicate, RDFS.subPropertyOf, dim.contextual_property))
+                )
         return predicate
 
-    def _mint_part(self, entity: Iri, pairs: tuple[tuple[str, Iri], ...]) -> Iri:
-        """The part IRI for `entity` under `pairs`; two different parts must
-        not share one, which suffix minting allows when contexts share a
-        local name, and no part may be an entity of the input, which suffix
-        minting allows when an entity's IRI ends in a separator and suffix."""
+    def _mint_part(self, entity: Iri, pairs: tuple[tuple[str, Iri], ...]) -> tuple[Iri, bool]:
+        """The part IRI for `entity` under `pairs`, and whether it is minted
+        for the first time, so that its scaffolding is emitted once; two
+        different parts must not share one, which suffix minting allows when
+        contexts share a local name, and no part may be an entity of the
+        input, which suffix minting allows when an entity's IRI ends in a
+        separator and suffix."""
         part = self.policy.mint_part(entity, pairs)
         owner = (entity, frozenset(pairs))
         previous = self.minted.setdefault(part, owner)
@@ -286,7 +300,7 @@ class _Builder:
             )
         if part in self.entities:
             raise _entity_collision(part, owner)
-        return part
+        return part, previous is owner
 
     def _context_pairs(self, pairs: tuple[tuple[str, Iri], ...]) -> list[tuple[ContextDimension, Iri]]:
         return [(self.registry.get(name), ctx) for name, ctx in pairs]
@@ -298,16 +312,18 @@ class _Builder:
         predicate: Iri,
     ) -> None:
         base = statement.base
-        subject_part = self._mint_part(base.subject, pairs)
-        for dim, ctx in self._context_pairs(pairs):
-            self._attach(subject_part, dim, base.subject, ctx)
-        if isinstance(base.object, Iri):
-            object_part = self._mint_part(base.object, pairs)
+        subject_part, fresh = self._mint_part(base.subject, pairs)
+        if fresh:
             for dim, ctx in self._context_pairs(pairs):
-                self._attach(object_part, dim, base.object, ctx)
-            self.triples.add(Triple(subject_part, predicate, object_part))
+                self._attach(subject_part, dim, base.subject, ctx)
+        if isinstance(base.object, Iri):
+            object_part, fresh = self._mint_part(base.object, pairs)
+            if fresh:
+                for dim, ctx in self._context_pairs(pairs):
+                    self._attach(object_part, dim, base.object, ctx)
+            self.triples.add(_unchecked_triple((subject_part, predicate, object_part)))
         else:
-            self.triples.add(Triple(subject_part, predicate, base.object))
+            self.triples.add(_unchecked_triple((subject_part, predicate, base.object)))
 
     def _add_nested(
         self,
@@ -331,16 +347,17 @@ class _Builder:
                 dim = self.registry.get(name)
                 ctx = by_name[name]
                 taken.append((name, ctx))
-                part = self._mint_part(entity, tuple(taken))
-                self._attach(part, dim, parent, ctx)
+                part, fresh = self._mint_part(entity, tuple(taken))
+                if fresh:
+                    self._attach(part, dim, parent, ctx)
                 parent = part
             return parent
 
         subject_part = build_chain(base.subject)
         if isinstance(base.object, Iri):
-            self.triples.add(Triple(subject_part, predicate, build_chain(base.object)))
+            self.triples.add(_unchecked_triple((subject_part, predicate, build_chain(base.object))))
         else:
-            self.triples.add(Triple(subject_part, predicate, base.object))
+            self.triples.add(_unchecked_triple((subject_part, predicate, base.object)))
 
     def _add_combined(
         self,
@@ -351,30 +368,35 @@ class _Builder:
         base = statement.base
         combined = self.registry.combined([name for name, _ in pairs])
         context = self.policy.mint_combined_context(pairs)
-        self.triples.add(Triple(context, RDF_TYPE, combined.context_class))
+        self.triples.add(_unchecked_triple((context, RDF_TYPE, combined.context_class)))
         for dim, ctx in self._context_pairs(pairs):
-            self.triples.add(Triple(context, self.vocab.memberContext, ctx))
-            self.triples.add(Triple(ctx, RDF_TYPE, dim.context_class))
+            self.triples.add(_unchecked_triple((context, self.vocab.memberContext, ctx)))
+            self.triples.add(_unchecked_triple((ctx, RDF_TYPE, dim.context_class)))
 
         def build_part(entity: Iri) -> Iri:
-            part = self._mint_part(entity, pairs)
-            self.triples.add(Triple(part, RDF_TYPE, combined.part_class))
-            self.triples.add(Triple(part, combined.part_of, entity))
-            self.triples.add(Triple(part, combined.extent, context))
+            part, fresh = self._mint_part(entity, pairs)
+            if fresh:
+                self.triples.update(map(_unchecked_triple, (
+                    (part, RDF_TYPE, combined.part_class),
+                    (part, combined.part_of, entity),
+                    (part, combined.extent, context),
+                )))
             return part
 
         subject_part = build_part(base.subject)
         if isinstance(base.object, Iri):
-            self.triples.add(Triple(subject_part, predicate, build_part(base.object)))
+            self.triples.add(_unchecked_triple((subject_part, predicate, build_part(base.object))))
         else:
-            self.triples.add(Triple(subject_part, predicate, base.object))
+            self.triples.add(_unchecked_triple((subject_part, predicate, base.object)))
 
     def _attach(self, part: Iri, dim: ContextDimension, parent: Iri, ctx: Iri) -> None:
         """One level of scaffolding: type, partOf, extent, context type."""
-        self.triples.add(Triple(part, RDF_TYPE, dim.part_class))
-        self.triples.add(Triple(part, dim.part_of, parent))
-        self.triples.add(Triple(part, dim.extent, ctx))
-        self.triples.add(Triple(ctx, RDF_TYPE, dim.context_class))
+        self.triples.update(map(_unchecked_triple, (
+            (part, RDF_TYPE, dim.part_class),
+            (part, dim.part_of, parent),
+            (part, dim.extent, ctx),
+            (ctx, RDF_TYPE, dim.context_class),
+        )))
 
     def graph(self) -> Graph:
         return Graph(self.triples).union(*self.descriptions)
@@ -493,7 +515,7 @@ def decontextualize(
     recovered context IRIs intersect it. `predicate_map` maps rewritten
     predicates back to base predicates (for related-property graphs)."""
     reader = _Reader(graph, registry, vocab)
-    reverse = predicate_map or {}
+    reverse = _predicate_map(predicate_map)
     recovered: set[AnnotatedStatement] = set()
     # Sorted parts, then each part's sorted triples: the graph's own order.
     for part in sorted(reader.parts, key=term_sort_key):
@@ -513,7 +535,7 @@ def decontextualize(
             predicate = reverse.get(triple.predicate, triple.predicate)
             try:
                 statement = AnnotatedStatement(
-                    Triple(subject, predicate, obj),
+                    _unchecked_triple((subject, predicate, obj)),
                     frozenset(ContextAssignment(d, c) for d, c in contexts),
                 )
             except ValueError as error:

@@ -22,7 +22,7 @@ import io
 from .contextualize import AnnotatedStatement, ContextAssignment, _digest
 from .parser import parse_nquads, parse_turtle
 from .serializer import serialize_nquads
-from .terms import Graph, Iri, Literal, Term, Triple
+from .terms import Graph, Iri, Literal, Term, Triple, _unchecked_triple
 from .vocabulary import DimensionRegistry
 
 DEFAULT_BUNDLE_BASE = "http://purl.org/NET/ndfluents/bundle#"
@@ -101,7 +101,7 @@ def read_statements_csv(text: str) -> list[AnnotatedStatement]:
                 raise FormatError(f"row {idx}: {exc}")
         try:
             statements.append(
-                AnnotatedStatement(Triple(subject, predicate, obj), frozenset(assignments))
+                AnnotatedStatement(_unchecked_triple((subject, predicate, obj)), frozenset(assignments))
             )
         except ValueError as exc:
             raise FormatError(f"row {idx}: {exc}")

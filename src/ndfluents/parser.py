@@ -39,7 +39,9 @@ import re
 from itertools import islice
 from urllib.parse import urljoin
 
-from .terms import RDF_TYPE, XSD, XSD_STRING, BlankNode, Graph, Iri, Literal, Term, Triple
+from .terms import (
+    RDF_TYPE, XSD, XSD_STRING, BlankNode, Graph, Iri, Literal, Term, Triple, _unchecked_triple,
+)
 
 
 class ParseError(ValueError):
@@ -426,10 +428,10 @@ class _Parser:
                         name, end = self._term(i, "graph label")
                         if name.__class__ is not Iri:
                             raise self._fail("graph label must be an IRI", i, end)
-                        graphs.setdefault(name, set()).add(Triple(subject, predicate, obj))
+                        graphs.setdefault(name, set()).add(_unchecked_triple((subject, predicate, obj)))
                         i = end
                         break
-                    add(Triple(subject, predicate, obj))
+                    add(_unchecked_triple((subject, predicate, obj)))
                     if token != "," or strict:
                         break
                     i += 1

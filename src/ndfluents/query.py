@@ -5,15 +5,33 @@ property paths, or federation), an optional GROUP BY variable with
 AVG/COUNT/MIN/MAX/SUM aggregates, and an optional context filter that
 restricts matching to one context's slice of the graph.
 
+Evaluation runs a plan, a list of steps fixed before any triple is read.
+The join order is most-selective-first, as in the SPARQL basic graph
+pattern literature (Stocker et al., WWW 2008): before each step the
+patterns left are sorted, stably, by how many of their variables are still
+unbound, then by how many triples have their predicate, and the first one
+is taken. Which variables are bound depends only on the steps already
+taken, so the whole order is known up front. Each step records which of
+its positions are constants, variables bound by an earlier step, or new
+variables. A solution is a tuple of terms in the order the steps bind
+them; of each triple that `Graph.match` yields for a step, only the new
+variables are read, and only a variable repeated inside the pattern
+(`?x ex:p ?x`) is compared.
+
 Aggregation semantics:
 
 - Solution mappings are computed with set semantics (a conjunctive
   pattern over a triple set yields each full mapping once); projections
   behave as bags, so COUNT without DISTINCT counts group members.
-- Numeric aggregates parse xsd numeric literals into exact rationals
-  (`fractions.Fraction`); AVG is rendered as a decimal with a documented
-  scale (default 2, ROUND_HALF_UP), COUNT is an int, and SUM/MIN/MAX
-  render as ints when integral and scaled decimals otherwise.
+- Numeric aggregates are exact. When every aggregated term is an
+  xsd:integer literal whose lexical form `int` reads, SUM/MIN/MAX run on
+  ints and AVG on `Fraction(total, n)`; otherwise xsd numeric literals are
+  read through `Decimal` into exact rationals (`fractions.Fraction`). AVG
+  is rendered as a decimal with a documented scale (default 2,
+  ROUND_HALF_UP), COUNT is an int, and SUM/MIN/MAX render as ints when
+  integral and scaled decimals otherwise. A value with more digits than
+  Python writes out as text (`sys.set_int_max_str_digits`) is a
+  `QueryError`.
 - A query with no solutions yields an empty table, including under
   aggregation (simpler than SPARQL's single all-empty row).
 """
@@ -27,7 +45,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Container, Iterable, Iterator, NamedTuple
 
 from .parser import ParseError, TermReader
 from .terms import (
@@ -81,6 +99,7 @@ _NUMERIC_DATATYPES = frozenset(
         "unsignedByte",
     )
 )
+_XSD_INTEGER = XSD.integer
 
 
 @dataclass(frozen=True)
@@ -233,71 +252,97 @@ def render_cell(cell: object) -> str:
 # Pattern matching
 
 
-def _substitute(position: Term | Variable, binding: Mapping[str, Term]) -> Term | None:
-    if isinstance(position, Variable):
-        return binding.get(position.name)
-    return position
+class _Step(NamedTuple):
+    """One triple pattern of a plan, compiled against the variables the
+    steps before it bind. Per position (subject, predicate, object),
+    `constants` holds the pattern's term or None and `slots` the index of a
+    bound variable in a solution or None; a position with neither is a new
+    variable. `binds` names the new variables in the order `new` cuts
+    their terms out of a matching triple. `repeats` pairs the position of a
+    new variable's first occurrence with each later one (`?x ex:p ?x`),
+    which a triple must fill with the same term."""
+
+    pattern: TriplePattern
+    constants: tuple[Term | None, Term | None, Term | None]
+    slots: tuple[int | None, int | None, int | None]
+    binds: tuple[str, ...]
+    new: slice
+    repeats: tuple[tuple[int, int], ...]
 
 
-def _extend(
-    tp: TriplePattern, triple: Triple, binding: Mapping[str, Term]
-) -> dict[str, Term] | None:
-    out = dict(binding)
-    for position, value in (
-        (tp.subject, triple.subject),
-        (tp.predicate, triple.predicate),
-        (tp.object, triple.object),
-    ):
-        if isinstance(position, Variable):
-            bound = out.get(position.name)
-            if bound is None:
-                out[position.name] = value
-            elif bound != value:
-                return None
-        elif position != value:
-            return None
-    return out
-
-
-def _selectivity(
-    graph: Graph, tp: TriplePattern, bound: set[str]
-) -> tuple[int, int]:
-    unbound = sum(1 for v in tp.variables() if v.name not in bound)
-    if isinstance(tp.predicate, Variable) and tp.predicate.name not in bound:
-        extent = len(graph)
-    else:
-        predicate = tp.predicate
-        if isinstance(predicate, Variable) or not isinstance(predicate, Iri):
-            extent = len(graph)
+def _compile(tp: TriplePattern, slots: dict[str, int]) -> _Step:
+    """`tp` as the step after those that bound `slots`; its new variables
+    take the next slots."""
+    constants: list[Term | None] = [None, None, None]
+    bound: list[int | None] = [None, None, None]
+    first: dict[str, int] = {}
+    repeats: list[tuple[int, int]] = []
+    for i, position in enumerate((tp.subject, tp.predicate, tp.object)):
+        if not isinstance(position, Variable):
+            constants[i] = position
+        elif position.name in slots:
+            bound[i] = slots[position.name]
+        elif position.name in first:
+            repeats.append((first[position.name], i))
         else:
-            extent = graph.count(None, predicate, None)
+            first[position.name] = i
+    for name in first:
+        slots[name] = len(slots)
+    # Any subset of the three positions is evenly spaced, so one slice
+    # cuts it out of a triple.
+    new = list(first.values())
+    cut = slice(new[0], new[-1] + 1, new[1] - new[0] if len(new) > 1 else 1) if new else slice(0, 0)
+    return _Step(tp, tuple(constants), tuple(bound), tuple(first), cut, tuple(repeats))
+
+
+def _selectivity(graph: Graph, tp: TriplePattern, bound: Container[str]) -> tuple[int, int]:
+    unbound = sum(1 for v in tp.variables() if v.name not in bound)
+    extent = graph.count(None, tp.predicate, None) if isinstance(tp.predicate, Iri) else len(graph)
     return (unbound, extent)
 
 
-def _solve(graph: Graph, patterns: Iterable[TriplePattern]) -> list[dict[str, Term]]:
-    """All solution mappings of the conjunction, joined most-selective-first
-    (fewest unbound variables, then smallest predicate extent)."""
-    solutions: list[dict[str, Term]] = [{}]
+def _plan(graph: Graph, patterns: Iterable[TriplePattern]) -> list[_Step]:
+    """The join order, most-selective-first: before each step the patterns
+    left are sorted, stably, by fewest unbound variables, then smallest
+    predicate extent, and the first one is taken. Which variables are bound
+    depends only on the steps taken, so the order is fixed before any
+    triple is read."""
+    slots: dict[str, int] = {}
     remaining = list(patterns)
-    while remaining and solutions:
-        bound = set(solutions[0])
-        remaining.sort(key=lambda tp: _selectivity(graph, tp, bound))
-        tp = remaining.pop(0)
-        next_solutions: list[dict[str, Term]] = []
+    plan: list[_Step] = []
+    while remaining:
+        remaining.sort(key=lambda tp: _selectivity(graph, tp, slots))
+        plan.append(_compile(remaining.pop(0), slots))
+    return plan
+
+
+def _solve(graph: Graph, plan: list[_Step]) -> list[tuple[Term, ...]]:
+    """All solution mappings of the plan's conjunction, each a tuple of the
+    terms of its variables in the order the steps bind them. `Graph.match`
+    has matched every constant and bound position of a triple it yields,
+    so a step reads only its new variables and checks only its repeats."""
+    match = graph.match
+    solutions: list[tuple[Term, ...]] = [()]
+    for _, (sc, pc, oc), (si, pi, oi), _, new, repeats in plan:
+        extended: list[tuple[Term, ...]] = []
         for binding in solutions:
-            s = _substitute(tp.subject, binding)
-            p = _substitute(tp.predicate, binding)
-            o = _substitute(tp.object, binding)
-            if p is not None and not isinstance(p, Iri):
+            s = sc if si is None else binding[si]
+            p = pc if pi is None else binding[pi]
+            o = oc if oi is None else binding[oi]
+            # No triple has a literal subject or a predicate that is not an IRI.
+            if s.__class__ is Literal or (p is not None and p.__class__ is not Iri):
                 continue
-            if s is not None and isinstance(s, Literal):
-                continue
-            for triple in graph.match(s, p, o):
-                extended = _extend(tp, triple, binding)
-                if extended is not None:
-                    next_solutions.append(extended)
-        solutions = next_solutions
-    return solutions if remaining == [] else []
+            if repeats:
+                extended += [
+                    binding + t[new] for t in match(s, p, o)
+                    if all(t[a] is t[b] for a, b in repeats)
+                ]
+            else:
+                extended += [binding + t[new] for t in match(s, p, o)]
+        solutions = extended
+        if not solutions:
+            break
+    return solutions
 
 
 def _numeric_value(term: Term, aggregate: Aggregate) -> Fraction:
@@ -318,6 +363,22 @@ def _numeric_value(term: Term, aggregate: Aggregate) -> Fraction:
         ) from None
 
 
+def _integer_values(terms: list[Term]) -> list[int] | None:
+    """The values of `terms` when each is an xsd:integer literal whose
+    lexical form `int` reads, else None. What `int` reads, `Decimal` reads
+    to the same value; `Decimal` also reads forms such as `1__0` and
+    numbers past the interpreter's digit limit, which `int` refuses."""
+    values = []
+    for term in terms:
+        if term.__class__ is not Literal or term.datatype is not _XSD_INTEGER:
+            return None
+        try:
+            values.append(int(term.lexical))
+        except ValueError:
+            return None
+    return values
+
+
 def _fraction_to_decimal(value: Fraction, scale: int) -> Decimal:
     quantum = Decimal(1).scaleb(-scale)
     digits = len(str(abs(value.numerator))) + len(str(value.denominator))
@@ -327,26 +388,40 @@ def _fraction_to_decimal(value: Fraction, scale: int) -> Decimal:
         return result.quantize(quantum, rounding=ROUND_HALF_UP)
 
 
-def _aggregate_value(
-    aggregate: Aggregate, group: list[Mapping[str, Term]], scale: int
-) -> object:
-    terms = [binding[aggregate.variable.name] for binding in group]
+def _reduce(function: str, values: list[int] | list[Fraction], scale: int) -> int | Decimal:
+    """SUM, MIN, MAX or AVG of exact values: an int when integral, a decimal
+    at `scale` otherwise and always for AVG. Raises ValueError when the
+    value has more digits than `str` writes out."""
+    if function == AVG:
+        return _fraction_to_decimal(Fraction(sum(values), len(values)), scale)
+    result = sum(values) if function == SUM else min(values) if function == MIN else max(values)
+    if result.denominator != 1:
+        return _fraction_to_decimal(result, scale)
+    result = int(result)
+    str(result)  # refused here, where the caller can name the aggregate, not when the table is written
+    return result
+
+
+def _aggregate_value(aggregate: Aggregate, terms: list[Term], scale: int) -> object:
     if aggregate.distinct:
         terms = sorted(set(terms), key=term_sort_key)
     if aggregate.function == COUNT:
         return len(terms)
-    values = [_numeric_value(term, aggregate) for term in terms]
-    if aggregate.function == SUM:
-        result = sum(values, Fraction(0))
-    elif aggregate.function == MIN:
-        result = min(values)
-    elif aggregate.function == MAX:
-        result = max(values)
-    else:  # AVG
-        return _fraction_to_decimal(sum(values, Fraction(0)) / len(values), scale)
-    if result.denominator == 1:
-        return int(result)
-    return _fraction_to_decimal(result, scale)
+    values = _integer_values(terms)
+    if values is None:
+        values = [_numeric_value(term, aggregate) for term in terms]
+    try:
+        return _reduce(aggregate.function, values, scale)
+    except ValueError:
+        longest = max(terms, key=lambda term: len(term.lexical))
+        lexical = longest.lexical
+        shown = longest.n3() if len(lexical) <= 40 else (
+            f'"{lexical[:20]}..."^^{longest.datatype.n3()} ({len(lexical):,} characters)'
+        )
+        raise QueryError(
+            f"{aggregate.function}(?{aggregate.variable.name}) over {shown} has more "
+            "digits than Python writes out as text (see sys.set_int_max_str_digits)"
+        ) from None
 
 
 def match(
@@ -365,13 +440,19 @@ def match(
             raise QueryError("a context filter needs a dimension registry")
         dimension, context = pattern.context
         graph = context_slice(graph, registry, context, dimension=dimension, vocab=vocab)
-    solutions = _solve(graph, pattern.patterns)
+    plan = _plan(graph, pattern.patterns)
+    solutions = _solve(graph, plan)
+    slot = {name: i for i, name in enumerate(name for step in plan for name in step.binds)}
 
     if pattern.aggregates:
-        groups: dict[Term | None, list[dict[str, Term]]] = {}
-        for binding in solutions:
-            key = binding[pattern.group_by.name] if pattern.group_by else None
-            groups.setdefault(key, []).append(binding)
+        groups: dict[Term | None, list[tuple[Term, ...]]] = {}
+        if pattern.group_by is None:
+            if solutions:
+                groups[None] = solutions
+        else:
+            key_slot = slot[pattern.group_by.name]
+            for binding in solutions:
+                groups.setdefault(binding[key_slot], []).append(binding)
         columns: list[str] = []
         if pattern.group_by is not None:
             columns.append(pattern.group_by.name)
@@ -379,25 +460,23 @@ def match(
         keys = sorted(groups, key=lambda k: term_sort_key(k) if k is not None else "")
         rows = []
         for key in keys:
+            group = groups[key]
             row: list[object] = [] if key is None else [key]
-            row.extend(
-                _aggregate_value(agg, groups[key], pattern.scale)
-                for agg in pattern.aggregates
-            )
+            for agg in pattern.aggregates:
+                value_slot = slot[agg.variable.name]
+                row.append(_aggregate_value(agg, [b[value_slot] for b in group], pattern.scale))
             rows.append(tuple(row))
         return ResultTable(tuple(columns), tuple(rows))
 
     if pattern.group_by is not None:
-        keys = sorted(
-            {binding[pattern.group_by.name] for binding in solutions},
-            key=term_sort_key,
-        )
+        key_slot = slot[pattern.group_by.name]
+        keys = sorted({binding[key_slot] for binding in solutions}, key=term_sort_key)
         return ResultTable((pattern.group_by.name,), tuple((key,) for key in keys))
 
-    variables = pattern.variables()
-    columns = tuple(v.name for v in variables)
+    columns = tuple(v.name for v in pattern.variables())
+    order = [slot[name] for name in columns]
     rows = sorted(
-        {tuple(binding[name] for name in columns) for binding in solutions},
+        {tuple([binding[i] for i in order]) for binding in solutions},
         key=lambda row: tuple(term_sort_key(cell) for cell in row),
     )
     return ResultTable(columns, tuple(rows))

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import chain
 
-from .terms import OWL, RDF_TYPE, RDFS, Graph, Iri, Literal, Term, Triple
+from .terms import OWL, RDF_TYPE, RDFS, Graph, Iri, Literal, Term, Triple, _unchecked_triple
 from .vocabulary import (
     ALL_VALUES_FROM_DOMAIN,
     ALL_VALUES_FROM_RANGE,
@@ -136,6 +136,9 @@ class _RuleIndex:
         self.avf_range_by_via: dict[Iri, set[tuple[Iri, Iri]]] = {}
         self.disjoint: list[tuple[Iri, Iri]] = []
         for ax in axioms:
+            # The rule products put these terms into triples unchecked.
+            if not all(isinstance(term, Iri) for term in ax.terms):
+                raise ValueError(f"axiom {ax.kind} has a term that is not an IRI: {ax.terms!r}")
             if ax.kind == SUB_CLASS_OF:
                 self.super_classes.setdefault(ax.terms[0], set()).add(ax.terms[1])
             elif ax.kind == SUB_PROPERTY_OF:
@@ -273,11 +276,14 @@ def saturate(
     # The open triples of a round: the input and what the identity rules
     # derive, then what the join rules derive. A candidate is tested as a
     # plain tuple, which hashes and compares as a `Triple` does, so a
-    # duplicate builds no `Triple`.
+    # duplicate builds no `Triple`. Every product puts a subject or object
+    # of the graph, or a term of an axiom, where it may stand (a literal is
+    # never a subject), so it is built unchecked.
+    triple = _unchecked_triple
     opened = list(everything)
     for c in _identity(graph, idx, violations):
         if c not in everything:
-            t = Triple(*c)
+            t = triple(c)
             everything.add(t)
             opened.append(t)
     delta = opened.copy()
@@ -291,23 +297,23 @@ def saturate(
                 template = templates[key] = idx.template(p, o)
             on_both, on_subject, on_object, constant = template
             for q in on_both:
-                if (s, q, o) not in everything:
-                    t = Triple(s, q, o)
+                if (c := (s, q, o)) not in everything:
+                    t = triple(c)
                     everything.add(t)
                     delta.append(t)
             for q, x in on_subject:
-                if (s, q, x) not in everything:
-                    t = Triple(s, q, x)
+                if (c := (s, q, x)) not in everything:
+                    t = triple(c)
                     everything.add(t)
                     delta.append(t)
             for q, x in on_object:
-                if (o, q, x) not in everything:
-                    t = Triple(o, q, x)
+                if (c := (o, q, x)) not in everything:
+                    t = triple(c)
                     everything.add(t)
                     delta.append(t)
             for c in constant:
                 if c not in everything:
-                    t = Triple(*c)
+                    t = triple(c)
                     everything.add(t)
                     delta.append(t)
         rounds.append(len(delta))
@@ -325,7 +331,7 @@ def saturate(
             if p in join_heads:
                 for c in join(s, p, o):
                     if c not in everything:
-                        u = Triple(*c)
+                        u = triple(c)
                         everything.add(u)
                         opened.append(u)
         delta = opened.copy()

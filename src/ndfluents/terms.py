@@ -18,10 +18,14 @@ the same term at once get one object.
 
 A `Triple` is a tuple `(subject, predicate, object)` that checks its
 positions when built; it compares and hashes as that tuple, so it also
-equals a plain tuple of the same three terms. Graphs are frozen sets of
-triples. Iterating a graph follows a deterministic total order, so
-serialization, triple counting and diffing are stable across runs;
-`Graph.match` answers from hash indexes and yields in no particular order.
+equals a plain tuple of the same three terms. Code that has already
+checked the positions (the parser, `contextualize`, `decontextualize`,
+`read_statements_csv`, the reasoner's rule products) builds through
+`_unchecked_triple` instead.
+Graphs are frozen sets of triples. Iterating a graph follows a
+deterministic total order, so serialization, triple counting and diffing
+are stable across runs; `Graph.match` answers from hash indexes and yields
+in no particular order.
 """
 
 from __future__ import annotations
@@ -284,6 +288,12 @@ class Triple(namedtuple("Triple", ("subject", "predicate", "object"))):
 
     def __repr__(self) -> str:
         return f"Triple({self.n3()})"
+
+
+# `Triple` without its checks, called with one tuple: `_unchecked_triple((s,
+# p, o))`. Only for a caller whose subject is already known to be an IRI or
+# blank node, its predicate an IRI and its object a term.
+_unchecked_triple = partial(tuple.__new__, Triple)
 
 
 # Key functions of the hash indexes, one per combination of bound positions

@@ -161,6 +161,10 @@ class ContextDimension:
             raise ValueError(f"bad dimension name: {self.name!r}")
         iris = (self.part_class, self.context_class, self.part_of, self.extent,
                 self.contextual_property, self.contextual_data_property)
+        # The builders put these into triples unchecked.
+        for iri in iris:
+            if not isinstance(iri, Iri):
+                raise ValueError(f"dimension {self.name!r} needs IRIs, got {iri!r}")
         if len(set(iris)) != len(iris):
             raise ValueError(f"dimension {self.name!r} reuses an IRI across roles")
 

@@ -659,6 +659,23 @@ class TestErrorPaths:
             "registered: provenance, temporal\n"
         )
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+    def test_an_aggregate_past_the_digit_limit(self, tmp_path, capsys):
+        graph = tmp_path / "big.nt"
+        graph.write_text(
+            f'<http://example.org/a> <http://example.org/v> "{"9" * 5000}"'
+            "^^<http://www.w3.org/2001/XMLSchema#integer> .\n",
+            encoding="utf-8",
+        )
+        pattern = tmp_path / "pattern.rq"
+        pattern.write_text("?s <http://example.org/v> ?v .\nAGG SUM ?v AS total\n", encoding="utf-8")
+        assert main(["query", str(graph), "--pattern", str(pattern)]) == 2
+        assert capsys.readouterr().err == (
+            'error: SUM(?v) over "99999999999999999999..."^^'
+            "<http://www.w3.org/2001/XMLSchema#integer> (5,000 characters) has more "
+            "digits than Python writes out as text (see sys.set_int_max_str_digits)\n"
+        )
+
     def test_malformed_pattern(self, tmp_path, graph_file, capsys):
         pattern = tmp_path / "pattern.rq"
         pattern.write_text("GROUP BY ?ghost\n", encoding="utf-8")

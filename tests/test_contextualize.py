@@ -1,5 +1,6 @@
 """Rewriting annotated statements into contextual parts and back."""
 
+import dataclasses
 import random
 
 import pytest
@@ -26,13 +27,27 @@ from ndfluents import (
     decontextualize,
     encode_reification,
     encode_singleton,
+    parse_turtle,
     provenance_dimension,
+    read_statements_csv,
     related_property_iri,
+    saturate,
+    serialize,
     size_report,
     temporal_dimension,
+    write_statements_csv,
 )
-from ndfluents.contextualize import SINGLETON_PROPERTY_OF
-from ndfluents.vocabulary import CORE
+from ndfluents.contextualize import PREDICATE_MODES, SINGLETON_PROPERTY_OF
+from ndfluents.vocabulary import (
+    CORE,
+    SUB_PROPERTY_OF,
+    Axiom,
+    core_axioms,
+    dimension_module,
+    functional,
+    inverse_functional,
+    transitive,
+)
 
 from conftest import EX, corpus_registry, random_corpus
 
@@ -556,3 +571,51 @@ class TestSizeReport:
         assert by_repr[("ndfluents", "combined-extent")] == 12
         assert by_repr[("reification", "")] == 6
         assert by_repr[("singleton", "")] == 4
+
+
+class TestUncheckedTriples:
+    """The parser, the builders, `decontextualize`, `read_statements_csv` and
+    `saturate` build their triples without `Triple`'s checks, because they
+    have checked the positions themselves."""
+
+    MODELS = [
+        CombinationModel.multi_context(),
+        CombinationModel.contexts_in_context(("provenance", "temporal", "trust")),
+        CombinationModel.combined_extent(),
+    ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from(MODELS), st.sampled_from(PREDICATE_MODES))
+    def test_every_triple_passes_the_public_checks(self, seed, model, predicate_mode):
+        registry = corpus_registry()
+        statements = random_corpus(random.Random(seed), seed)
+        graph = contextualize(statements, registry, model, predicate_mode=predicate_mode)
+        axioms = core_axioms() + [
+            functional(EX.ownedBy), inverse_functional(EX.memberOf), transitive(EX.locatedIn),
+        ]
+        for dim in registry:
+            axioms += dimension_module(dim)
+        built = [
+            *graph,
+            *saturate(graph, axioms).derived,
+            *parse_turtle(serialize(graph, "turtle")),
+            *(s.base for s in decontextualize(graph, registry)),
+            *(s.base for s in read_statements_csv(write_statements_csv(statements))),
+        ]
+        for triple in built:
+            assert type(triple) is Triple and Triple(*triple) == triple
+
+    def test_inputs_that_would_reach_a_triple_unchecked_are_refused(self):
+        with pytest.raises(ValueError, match="needs IRIs"):
+            dataclasses.replace(TEMPORAL, part_of="http://example.org/partOf")
+        registry = DimensionRegistry([TEMPORAL])
+        statement = annotate(EX.a, EX.p, EX.b, ("temporal", EX.t1))
+        with pytest.raises(ValueError, match="predicate map value must be an IRI"):
+            contextualize(
+                [statement], registry, CombinationModel.multi_context(),
+                predicate_mode="related", predicate_map={EX.p: "http://example.org/q"},
+            )
+        with pytest.raises(ValueError, match="predicate map value must be an IRI"):
+            decontextualize(Graph(), registry, predicate_map={EX.p: Literal("q")})
+        with pytest.raises(ValueError, match="not an IRI"):
+            saturate(Graph(), [Axiom(SUB_PROPERTY_OF, (EX.p, Literal("q")))])

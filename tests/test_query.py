@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from decimal import Decimal
 
 import pytest
@@ -30,37 +31,64 @@ from ndfluents import (
     temporal_dimension,
 )
 
+from ndfluents import query
+
 from conftest import EX, chain_outsider, corpus_registry, part_chain, random_corpus
 
 TEMPORAL = temporal_dimension()
 
 
+_NODES = [EX[f"n{i}"] for i in range(6)]
+_PREDICATES = [EX[f"p{i}"] for i in range(3)]
+# Predicates also stand as subjects and objects, and literals as objects, so
+# a variable can carry a predicate, or a literal, into another position.
+_SUBJECTS = _NODES + _PREDICATES[:1]
+_OBJECTS = _NODES + _PREDICATES[:1] + [Literal("1", datatype=XSD.integer), Literal("n0")]
+
+
 def _random_graph(rng: random.Random, size: int) -> Graph:
-    nodes = [EX[f"n{i}"] for i in range(6)]
-    preds = [EX[f"p{i}"] for i in range(3)]
     triples = set()
     for _ in range(size):
         triples.add(
-            Triple(rng.choice(nodes), rng.choice(preds), rng.choice(nodes))
+            Triple(rng.choice(_SUBJECTS), rng.choice(_PREDICATES), rng.choice(_OBJECTS))
         )
     return Graph(triples)
 
 
 def _random_pattern(rng: random.Random) -> Pattern:
-    nodes = [EX[f"n{i}"] for i in range(6)]
-    preds = [EX[f"p{i}"] for i in range(3)]
     variables = [Variable(name) for name in "xyzw"]
 
     def position(candidates):
         return rng.choice(variables) if rng.random() < 0.5 else rng.choice(candidates)
 
     patterns = tuple(
-        TriplePattern(position(nodes), position(preds), position(nodes))
+        TriplePattern(position(_SUBJECTS), position(_PREDICATES), position(_OBJECTS))
         for _ in range(rng.randint(1, 3))
     )
     if not any(tp.variables() for tp in patterns):
         return _random_pattern(rng)
     return Pattern(patterns)
+
+
+# Shapes the random patterns reach only by chance.
+_SHAPED_PATTERNS = [
+    parse_pattern("PREFIX ex: <http://example.org/>\n" + text)
+    for text in [
+        # A variable repeated inside one triple pattern.
+        "?x ex:p0 ?x",
+        "?x ?x ?y",
+        "?x ?y ?y",
+        "?x ?x ?x",
+        # A variable repeated across patterns, and in both ways at once.
+        "?x ex:p0 ?y\n?y ex:p1 ?x",
+        "?x ?p ?x\n?x ?p ?y",
+        # A subject bound to a literal or a predicate.
+        "?x ex:p0 ?y\n?y ?p ?z",
+        # A predicate bound to a literal, a node or a predicate.
+        "?x ex:p1 ?y\n?s ?y ?o",
+        "?x ex:p0 ?y\n?y ?y ?o",
+    ]
+]
 
 
 def _enumerate_solutions(graph: Graph, pattern: Pattern) -> set[tuple]:
@@ -99,10 +127,23 @@ class TestMatching:
         rng = random.Random(7)
         for _ in range(120):
             graph = _random_graph(rng, rng.randint(0, 18))
-            pattern = _random_pattern(rng)
-            table = match(graph, pattern)
-            expected = _enumerate_solutions(graph, pattern)
-            assert set(table.rows) == expected
+            for pattern in [_random_pattern(rng), *_SHAPED_PATTERNS]:
+                table = match(graph, pattern)
+                expected = _enumerate_solutions(graph, pattern)
+                assert set(table.rows) == expected, pattern
+
+    def test_plan_joins_most_selective_first(self):
+        g = Graph(
+            [Triple(EX[f"n{i}"], EX.q, EX.b) for i in range(5)]
+            + [Triple(EX.n0, EX.p, EX.c), Triple(EX.n1, EX.p, EX.c)]
+        )
+        wide = TriplePattern(Variable("x"), EX.q, Variable("y"))
+        linked = TriplePattern(Variable("y"), Variable("r"), Variable("w"))
+        narrow = TriplePattern(Variable("x"), EX.p, Variable("z"))
+        # Fewest unbound variables first, then the smallest predicate extent.
+        plan = query._plan(g, [wide, linked, narrow])
+        assert [step.pattern for step in plan] == [narrow, wide, linked]
+        assert [step.binds for step in plan] == [("x", "z"), ("y",), ("r", "w")]
 
     def test_no_solutions_means_empty_table(self):
         g = Graph([Triple(EX.a, EX.p, EX.b)])
@@ -249,6 +290,22 @@ class TestAggregates:
         with pytest.raises(QueryError):
             match(g, pattern)
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+    @pytest.mark.parametrize("function", ["SUM", "MAX", "AVG"])
+    def test_a_value_past_the_digit_limit_names_the_literal_and_aggregate(self, function):
+        g = _score_graph([("g1", "9" * 5000), ("g1", 1)])
+        with pytest.raises(QueryError) as raised:
+            match(g, _score_pattern(function, "x"))
+        assert str(raised.value) == (
+            f'{function}(?v) over "99999999999999999999..."^^'
+            "<http://www.w3.org/2001/XMLSchema#integer> (5,000 characters) has more "
+            "digits than Python writes out as text (see sys.set_int_max_str_digits)"
+        )
+
+    def test_a_small_minimum_beside_a_huge_value_is_kept(self):
+        g = _score_graph([("g1", "9" * 5000), ("g1", -3)])
+        assert match(g, _score_pattern("MIN", "lo")).column("lo") == (-3,)
+
     def test_count_accepts_iris(self):
         g = Graph([Triple(EX.a, EX.p, EX.b), Triple(EX.c, EX.p, EX.d)])
         pattern = Pattern(
@@ -256,6 +313,53 @@ class TestAggregates:
             aggregates=(Aggregate("COUNT", Variable("o"), "n"),),
         )
         assert match(g, pattern).column("n") == (2,)
+
+
+_DIGITS = "0123456789" + "\u0660\u0661\u0665\u0669" + "\U0001d7ce\U0001d7d7"
+
+
+@st.composite
+def _integer_lexical(draw) -> str:
+    """An xsd:integer lexical form: a sign, leading zeros, ASCII and other
+    Unicode digits, groups joined by `_` or by `__` (which `int` refuses),
+    spaces around; now and then more digits than `int` reads."""
+    sign = draw(st.sampled_from(["", "-", "+"]))
+    if draw(st.integers(0, 9)) == 0:
+        return sign + "7" * draw(st.integers(4290, 4400))
+    zeros = "0" * draw(st.integers(0, 3))
+    groups = draw(st.lists(st.text(st.sampled_from(_DIGITS), min_size=1, max_size=6), min_size=1, max_size=3))
+    space = draw(st.sampled_from(["", " "]))
+    return space + sign + zeros + draw(st.sampled_from(["", "_", "__"])).join(groups) + space
+
+
+# Mostly xsd:integer; the integer path must leave the others to the
+# fraction path, which reads an xsd:decimal and refuses an xsd:string.
+_DATATYPES = [XSD.integer, XSD.integer, XSD.integer, XSD.decimal, XSD.string]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(_integer_lexical(), st.sampled_from(_DATATYPES)), min_size=1, max_size=5),
+    st.sampled_from(["SUM", "MIN", "MAX", "AVG"]),
+)
+def test_integer_path_agrees_with_the_fraction_path(literals, function):
+    terms = [Literal(text, datatype=datatype) for text, datatype in literals]
+    aggregate = Aggregate(function, Variable("v"), "out")
+
+    def outcome(compute):
+        try:
+            value = compute()
+        except ValueError:  # QueryError included
+            return "error"
+        return type(value), str(value)
+
+    expected = outcome(
+        lambda: query._reduce(function, [query._numeric_value(t, aggregate) for t in terms], 2)
+    )
+    assert outcome(lambda: query._aggregate_value(aggregate, terms, 2)) == expected
+    integers = query._integer_values(terms)
+    if integers is not None:
+        assert outcome(lambda: query._reduce(function, integers, 2)) == expected
 
 
 class TestPatternValidation:
