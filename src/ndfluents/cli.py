@@ -25,10 +25,12 @@ from typing import Sequence
 
 from .config import Config, ConfigError, default_config, load_config
 from .contextualize import (
+    PREDICATE_RELATED,
     AnnotatedStatement,
     PatternError,
     contextualize,
     decontextualize,
+    related_property_base,
     size_report,
 )
 from .formats import (
@@ -229,7 +231,10 @@ def _cmd_decontextualize(args: argparse.Namespace) -> int:
     config = _load_config_arg(args.config)
     graph = _read_graph(args.graph, args.in_format)
     selection = {Iri(value) for value in args.context or ()} or None
-    statements = decontextualize(graph, config.registry, selection, config.vocab)
+    reverse = None
+    if config.predicate_mode == PREDICATE_RELATED:  # undo `contextualize`'s renaming
+        reverse = {p: base for p in {t.predicate for t in graph} if (base := related_property_base(p))}
+    statements = decontextualize(graph, config.registry, selection, config.vocab, predicate_map=reverse)
     log.info("recovered %d statements", len(statements))
     _write_statements(statements, args)
     return 0

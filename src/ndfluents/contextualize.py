@@ -189,6 +189,17 @@ def related_property_iri(predicate: Iri) -> Iri:
     return Iri(f"{predicate.value}{sep}contextual")
 
 
+def related_property_base(contextual: Iri) -> Iri | None:
+    """The predicate whose `related_property_iri` is `contextual`, or None
+    when it is no such IRI."""
+    value = contextual.value
+    for sep, hashed in (("#", False), ("_", True)):
+        base = value.removesuffix(f"{sep}contextual")
+        if base != value and ("#" in base) == hashed:
+            return Iri(base)
+    return None
+
+
 class PatternError(ValueError):
     """A graph or a statement set that the contextual-part pattern cannot
     represent faithfully: the graph being inverted violates the pattern, or
@@ -240,11 +251,7 @@ class _Builder:
         # and the entities of the input: no part may equal one of them.
         self.minted: dict[Iri, tuple[Iri, frozenset[tuple[str, Iri]]]] = {}
         self.entities: set[Iri] = set()
-        # Predicates that would be swallowed as scaffolding when kept as-is.
-        pattern = registry.pattern_vocabulary(vocab)
-        self.reserved = pattern.part_of | pattern.extents | {
-            RDF_TYPE, RDFS.subClassOf, RDFS.subPropertyOf, vocab.memberContext,
-        }
+        self.scaffolding = registry.pattern_vocabulary(vocab).scaffolding
 
     def add(self, statement: AnnotatedStatement) -> None:
         for entity in (statement.base.subject, statement.base.object):
@@ -268,12 +275,14 @@ class _Builder:
             self._add_combined(statement, pairs, predicate)
 
     def _rewrite_predicate(self, predicate: Iri, dims: list[ContextDimension]) -> Iri:
-        if self.predicate_mode == PREDICATE_RELATED:
-            return self.predicate_map.get(predicate) or related_property_iri(predicate)
-        if predicate in self.reserved:
+        related = self.predicate_mode == PREDICATE_RELATED
+        if related:
+            predicate = self.predicate_map.get(predicate) or related_property_iri(predicate)
+        # The reader skips scaffolding: a statement under it would be lost.
+        if predicate in self.scaffolding:
             raise ValueError(
                 f"predicate {predicate.n3()} collides with scaffolding vocabulary; "
-                "use predicate_mode='related'"
+                + ("map it to another IRI" if related else "use predicate_mode='related'")
             )
         if self.predicate_mode == PREDICATE_SUBPROPERTY:
             for dim in dims:
@@ -427,13 +436,9 @@ class _Reader:
 
     def __init__(self, graph: Graph, registry: DimensionRegistry, vocab: CoreVocabulary):
         self.graph = graph
-        self.vocab = vocab
         # Combined dimensions are recognized alongside the registered ones so
         # combined-extent output decontextualizes with the same registry.
         self.pattern = registry.pattern_vocabulary(vocab)
-        self.scaffolding = self.pattern.part_of | self.pattern.extents | {
-            RDF_TYPE, RDFS.subPropertyOf, vocab.memberContext,
-        }
         self.parts = self.pattern.parts(graph)
         self._walks: dict[Term, tuple[Term, set[tuple[str, Iri]]]] = {}
 
@@ -445,23 +450,15 @@ class _Reader:
             if dim is not None:
                 found.add((dim.name, edge.object))
                 continue
-            # combined or core extent: expand members, attribute by context type
-            targets = {
-                t.object for t in self.graph.match(edge.object)
-                if t.predicate == self.vocab.memberContext and isinstance(t.object, Iri)
-            } or {edge.object}
-            for member in sorted(targets):
-                attributed = [
-                    d for t in self.graph.match(member)
-                    if t.predicate == RDF_TYPE and (d := self.pattern.context_dimension.get(t.object))
-                ]
+            # combined or core extent: attribute each member by its context type
+            for member in sorted(self.pattern.members(self.graph, edge.object)):
+                attributed = self.pattern.dimensions(self.graph, member)
                 if not attributed:
                     raise PatternError(
                         f"cannot attribute context {member.n3()} to a dimension "
                         "(no recognized context type)"
                     )
-                for d in attributed:
-                    found.add((d.name, member))
+                found.update((d.name, member) for d in attributed)
         return found
 
     def walk(self, part: Term) -> tuple[Term, set[tuple[str, Iri]]]:
@@ -519,7 +516,7 @@ def decontextualize(
     recovered: set[AnnotatedStatement] = set()
     # Sorted parts, then each part's sorted triples: the graph's own order.
     for part in sorted(reader.parts, key=term_sort_key):
-        data = [t for t in graph.match(part) if t.predicate not in reader.scaffolding]
+        data = [t for t in graph.match(part) if t.predicate not in reader.pattern.scaffolding]
         for triple in sorted(data, key=Triple.sort_key):
             subject, contexts = reader.walk(triple.subject)
             obj: Term = triple.object

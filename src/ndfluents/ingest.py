@@ -173,7 +173,6 @@ def ingest_rows(
     provenance dimensions, plus the union of all context descriptions."""
     registry = default_registry()
     statements: list[AnnotatedStatement] = []
-    descriptions = Graph()
     interval_cache: dict[int, Graph] = {}
     activity_cache: dict[str, Graph] = {}
     for row in rows:
@@ -183,7 +182,6 @@ def ingest_rows(
             activity_cache[row.source] = _activity_description(row.source, base)
         interval_graph = interval_cache[row.year]
         activity_graph = activity_cache[row.source]
-        descriptions = descriptions.union(interval_graph, activity_graph)
         statements.append(
             AnnotatedStatement(
                 Triple(
@@ -203,6 +201,7 @@ def ingest_rows(
                 ),
             )
         )
+    descriptions = Graph().union(*interval_cache.values(), *activity_cache.values())
     return IngestResult(statements, registry, descriptions)
 
 

@@ -23,10 +23,9 @@ Aggregation semantics:
 - Solution mappings are computed with set semantics (a conjunctive
   pattern over a triple set yields each full mapping once); projections
   behave as bags, so COUNT without DISTINCT counts group members.
-- Numeric aggregates are exact. When every aggregated term is an
-  xsd:integer literal whose lexical form `int` reads, SUM/MIN/MAX run on
-  ints and AVG on `Fraction(total, n)`; otherwise xsd numeric literals are
-  read through `Decimal` into exact rationals (`fractions.Fraction`). AVG
+- Numeric aggregates are exact. An xsd:integer literal whose lexical
+  form `int` reads is an int; any other xsd numeric literal is read
+  through `Decimal` into an exact rational (`fractions.Fraction`). AVG
   is rendered as a decimal with a documented scale (default 2,
   ROUND_HALF_UP), COUNT is an int, and SUM/MIN/MAX render as ints when
   integral and scaled decimals otherwise. A value with more digits than
@@ -42,14 +41,12 @@ import csv
 import io
 import re
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal, InvalidOperation, localcontext
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Container, Iterable, Iterator, NamedTuple
 
 from .parser import ParseError, TermReader
 from .terms import (
-    RDF_TYPE,
     XSD,
     BlankNode,
     Graph,
@@ -100,6 +97,8 @@ _NUMERIC_DATATYPES = frozenset(
     )
 )
 _XSD_INTEGER = XSD.integer
+# Under this context `scaleb` moves the exponent and rounds nothing.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 @dataclass(frozen=True)
@@ -345,12 +344,20 @@ def _solve(graph: Graph, plan: list[_Step]) -> list[tuple[Term, ...]]:
     return solutions
 
 
-def _numeric_value(term: Term, aggregate: Aggregate) -> Fraction:
+def _numeric_value(term: Term, aggregate: Aggregate) -> int | Fraction:
+    """An int for an xsd:integer that `int` reads; else a `Fraction` read
+    through `Decimal`, which also reads `1__0` and numbers past the digit
+    limit of `int`."""
     if not isinstance(term, Literal) or term.datatype not in _NUMERIC_DATATYPES:
         raise QueryError(
             f"{aggregate.function}(?{aggregate.variable.name}) needs xsd numeric "
             f"literals, got {term.n3()}"
         )
+    if term.datatype is _XSD_INTEGER:
+        try:
+            return int(term.lexical)
+        except ValueError:
+            pass
     try:
         decimal_value = Decimal(term.lexical)
         if not decimal_value.is_finite():
@@ -363,32 +370,18 @@ def _numeric_value(term: Term, aggregate: Aggregate) -> Fraction:
         ) from None
 
 
-def _integer_values(terms: list[Term]) -> list[int] | None:
-    """The values of `terms` when each is an xsd:integer literal whose
-    lexical form `int` reads, else None. What `int` reads, `Decimal` reads
-    to the same value; `Decimal` also reads forms such as `1__0` and
-    numbers past the interpreter's digit limit, which `int` refuses."""
-    values = []
-    for term in terms:
-        if term.__class__ is not Literal or term.datatype is not _XSD_INTEGER:
-            return None
-        try:
-            values.append(int(term.lexical))
-        except ValueError:
-            return None
-    return values
-
-
 def _fraction_to_decimal(value: Fraction, scale: int) -> Decimal:
-    quantum = Decimal(1).scaleb(-scale)
-    digits = len(str(abs(value.numerator))) + len(str(value.denominator))
-    with localcontext() as context:
-        context.prec = digits + scale + 10
-        result = Decimal(value.numerator) / Decimal(value.denominator)
-        return result.quantize(quantum, rounding=ROUND_HALF_UP)
+    """`value` rounded half away from zero (ROUND_HALF_UP) to `scale`
+    places; a negative value that rounds to zero keeps its sign (`-0.00`).
+    Raises ValueError when `str` refuses the numerator or denominator."""
+    numerator, denominator = value.numerator, value.denominator
+    str(numerator), str(denominator)  # refused here, where the caller can name the aggregate
+    units, rest = divmod(abs(numerator) * 10**scale, denominator)
+    result = Decimal(units + (2 * rest >= denominator)).scaleb(-scale, _EXACT)
+    return result.copy_negate() if numerator < 0 else result
 
 
-def _reduce(function: str, values: list[int] | list[Fraction], scale: int) -> int | Decimal:
+def _reduce(function: str, values: list[int | Fraction], scale: int) -> int | Decimal:
     """SUM, MIN, MAX or AVG of exact values: an int when integral, a decimal
     at `scale` otherwise and always for AVG. Raises ValueError when the
     value has more digits than `str` writes out."""
@@ -407,9 +400,7 @@ def _aggregate_value(aggregate: Aggregate, terms: list[Term], scale: int) -> obj
         terms = sorted(set(terms), key=term_sort_key)
     if aggregate.function == COUNT:
         return len(terms)
-    values = _integer_values(terms)
-    if values is None:
-        values = [_numeric_value(term, aggregate) for term in terms]
+    values = [_numeric_value(term, aggregate) for term in terms]
     try:
         return _reduce(aggregate.function, values, scale)
     except ValueError:
@@ -507,16 +498,14 @@ def context_slice(
 ) -> Graph:
     """The subgraph of `graph` scoped to one context.
 
-    A contextual part is *in* the slice when it has an extent edge to
-    `context` — directly, through a combined context that lists `context`
-    as a member, or via a part-chain ancestor (Contexts-in-Context). Data
-    triples are kept when their subject (and object, when it is a part) is
-    in the slice; each kept part brings its typing, partOf, and extent
-    scaffolding for the whole chain plus the context descriptions, so the
-    slice decontextualizes on its own.
-
-    `dimension`, when given, only accepts extent edges attributed to that
-    dimension (directly or via a typed member context).
+    A contextual part is *in* the slice when it, or a part-chain ancestor
+    (Contexts-in-Context), has an extent edge that the pattern vocabulary
+    attributes to `context`, to `(dimension, context)` when a dimension is
+    given: the slice keeps exactly the parts `decontextualize` attributes
+    so. Data triples are kept when their subject (and object, when it is a
+    part) is in the slice; each kept part brings its scaffolding for the
+    whole chain plus the context descriptions, so the slice
+    decontextualizes on its own.
     """
     if dimension is not None and dimension not in registry:
         raise QueryError(
@@ -524,66 +513,56 @@ def context_slice(
             f"registered: {', '.join(registry.names())}"
         )
     pattern = registry.pattern_vocabulary(vocab)
-    is_part = partial(pattern.is_part, graph)
+    parts = pattern.parts(graph)
 
-    # Direct hits. The extent of a registered dimension attributes its
-    # context by itself. Any other extent reaches `context` through a
-    # combined context that lists it as a member, attributed by the
-    # member's types, or directly when `context` lists no members and no
-    # dimension is asked for.
+    # Direct hits: a registered extent to `context`, of `dimension` if one
+    # is given; any other extent to a context X whose members include
+    # `context`, when `context` is typed with the given dimension.
     hits = [
         t.subject
         for prop, dim in pattern.extent_dimension.items()
         if dimension is None or dim.name == dimension
         for t in graph.match(None, prop, context)
     ]
-    attributed = {
-        pattern.context_dimension[t.object].name
-        for t in graph.match(context, RDF_TYPE)
-        if t.object in pattern.context_dimension
-    }
-    targets = [
-        link.subject
-        for link in graph.match(None, vocab.memberContext, context)
-        if isinstance(link.subject, Iri) and (dimension is None or dimension in attributed)
-    ]
-    if dimension is None and not any(
-        isinstance(t.object, Iri) for t in graph.match(context, vocab.memberContext)
-    ):
-        targets.append(context)
-    for prop in pattern.extents - pattern.extent_dimension.keys():
-        hits.extend(t.subject for target in targets for t in graph.match(None, prop, target))
+    if dimension is None or any(d.name == dimension for d in pattern.dimensions(graph, context)):
+        targets = [
+            link.subject for link in graph.match(None, pattern.member_context, context)
+            if isinstance(link.subject, Iri)
+        ]
+        if context in pattern.members(graph, context):
+            targets.append(context)
+        for prop in pattern.extents - pattern.extent_dimension.keys():
+            hits.extend(t.subject for target in targets for t in graph.match(None, prop, target))
 
     def children(node: Term) -> Iterator[Term]:
         return (t.subject for prop in pattern.part_of for t in graph.match(None, prop, node))
 
     def parent_parts(node: Term) -> Iterator[Term]:
-        return (t.object for prop in pattern.part_of for t in graph.match(node, prop) if is_part(t.object))
+        return (t.object for prop in pattern.part_of for t in graph.match(node, prop) if t.object in parts)
 
     # A part is in the slice when it or a part-chain ancestor is a direct
     # hit, so walk down from every hit along the partOf edges reversed.
-    reached = {node for node in _closure(hits, children) if is_part(node)}
+    reached = _closure(hits, children) & parts
     # Scaffolding closure: every chain ancestor of a kept part comes along so
     # the slice stays decontextualizable.
     chains = _closure(reached, parent_parts)
 
     # Each kept part's scaffolding, and the data triples of the parts in the
     # slice whose object is not a part outside it.
-    scaffold_predicates = pattern.part_of | pattern.extents | {vocab.memberContext, RDF_TYPE}
     kept: set[Triple] = set()
     contexts: set[Term] = set()
     for part in chains:
         for triple in graph.match(part):
-            if triple.predicate in scaffold_predicates:
+            if triple.predicate in pattern.scaffolding:
                 kept.add(triple)
                 if triple.predicate in pattern.extents:
                     contexts.add(triple.object)
-            elif part in reached and (triple.object in reached or not is_part(triple.object)):
+            elif part in reached and (triple.object in reached or triple.object not in parts):
                 kept.add(triple)
 
     # Member links and the member contexts themselves.
     for ctx in list(contexts):
-        for triple in graph.match(ctx, vocab.memberContext, None):
+        for triple in graph.match(ctx, pattern.member_context):
             kept.add(triple)
             contexts.add(triple.object)
 
@@ -595,10 +574,10 @@ def context_slice(
     def described(node: Term) -> Iterator[Term]:
         return (
             t.object for t in description(node)
-            if not isinstance(t.object, Literal) and not is_part(t.object)
+            if not isinstance(t.object, Literal) and t.object not in parts
         )
 
-    for node in _closure((ctx for ctx in contexts if not is_part(ctx)), described):
+    for node in _closure(contexts - parts, described):
         kept.update(description(node))
 
     return Graph(kept, name=graph.name)

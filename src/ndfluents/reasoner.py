@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import chain
 
-from .terms import OWL, RDF_TYPE, RDFS, Graph, Iri, Literal, Term, Triple, _unchecked_triple
+from .terms import OWL, RDF_TYPE, Graph, Iri, Literal, Term, Triple, _unchecked_triple
 from .vocabulary import (
     ALL_VALUES_FROM_DOMAIN,
     ALL_VALUES_FROM_RANGE,
@@ -402,8 +402,11 @@ def validate(
     pattern = registry.pattern_vocabulary(vocab)
     result = saturate(graph, axioms, vocab)
     derived = result.derived
+    # The partOf check below reports every conflict of a partOf property,
+    # citing all its values: it takes the place of saturate's report.
     violations: dict[tuple, Violation] = {
         _violation_key(v): v for v in result.violations
+        if not (v.kind == VIOLATION_FUNCTIONAL and v.triples[0].predicate in pattern.part_of)
     }
 
     def add(v: Violation) -> None:
@@ -466,10 +469,7 @@ def validate(
         ))
 
     if same_extent:
-        scaffolding = pattern.part_of | pattern.extents | {
-            RDF_TYPE, RDFS.subPropertyOf, RDFS.subClassOf, SAME_AS,
-            vocab.memberContext,
-        }
+        scaffolding = pattern.scaffolding | {SAME_AS}
         parts = linked | typed_parts
 
         # A part is in many part-to-part triples: read its extents once. The

@@ -233,10 +233,12 @@ def combine_dimensions(
 
 @dataclass(frozen=True)
 class PatternVocabulary:
-    """The partOf and extent properties and the part and context classes of
-    every registered and combined dimension and of the core vocabulary. Only
-    registered dimensions attribute contexts: by extent property, or by
-    context class for the contexts that combined and core extents reach."""
+    """How the contextual-part pattern reads under one core vocabulary, for
+    the builder, the reader, `context_slice` and `validate` alike. An extent
+    of a registered dimension attributes its object to that dimension; any
+    other extent reaches the `members` of its object, each attributed to the
+    `dimensions` whose context class types it. The reader skips
+    `scaffolding`, so no data predicate may be in it."""
 
     part_of: frozenset[Iri]
     extents: frozenset[Iri]
@@ -244,19 +246,27 @@ class PatternVocabulary:
     context_classes: frozenset[Iri]
     extent_dimension: Mapping[Iri, ContextDimension]
     context_dimension: Mapping[Iri, ContextDimension]
-
-    def is_part(self, graph: Graph, term: Term) -> bool:
-        """Whether `term` has a partOf edge or a part type in `graph`."""
-        return any(
-            t.predicate in self.part_of or (t.predicate == RDF_TYPE and t.object in self.part_classes)
-            for t in graph.match(term)
-        )
+    member_context: Iri
+    scaffolding: frozenset[Iri]
 
     def parts(self, graph: Graph) -> set[Term]:
         """Every resource with a partOf edge or a part type in `graph`."""
         return {t.subject for prop in self.part_of for t in graph.match(None, prop)} | {
             t.subject for t in graph.match(None, RDF_TYPE) if t.object in self.part_classes
         }
+
+    def members(self, graph: Graph, context: Term) -> list[Term]:
+        """The IRI member contexts `context` lists, or `[context]` when it
+        lists none."""
+        return [
+            t.object for t in graph.match(context, self.member_context) if isinstance(t.object, Iri)
+        ] or [context]
+
+    def dimensions(self, graph: Graph, context: Term) -> list[ContextDimension]:
+        """The registered dimensions whose context class types `context`."""
+        return [
+            d for t in graph.match(context, RDF_TYPE) if (d := self.context_dimension.get(t.object))
+        ]
 
 
 class DimensionRegistry:
@@ -310,13 +320,19 @@ class DimensionRegistry:
             # A combined or core extent attributes through member contexts,
             # even where a registered dimension reuses its IRI.
             shadowed = {c.extent for c in combined} | {vocab.contextualExtent}
+            part_of = frozenset([d.part_of for d in every] + [vocab.contextualPartOf])
+            extents = frozenset([d.extent for d in every] + [vocab.contextualExtent])
             pattern = PatternVocabulary(
-                part_of=frozenset([d.part_of for d in every] + [vocab.contextualPartOf]),
-                extents=frozenset([d.extent for d in every] + [vocab.contextualExtent]),
+                part_of=part_of,
+                extents=extents,
                 part_classes=frozenset([d.part_class for d in every] + [vocab.ContextualPart]),
                 context_classes=frozenset([d.context_class for d in every] + [vocab.Context]),
                 extent_dimension={d.extent: d for d in dims if d.extent not in shadowed},
                 context_dimension={d.context_class: d for d in dims},
+                member_context=vocab.memberContext,
+                scaffolding=part_of | extents | {
+                    RDF_TYPE, RDFS.subClassOf, RDFS.subPropertyOf, vocab.memberContext,
+                },
             )
             self._patterns[vocab] = pattern
         return pattern

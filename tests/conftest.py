@@ -20,6 +20,7 @@ from ndfluents import (
     provenance_dimension,
     temporal_dimension,
 )
+from ndfluents.vocabulary import CORE
 
 EX = Namespace("http://example.org/")
 
@@ -96,6 +97,22 @@ def chain_outsider() -> Graph:
             Triple(EX.q, RDF_TYPE, temporal.part_class),
             Triple(EX.q, temporal.extent, EX.y2017),
             Triple(EX.q, EX.population, Literal("7", datatype=XSD.integer)),
+        ]
+    )
+
+
+def core_extent_graph() -> Graph:
+    """`EX["Paris@y2016"]` is a part of `EX.Paris` through the core
+    contextualPartOf and contextualExtent, with `EX.y2016` typed as a
+    temporal interval, and `EX["Paris@y2016"] EX.population 5`: its one
+    context is attributed to the temporal dimension by its type alone."""
+    part = EX["Paris@y2016"]
+    return Graph(
+        [
+            Triple(part, CORE.contextualPartOf, EX.Paris),
+            Triple(part, CORE.contextualExtent, EX.y2016),
+            Triple(EX.y2016, RDF_TYPE, temporal_dimension().context_class),
+            Triple(part, EX.population, Literal("5", datatype=XSD.integer)),
         ]
     )
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import EX, part_chain
+from conftest import EX, core_extent_graph, part_chain
 
 from ndfluents import (
     RDF,
@@ -184,6 +184,18 @@ class TestContextualizeRoundTrip:
         assert main(["contextualize", str(statements_csv), "-o", str(graph_path)]) == 0
         back = tmp_path / "back.csv"
         assert main(["decontextualize", str(graph_path), "-o", str(back)]) == 0
+        assert back.read_bytes() == statements_csv.read_bytes()
+
+    def test_round_trip_under_related_predicates(self, tmp_path, statements_csv):
+        # contextualize writes ex:capitalOf#contextual; decontextualize
+        # under the same config gives ex:capitalOf back.
+        config = tmp_path / "run.ini"
+        config.write_text("[core]\npredicate_mode = related\n", encoding="utf-8")
+        graph_path = tmp_path / "graph.ttl"
+        back = tmp_path / "back.csv"
+        assert main(["contextualize", "-c", str(config), str(statements_csv), "-o", str(graph_path)]) == 0
+        assert "capitalOf#contextual" in graph_path.read_text(encoding="utf-8")
+        assert main(["decontextualize", "-c", str(config), str(graph_path), "-o", str(back)]) == 0
         assert back.read_bytes() == statements_csv.read_bytes()
 
     def test_out_format_ntriples(self, tmp_path, statements_csv):
@@ -408,6 +420,20 @@ class TestQuery:
             "http://example.org/France,2\n"
             "http://example.org/Paris,2\n"
         )
+
+    def test_a_core_extent_context_filter(self, tmp_path, capsys):
+        # The part reaches EX.y2016 through the core extent, and EX.y2016 is
+        # typed as a temporal interval.
+        graph = tmp_path / "graph.nt"
+        graph.write_text(serialize_ntriples(core_extent_graph()), encoding="utf-8")
+        pattern = tmp_path / "pattern.rq"
+        pattern.write_text(
+            "?part <http://example.org/population> ?n .\n"
+            "CONTEXT temporal <http://example.org/y2016>\n",
+            encoding="utf-8",
+        )
+        assert main(["query", str(graph), "--pattern", str(pattern)]) == 0
+        assert capsys.readouterr().out == "part,n\nhttp://example.org/Paris@y2016,5\n"
 
     def test_out_file(self, tmp_path, graph_file):
         pattern = tmp_path / "pattern.rq"

@@ -37,7 +37,7 @@ from ndfluents import (
     temporal_dimension,
     write_statements_csv,
 )
-from ndfluents.contextualize import PREDICATE_MODES, SINGLETON_PROPERTY_OF
+from ndfluents.contextualize import PREDICATE_MODES, SINGLETON_PROPERTY_OF, related_property_base
 from ndfluents.vocabulary import (
     CORE,
     SUB_PROPERTY_OF,
@@ -304,6 +304,30 @@ class TestPredicateModes:
     def test_related_property_iri_separator_choice(self):
         assert related_property_iri(Iri("http://e.org/v#p")) == Iri("http://e.org/v#p_contextual")
         assert related_property_iri(Iri("http://e.org/p")) == Iri("http://e.org/p#contextual")
+
+    def test_related_mode_rejects_a_scaffolding_map_value(self, temporal_registry, paris_statement):
+        # The map's value is the predicate written; the reader would skip it
+        # as scaffolding and lose the statement.
+        with pytest.raises(ValueError, match="collides with scaffolding vocabulary"):
+            contextualize(
+                [paris_statement],
+                temporal_registry,
+                CombinationModel.multi_context(),
+                predicate_mode="related",
+                predicate_map={EX.capitalOf: TEMPORAL.part_of},
+            )
+
+    @pytest.mark.parametrize(
+        "value", ["http://e.org/p", "http://e.org/v#p", "http://e.org/v#", "urn:x", "http://e.org/a_b#c_d"]
+    )
+    def test_related_property_base_inverts_related_property_iri(self, value):
+        assert related_property_base(related_property_iri(Iri(value))) is Iri(value)
+
+    @pytest.mark.parametrize(
+        "value", ["http://e.org/p", "http://e.org/p_contextual", "http://e.org/v#p#contextual"]
+    )
+    def test_related_property_base_of_an_iri_no_predicate_maps_to(self, value):
+        assert related_property_base(Iri(value)) is None
 
 
 class TestDecontextualize:

@@ -1,17 +1,20 @@
 """Basic-graph-pattern matching, aggregation, context slicing, grammar."""
 
+import dataclasses
 import itertools
 import random
 import sys
-from decimal import Decimal
+from decimal import ROUND_HALF_UP, Decimal, localcontext
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ndfluents import (
     Aggregate,
     CombinationModel,
+    DimensionRegistry,
     Graph,
     Iri,
     Literal,
@@ -32,10 +35,26 @@ from ndfluents import (
 )
 
 from ndfluents import query
+from ndfluents.vocabulary import CORE
 
-from conftest import EX, chain_outsider, corpus_registry, part_chain, random_corpus
+from conftest import (
+    CORPUS_DIMENSIONS,
+    EX,
+    chain_outsider,
+    core_extent_graph,
+    corpus_registry,
+    part_chain,
+    random_corpus,
+)
 
 TEMPORAL = temporal_dimension()
+
+
+def _core_extent_registry() -> DimensionRegistry:
+    """The corpus dimensions, with trust reaching its contexts through the
+    core contextualExtent: a trust context is attributed by its type."""
+    temporal, provenance, trust = CORPUS_DIMENSIONS
+    return DimensionRegistry([temporal, provenance, dataclasses.replace(trust, extent=CORE.contextualExtent)])
 
 
 _NODES = [EX[f"n{i}"] for i in range(6)]
@@ -332,8 +351,43 @@ def _integer_lexical(draw) -> str:
     return space + sign + zeros + draw(st.sampled_from(["", "_", "__"])).join(groups) + space
 
 
-# Mostly xsd:integer; the integer path must leave the others to the
-# fraction path, which reads an xsd:decimal and refuses an xsd:string.
+def _reference_fraction_to_decimal(value: Fraction, scale: int) -> Decimal:
+    """The rounding `_fraction_to_decimal` replaced: a `Decimal` division at
+    a precision wide enough for the exact quotient, then a ROUND_HALF_UP
+    quantize."""
+    quantum = Decimal(1).scaleb(-scale)
+    digits = len(str(abs(value.numerator))) + len(str(value.denominator))
+    with localcontext() as context:
+        context.prec = digits + scale + 10
+        result = Decimal(value.numerator) / Decimal(value.denominator)
+        return result.quantize(quantum, rounding=ROUND_HALF_UP)
+
+
+def _reference_aggregate(function: str, terms: list[Literal], scale: int) -> object:
+    """SUM, MIN, MAX or AVG with every literal read through `Decimal` and
+    rounded by `_reference_fraction_to_decimal`."""
+    if any(term.datatype == XSD.string for term in terms):
+        raise ValueError("not numeric")
+    values = [Fraction(Decimal(term.lexical)) for term in terms]
+    if function == "AVG":
+        return _reference_fraction_to_decimal(Fraction(sum(values), len(values)), scale)
+    result = {"SUM": sum, "MIN": min, "MAX": max}[function](values)
+    if result.denominator != 1:
+        return _reference_fraction_to_decimal(result, scale)
+    str(int(result))  # refused past the digit limit
+    return int(result)
+
+
+def _outcome(compute):
+    try:
+        value = compute()
+    except (ValueError, ArithmeticError):  # QueryError included
+        return "error"
+    return type(value), str(value)
+
+
+# Mostly xsd:integer, which `int` reads when it can; the others must read
+# as they do through `Decimal`: an xsd:decimal is read, an xsd:string refused.
 _DATATYPES = [XSD.integer, XSD.integer, XSD.integer, XSD.decimal, XSD.string]
 
 
@@ -345,21 +399,39 @@ _DATATYPES = [XSD.integer, XSD.integer, XSD.integer, XSD.decimal, XSD.string]
 def test_integer_path_agrees_with_the_fraction_path(literals, function):
     terms = [Literal(text, datatype=datatype) for text, datatype in literals]
     aggregate = Aggregate(function, Variable("v"), "out")
-
-    def outcome(compute):
-        try:
-            value = compute()
-        except ValueError:  # QueryError included
-            return "error"
-        return type(value), str(value)
-
-    expected = outcome(
-        lambda: query._reduce(function, [query._numeric_value(t, aggregate) for t in terms], 2)
+    assert _outcome(lambda: query._aggregate_value(aggregate, terms, 2)) == _outcome(
+        lambda: _reference_aggregate(function, terms, 2)
     )
-    assert outcome(lambda: query._aggregate_value(aggregate, terms, 2)) == expected
-    integers = query._integer_values(terms)
-    if integers is not None:
-        assert outcome(lambda: query._reduce(function, integers, 2)) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(st.fractions(), st.builds(Fraction, st.integers(), st.sampled_from([2, 8, 200, 2000]))),
+    st.integers(0, 12),
+)
+@example(Fraction(-1, 1000), 2)  # -0.00
+@example(Fraction(-1, 3), 0)  # -0
+@example(Fraction(-5, 1000), 2)  # a tie rounds away from zero
+def test_half_up_rounding_agrees_with_decimal_quantize(value, scale):
+    _assert_rounding_agrees(value, scale)
+
+
+def _assert_rounding_agrees(value: Fraction, scale: int) -> None:
+    new, old = query._fraction_to_decimal, _reference_fraction_to_decimal
+    assert _outcome(lambda: new(value, scale)) == _outcome(lambda: old(value, scale))
+    if _outcome(lambda: old(value, scale)) != "error":
+        assert new(value, scale).as_tuple() == old(value, scale).as_tuple()
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+@pytest.mark.parametrize(
+    "value",
+    [Fraction(10**4299 + 1, 3), Fraction(7 * 10**4300), Fraction(1, 10**4300)],
+    ids=["rounded-past-the-limit", "numerator-past-the-limit", "denominator-past-the-limit"],
+)
+def test_half_up_rounding_refuses_what_decimal_quantize_refuses(value):
+    # Only a numerator or denominator that `str` refuses is an error.
+    _assert_rounding_agrees(value, 5)
 
 
 class TestPatternValidation:
@@ -407,18 +479,33 @@ class TestContextSlice:
         ids=["multi", "nested", "combined"],
     )
     def test_slice_agrees_with_selection_decontextualization(self, model):
-        registry = corpus_registry()
-        rng = random.Random(99)
-        for serial in range(30):
-            statements = random_corpus(rng, serial)
-            graph = contextualize(statements, registry, model)
-            contexts = {ctx for s in statements for _, ctx in s.assignment_pairs()}
-            for context in sorted(contexts, key=lambda c: c.value)[:3]:
-                piece = context_slice(graph, registry, context)
-                assert set(piece) <= set(graph)
-                assert set(decontextualize(piece, registry)) == set(
-                    decontextualize(graph, registry, selection={context})
-                )
+        for registry in (corpus_registry(), _core_extent_registry()):
+            rng = random.Random(99)
+            for serial in range(30):
+                statements = random_corpus(rng, serial)
+                graph = contextualize(statements, registry, model)
+                recovered = decontextualize(graph, registry)
+                pairs = {pair for s in statements for pair in s.assignment_pairs()}
+                for dimension, context in sorted(pairs, key=lambda pair: pair[1].value)[:3]:
+                    piece = context_slice(graph, registry, context)
+                    assert set(piece) <= set(graph)
+                    assert set(decontextualize(piece, registry)) == set(
+                        decontextualize(graph, registry, selection={context})
+                    )
+                    piece = context_slice(graph, registry, context, dimension=dimension)
+                    assert set(decontextualize(piece, registry)) == {
+                        s for s in recovered if (dimension, context) in s.assignment_pairs()
+                    }
+
+    def test_a_core_extent_is_attributed_by_its_context_type(self, two_dim_registry):
+        graph = core_extent_graph()
+        (statement,) = decontextualize(graph, two_dim_registry)
+        assert statement.assignment_pairs() == (("temporal", EX.y2016),)
+        text = "?part <http://example.org/population> ?n .\nCONTEXT {} <http://example.org/y2016>\n"
+        assert match(graph, parse_pattern(text.format("temporal")), two_dim_registry).rows == (
+            (EX["Paris@y2016"], Literal("5", datatype=XSD.integer)),
+        )
+        assert match(graph, parse_pattern(text.format("provenance")), two_dim_registry).rows == ()
 
     def test_dimension_filter_restricts_hits(self, two_dim_registry):
         # The same IRI is used as a temporal context of one statement and a

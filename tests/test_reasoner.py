@@ -397,6 +397,18 @@ class TestValidate:
         rendered = violation.render()
         assert "FunctionalConflict" in rendered and EX["Paris@t1"].n3() in rendered
 
+    def test_a_core_part_of_conflict_is_reported_once(self):
+        # saturate's functional rule finds this conflict too; validate
+        # reports it once, citing every value.
+        graph, config = self._clean_graph()
+        offenders = [Triple(EX["Paris@t1"], CORE.contextualPartOf, whole) for whole in (EX.Lyon, EX.Nice)]
+        violations = validate(graph.union(offenders), config.axioms(), config.registry)
+        (violation,) = violations
+        assert violation.kind == VIOLATION_FUNCTIONAL
+        assert violation.subjects == (EX["Paris@t1"],)
+        assert violation.triples == tuple(sorted(offenders, key=Triple.sort_key))
+        assert violation.detail == f"{CORE.contextualPartOf.n3()} is functional but has 2 values"
+
 
 class TestRounds:
     def test_rounds_count_each_delta_on_a_part_chain(self):
