@@ -231,9 +231,8 @@ def _cmd_decontextualize(args: argparse.Namespace) -> int:
     config = _load_config_arg(args.config)
     graph = _read_graph(args.graph, args.in_format)
     selection = {Iri(value) for value in args.context or ()} or None
-    reverse = None
-    if config.predicate_mode == PREDICATE_RELATED:  # undo `contextualize`'s renaming
-        reverse = {p: base for p in {t.predicate for t in graph} if (base := related_property_base(p))}
+    related = config.predicate_mode == PREDICATE_RELATED  # undo `contextualize`'s renaming
+    reverse = {p: b for p in graph.predicates() if (b := related_property_base(p))} if related else None
     statements = decontextualize(graph, config.registry, selection, config.vocab, predicate_map=reverse)
     log.info("recovered %d statements", len(statements))
     _write_statements(statements, args)

@@ -446,8 +446,7 @@ class _Reader:
         """Dimension-attributed contexts reachable from one part's extent edges."""
         found: set[tuple[str, Iri]] = set()
         for edge in sorted(edges, key=Triple.sort_key):
-            dim = self.pattern.extent_dimension.get(edge.predicate)
-            if dim is not None:
+            if (dim := self.pattern.extent_dimension.get(edge.predicate)) is not None:
                 found.add((dim.name, edge.object))
                 continue
             # combined or core extent: attribute each member by its context type
@@ -480,8 +479,7 @@ class _Reader:
                     by_prop.setdefault(t.predicate, set()).add(t.object)
                 elif t.predicate in self.pattern.extents and isinstance(t.object, Iri):
                     part_extents.append(t)
-            found = self.context_assignments(part_extents)
-            contexts |= found
+            contexts |= self.context_assignments(part_extents)
             if not by_prop:
                 raise PatternError(f"part {current.n3()} has no partOf edge")
             for prop in sorted(by_prop, key=Iri.n3):

@@ -43,10 +43,12 @@ import re
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Container, Iterable, Iterator, NamedTuple
 
 from .parser import ParseError, TermReader
 from .terms import (
+    RDF_TYPE,
     XSD,
     BlankNode,
     Graph,
@@ -513,11 +515,17 @@ def context_slice(
             f"registered: {', '.join(registry.names())}"
         )
     pattern = registry.pattern_vocabulary(vocab)
-    parts = pattern.parts(graph)
 
-    # Direct hits: a registered extent to `context`, of `dimension` if one
-    # is given; any other extent to a context X whose members include
-    # `context`, when `context` is typed with the given dimension.
+    @cache  # read per node, so a slice costs what it visits, not the whole graph
+    def is_part(node: Term) -> bool:
+        return any(
+            t.predicate in pattern.part_of or (t.predicate == RDF_TYPE and t.object in pattern.part_classes)
+            for t in graph.match(node)
+        )
+
+    # Direct hits: a registered extent to `context` (of `dimension`, if given),
+    # or any other extent to an IRI whose members include `context` (when
+    # `context` is typed with the given dimension).
     hits = [
         t.subject
         for prop, dim in pattern.extent_dimension.items()
@@ -525,12 +533,8 @@ def context_slice(
         for t in graph.match(None, prop, context)
     ]
     if dimension is None or any(d.name == dimension for d in pattern.dimensions(graph, context)):
-        targets = [
-            link.subject for link in graph.match(None, pattern.member_context, context)
-            if isinstance(link.subject, Iri)
-        ]
-        if context in pattern.members(graph, context):
-            targets.append(context)
+        listing = [context, *(t.subject for t in graph.match(None, pattern.member_context, context))]
+        targets = [x for x in listing if isinstance(x, Iri) and context in pattern.members(graph, x)]
         for prop in pattern.extents - pattern.extent_dimension.keys():
             hits.extend(t.subject for target in targets for t in graph.match(None, prop, target))
 
@@ -538,11 +542,11 @@ def context_slice(
         return (t.subject for prop in pattern.part_of for t in graph.match(None, prop, node))
 
     def parent_parts(node: Term) -> Iterator[Term]:
-        return (t.object for prop in pattern.part_of for t in graph.match(node, prop) if t.object in parts)
+        return (t.object for prop in pattern.part_of for t in graph.match(node, prop) if is_part(t.object))
 
     # A part is in the slice when it or a part-chain ancestor is a direct
     # hit, so walk down from every hit along the partOf edges reversed.
-    reached = _closure(hits, children) & parts
+    reached = {node for node in _closure(hits, children) if is_part(node)}
     # Scaffolding closure: every chain ancestor of a kept part comes along so
     # the slice stays decontextualizable.
     chains = _closure(reached, parent_parts)
@@ -557,7 +561,7 @@ def context_slice(
                 kept.add(triple)
                 if triple.predicate in pattern.extents:
                     contexts.add(triple.object)
-            elif part in reached and (triple.object in reached or triple.object not in parts):
+            elif part in reached and (triple.object in reached or not is_part(triple.object)):
                 kept.add(triple)
 
     # Member links and the member contexts themselves.
@@ -574,10 +578,10 @@ def context_slice(
     def described(node: Term) -> Iterator[Term]:
         return (
             t.object for t in description(node)
-            if not isinstance(t.object, Literal) and t.object not in parts
+            if not isinstance(t.object, Literal) and not is_part(t.object)
         )
 
-    for node in _closure(contexts - parts, described):
+    for node in _closure((ctx for ctx in contexts if not is_part(ctx)), described):
         kept.update(description(node))
 
     return Graph(kept, name=graph.name)

@@ -418,6 +418,10 @@ class Graph:
         """The distinct objects of the matching triples, in `term_sort_key` order."""
         return sorted({t.object for t in self.match(subject, predicate, None)}, key=term_sort_key)
 
+    def predicates(self) -> list[Iri]:
+        """The distinct predicates, in `term_sort_key` order."""
+        return sorted({t.predicate for t in self._triples}, key=term_sort_key)
+
     def __len__(self) -> int:
         return len(self._triples)
 

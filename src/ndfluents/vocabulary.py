@@ -264,9 +264,7 @@ class PatternVocabulary:
 
     def dimensions(self, graph: Graph, context: Term) -> list[ContextDimension]:
         """The registered dimensions whose context class types `context`."""
-        return [
-            d for t in graph.match(context, RDF_TYPE) if (d := self.context_dimension.get(t.object))
-        ]
+        return [d for t in graph.match(context, RDF_TYPE) if (d := self.context_dimension.get(t.object))]
 
 
 class DimensionRegistry:

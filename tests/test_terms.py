@@ -196,6 +196,11 @@ class TestTripleAndGraph:
         g = Graph([Triple(EX.s, EX.p, BlankNode("b10")), Triple(EX.s, EX.p, BlankNode("b2"))])
         assert g.objects() == [t.object for t in g] == [BlankNode("b2"), BlankNode("b10")]
 
+    def test_predicates_are_distinct_and_sorted_without_sorting_the_triples(self):
+        g = Graph([Triple(EX.a, EX.q, EX.b), Triple(EX.c, EX.p, EX.d), Triple(EX.e, EX.q, EX.f)])
+        assert g.predicates() == [EX.p, EX.q]
+        assert g._sorted is None
+
     def test_match_with_every_position_bound_is_membership(self):
         t = Triple(EX.a, EX.p, EX.b)
         g = Graph([t])
