@@ -1,22 +1,30 @@
 """Rewriting annotated statements into contextual-part graphs and back.
 
 An annotated statement is a base triple plus one context per dimension.
-Three combination models are supported:
+`contextualize` gives its subject, and its object when that is an IRI, a
+chain of contextual parts and writes the base triple between the innermost
+ones. Each level of a chain is one part, tied to the level above (the
+entity, for the outermost) by a partOf property and to its contexts by an
+extent. The three combination models are three level layouts of that one
+chain, chosen in `_Builder._levels` and written by one loop:
 
-- multi-context: one part per (entity, context set); the part carries one
-  type/partOf/extent triple per dimension.
-- contexts-in-context: a chain of parts per entity, one level per dimension
-  in a caller-supplied nesting order, each level tied to one context.
-- combined-extent: one part per entity with a single extent edge to a
-  minted combined context that lists the member contexts.
+- multi-context: one level, whose part carries one type/partOf/extent
+  triple per dimension.
+- contexts-in-context: one level per dimension, in a caller-supplied
+  nesting order, each tied to one context.
+- combined-extent: one level with a single extent edge to a minted
+  combined context that lists the member contexts; a statement in one
+  dimension falls back to multi-context.
 
-`decontextualize` inverts all three by walking partOf chains back to the
-first resource that is not a contextual part.
+`decontextualize` inverts all three with one loop too, `_Reader.walk`:
+it follows partOf edges back to the first resource that is not a
+contextual part and collects the contexts of every level on the way.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .terms import (
@@ -136,8 +144,11 @@ class CombinationModel:
         return cls(MODEL_COMBINED_EXTENT)
 
 
-def _digest(*parts: str) -> str:
-    return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()[:12]
+def _context_digest(pairs: Iterable[tuple[str, Iri]], *head: str) -> str:
+    """12 hex digits of the SHA-256 of `head` and the sorted (dimension,
+    context) pairs, one `dimension=context` line each."""
+    lines = (*head, *(f"{dim}={ctx.value}" for dim, ctx in sorted(pairs)))
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -157,29 +168,21 @@ class MintingPolicy:
     def mint_part(self, entity: Iri, assignments: tuple[tuple[str, Iri], ...]) -> Iri:
         if not assignments:
             raise ValueError("a contextual part needs at least one context")
-        pairs = sorted(assignments)
         if self.mode == MINT_SUFFIX:
-            suffix = "_".join(sorted(ctx.local_name() for _, ctx in pairs))
+            suffix = "_".join(sorted(ctx.local_name() for _, ctx in assignments))
         else:
-            suffix = _digest(*(f"{dim}={ctx.value}" for dim, ctx in pairs))
+            suffix = _context_digest(assignments)
         return Iri(f"{entity.value}{self.separator}{suffix}")
 
     def mint_combined_context(self, assignments: tuple[tuple[str, Iri], ...]) -> Iri:
-        digest = _digest(*(f"{dim}={ctx.value}" for dim, ctx in sorted(assignments)))
-        return Iri(f"{self.combined_context_base}{digest}")
+        return Iri(f"{self.combined_context_base}{_context_digest(assignments)}")
 
     def mint_statement_node(self, statement: AnnotatedStatement) -> Iri:
-        digest = _digest(
-            statement.base.n3(),
-            *(f"{dim}={ctx.value}" for dim, ctx in statement.assignment_pairs()),
-        )
+        digest = _context_digest(statement.assignment_pairs(), statement.base.n3())
         return Iri(f"{statement.base.subject.value}{self.separator}stmt-{digest}")
 
     def mint_singleton(self, statement: AnnotatedStatement) -> Iri:
-        digest = _digest(
-            statement.base.n3(),
-            *(f"{dim}={ctx.value}" for dim, ctx in statement.assignment_pairs()),
-        )
+        digest = _context_digest(statement.assignment_pairs(), statement.base.n3())
         return Iri(f"{statement.base.predicate.value}{self.separator}{digest}")
 
 
@@ -227,6 +230,11 @@ def _predicate_map(mapping: dict[Iri, Iri] | None) -> dict[Iri, Iri]:
     return mapping or {}
 
 
+# One level of a part chain: the (dimension, context) pairs its part is
+# minted for, and the (dimension, context) pairs the part is attached to.
+_Level = tuple[tuple[tuple[str, Iri], ...], list[tuple[ContextDimension, Iri]]]
+
+
 class _Builder:
     def __init__(
         self,
@@ -265,14 +273,11 @@ class _Builder:
             if assignment.description is not None:
                 self.descriptions.append(assignment.description)
         predicate = self._rewrite_predicate(statement.base.predicate, dims)
-        if self.model.kind == MODEL_MULTI_CONTEXT or (
-            self.model.kind == MODEL_COMBINED_EXTENT and len(pairs) == 1
-        ):
-            self._add_multi_context(statement, pairs, predicate)
-        elif self.model.kind == MODEL_CONTEXTS_IN_CONTEXT:
-            self._add_nested(statement, pairs, predicate)
-        else:
-            self._add_combined(statement, pairs, predicate)
+        levels = self._levels(pairs, dims)
+        base = statement.base
+        subject = self._chain(base.subject, levels)
+        obj = self._chain(base.object, levels) if isinstance(base.object, Iri) else base.object
+        self.triples.add(_unchecked_triple((subject, predicate, obj)))
 
     def _rewrite_predicate(self, predicate: Iri, dims: list[ContextDimension]) -> Iri:
         related = self.predicate_mode == PREDICATE_RELATED
@@ -311,92 +316,44 @@ class _Builder:
             raise _entity_collision(part, owner)
         return part, previous is owner
 
-    def _context_pairs(self, pairs: tuple[tuple[str, Iri], ...]) -> list[tuple[ContextDimension, Iri]]:
-        return [(self.registry.get(name), ctx) for name, ctx in pairs]
-
-    def _add_multi_context(
-        self,
-        statement: AnnotatedStatement,
-        pairs: tuple[tuple[str, Iri], ...],
-        predicate: Iri,
-    ) -> None:
-        base = statement.base
-        subject_part, fresh = self._mint_part(base.subject, pairs)
-        if fresh:
-            for dim, ctx in self._context_pairs(pairs):
-                self._attach(subject_part, dim, base.subject, ctx)
-        if isinstance(base.object, Iri):
-            object_part, fresh = self._mint_part(base.object, pairs)
-            if fresh:
-                for dim, ctx in self._context_pairs(pairs):
-                    self._attach(object_part, dim, base.object, ctx)
-            self.triples.add(_unchecked_triple((subject_part, predicate, object_part)))
-        else:
-            self.triples.add(_unchecked_triple((subject_part, predicate, base.object)))
-
-    def _add_nested(
-        self,
-        statement: AnnotatedStatement,
-        pairs: tuple[tuple[str, Iri], ...],
-        predicate: Iri,
-    ) -> None:
-        order = [n for n in self.model.nesting_order or () if n in dict(pairs)]
-        missing = set(dict(pairs)) - set(order)
-        if missing:
-            raise ValueError(
-                f"nesting order does not cover dimension(s): {', '.join(sorted(missing))}"
-            )
-        by_name = dict(pairs)
-        base = statement.base
-
-        def build_chain(entity: Iri) -> Iri:
-            parent: Iri = entity
-            taken: list[tuple[str, Iri]] = []
+    def _levels(self, pairs: tuple[tuple[str, Iri], ...], dims: list[ContextDimension]) -> list[_Level]:
+        """The levels of a statement's part chains, outermost first: the one
+        place where the combination model is read."""
+        if self.model.kind == MODEL_CONTEXTS_IN_CONTEXT:
+            by_name = {name: (dim, ctx) for dim, (name, ctx) in zip(dims, pairs)}
+            order = [name for name in self.model.nesting_order or () if name in by_name]
+            missing = set(by_name) - set(order)
+            if missing:
+                raise ValueError(
+                    f"nesting order does not cover dimension(s): {', '.join(sorted(missing))}"
+                )
+            levels: list[_Level] = []
+            taken: tuple[tuple[str, Iri], ...] = ()
             for name in order:
-                dim = self.registry.get(name)
-                ctx = by_name[name]
-                taken.append((name, ctx))
-                part, fresh = self._mint_part(entity, tuple(taken))
-                if fresh:
-                    self._attach(part, dim, parent, ctx)
-                parent = part
-            return parent
+                dim, ctx = by_name[name]
+                taken += ((name, ctx),)
+                levels.append((taken, [(dim, ctx)]))
+            return levels
+        scaffolding = [(dim, ctx) for dim, (_, ctx) in zip(dims, pairs)]
+        if self.model.kind == MODEL_COMBINED_EXTENT and len(pairs) > 1:
+            context = self.policy.mint_combined_context(pairs)
+            for dim, ctx in scaffolding:
+                self.triples.add(_unchecked_triple((context, self.vocab.memberContext, ctx)))
+                self.triples.add(_unchecked_triple((ctx, RDF_TYPE, dim.context_class)))
+            scaffolding = [(self.registry.combined([name for name, _ in pairs]), context)]
+        return [(pairs, scaffolding)]
 
-        subject_part = build_chain(base.subject)
-        if isinstance(base.object, Iri):
-            self.triples.add(_unchecked_triple((subject_part, predicate, build_chain(base.object))))
-        else:
-            self.triples.add(_unchecked_triple((subject_part, predicate, base.object)))
-
-    def _add_combined(
-        self,
-        statement: AnnotatedStatement,
-        pairs: tuple[tuple[str, Iri], ...],
-        predicate: Iri,
-    ) -> None:
-        base = statement.base
-        combined = self.registry.combined([name for name, _ in pairs])
-        context = self.policy.mint_combined_context(pairs)
-        self.triples.add(_unchecked_triple((context, RDF_TYPE, combined.context_class)))
-        for dim, ctx in self._context_pairs(pairs):
-            self.triples.add(_unchecked_triple((context, self.vocab.memberContext, ctx)))
-            self.triples.add(_unchecked_triple((ctx, RDF_TYPE, dim.context_class)))
-
-        def build_part(entity: Iri) -> Iri:
-            part, fresh = self._mint_part(entity, pairs)
+    def _chain(self, entity: Iri, levels: list[_Level]) -> Iri:
+        """Mints `entity`'s part at each level, writing a part's scaffolding
+        the first time it is minted, and returns the innermost part."""
+        parent = entity
+        for minted_for, scaffolding in levels:
+            part, fresh = self._mint_part(entity, minted_for)
             if fresh:
-                self.triples.update(map(_unchecked_triple, (
-                    (part, RDF_TYPE, combined.part_class),
-                    (part, combined.part_of, entity),
-                    (part, combined.extent, context),
-                )))
-            return part
-
-        subject_part = build_part(base.subject)
-        if isinstance(base.object, Iri):
-            self.triples.add(_unchecked_triple((subject_part, predicate, build_part(base.object))))
-        else:
-            self.triples.add(_unchecked_triple((subject_part, predicate, base.object)))
+                for dim, ctx in scaffolding:
+                    self._attach(part, dim, parent, ctx)
+            parent = part
+        return parent
 
     def _attach(self, part: Iri, dim: ContextDimension, parent: Iri, ctx: Iri) -> None:
         """One level of scaffolding: type, partOf, extent, context type."""

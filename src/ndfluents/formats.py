@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 
-from .contextualize import AnnotatedStatement, ContextAssignment, _digest
+from .contextualize import AnnotatedStatement, ContextAssignment, _context_digest
 from .parser import parse_nquads, parse_turtle
 from .serializer import serialize_nquads
 from .terms import Graph, Iri, Literal, Term, Triple, _unchecked_triple
@@ -132,7 +132,7 @@ def write_statements_csv(statements: list[AnnotatedStatement]) -> str:
 
 
 def _bundle_iri(pairs: tuple[tuple[str, Iri], ...], base: str = DEFAULT_BUNDLE_BASE) -> Iri:
-    return Iri(base + _digest(*(f"{dim}={ctx.value}" for dim, ctx in sorted(pairs))))
+    return Iri(base + _context_digest(pairs))
 
 
 def read_bundle_sidecar_csv(text: str) -> dict[Iri, list[tuple[str, Iri]]]:

@@ -369,11 +369,8 @@ class Graph:
         if subject is not None:
             if predicate is not None:
                 if obj is not None:
-                    try:
-                        triple = Triple(subject, predicate, obj)
-                    except ValueError:
-                        return ()
-                    return (triple,) if triple in self._triples else ()
+                    key = (subject, predicate, obj)
+                    return (_unchecked_triple(key),) if key in self._triples else ()
                 return self._bucket(_BY_SP, (subject, predicate))
             if obj is not None:
                 return self._bucket(_BY_SO, (subject, obj))

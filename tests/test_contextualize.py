@@ -244,6 +244,20 @@ class TestCombinationModels:
         b = contextualize([paris_statement], two_dim_registry, CombinationModel.multi_context())
         assert a == b
 
+    @pytest.mark.parametrize("obj", [EX.France, Literal("2")], ids=["iri-object", "literal-object"])
+    @pytest.mark.parametrize("kind", ["contexts-in-context", "multi-context", "combined-extent"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_statement_costs_what_the_readme_table_says(self, full_registry, n, kind, obj):
+        dims = ["temporal", "provenance", "trust"][:n]
+        model = CombinationModel(kind, tuple(dims) if kind == "contexts-in-context" else None)
+        statement = annotate(EX.Paris, EX.p, obj, *((d, EX[f"in_{d}"]) for d in dims))
+        iri = isinstance(obj, Iri)  # an IRI object gets a part of its own
+        if kind == "combined-extent" and n >= 2:
+            expected = (8 if iri else 5) + 2 * n
+        else:  # combined-extent in one dimension is multi-context
+            expected = 1 + (7 if iri else 4) * n
+        assert len(contextualize([statement], full_registry, model)) == expected
+
     def test_unregistered_dimension_rejected(self, temporal_registry):
         stmt = annotate(EX.a, EX.p, EX.b, ("trust", EX.t))
         with pytest.raises(KeyError):

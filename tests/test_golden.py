@@ -1,4 +1,4 @@
-"""Byte-identical output on the shipped fixture.
+"""Byte-identical output on the shipped fixtures.
 
 `fixtures/world_population.csv` is taken through `ingest-csv` and
 `contextualize --merge` under each combination model, in Turtle and in
@@ -12,7 +12,16 @@ byte for byte. The committed files were written by those same commands:
 
 with `MODEL.ini` holding the `[core]` section of `MODELS` below (and
 `--out-format ntriples -o tests/golden/population.MODEL.nt` for the other
-format). A change that means to alter the output regenerates them so.
+format). Every population statement has a literal object and two
+dimensions, so `fixtures/object_parts.csv` pins the rest: object parts,
+statements in one dimension and in two (the one-dimension fallback of
+combined-extent, nested chains of one level and of two) and parts shared
+between statements. Its files were written by
+
+    ndfluents contextualize -c MODEL.ini fixtures/object_parts.csv \\
+        -o tests/golden/object_parts.MODEL.ttl
+
+A change that means to alter the output regenerates them so.
 """
 
 from pathlib import Path
@@ -43,14 +52,26 @@ def ingested(tmp_path_factory):
     return work, statements, contexts
 
 
-@pytest.mark.parametrize("fmt", ["ttl", "nt"])
-@pytest.mark.parametrize("model", list(MODELS))
-def test_contextualize_output_is_byte_identical_to_the_committed_file(ingested, model, fmt):
+# (input, model, format); the population cases have the shorter ids.
+CASES = [
+    pytest.param(name, model, fmt, id=f"{prefix}{model}-{fmt}")
+    for name, prefix in (("population", ""), ("object_parts", "object-parts-"))
+    for model in MODELS
+    for fmt in ("ttl", "nt")
+]
+
+
+@pytest.mark.parametrize("name, model, fmt", CASES)
+def test_contextualize_output_is_byte_identical_to_the_committed_file(ingested, name, model, fmt):
     work, statements, contexts = ingested
+    inputs = {
+        "population": [str(statements), "--merge", str(contexts)],
+        "object_parts": [str(ROOT / "fixtures" / "object_parts.csv")],
+    }
     config = work / f"{model}.ini"
     config.write_text(MODELS[model], encoding="utf-8")
-    out = work / f"population.{model}.{fmt}"
-    argv = ["contextualize", "-c", str(config), str(statements), "--merge", str(contexts), "-o", str(out)]
+    out = work / f"{name}.{model}.{fmt}"
+    argv = ["contextualize", "-c", str(config), *inputs[name], "-o", str(out)]
     if fmt == "nt":
         argv += ["--out-format", "ntriples"]
     assert main(argv) == 0
