@@ -23,26 +23,24 @@ from itertools import count
 from pathlib import Path
 from typing import Sequence
 
-from .config import Config, ConfigError, default_config, load_config
+from .config import Config, default_config, load_config
 from .contextualize import (
     PREDICATE_RELATED,
     AnnotatedStatement,
-    PatternError,
     contextualize,
     decontextualize,
     related_property_base,
     size_report,
 )
 from .formats import (
-    FormatError,
     read_annotated_nquads,
     read_statements_csv,
     write_annotated_nquads,
     write_statements_csv,
 )
-from .ingest import IngestError, ingest_csv
+from .ingest import ingest_csv
 from .parser import NQUADS, NTRIPLES, TURTLE, ParseError, normalize_format, parse
-from .query import QueryError, match, parse_pattern
+from .query import match, parse_pattern
 from .reasoner import saturate, validate
 from .serializer import canonicalize, serialize
 from .terms import BlankNode, Graph, Iri, Triple
@@ -476,17 +474,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     log.addHandler(handler)
     try:
         return globals()["_cmd_" + args.command.replace("-", "_")](args)
-    except (
-        _UsageError,
-        ConfigError,
-        FormatError,
-        IngestError,
-        ParseError,
-        PatternError,
-        QueryError,
-        KeyError,
-        ValueError,
-    ) as error:
+    # The package's input errors (ConfigError, FormatError, ParseError, ...)
+    # are ValueErrors; an unknown dimension is a KeyError.
+    except (KeyError, ValueError) as error:
         if isinstance(error, KeyError) and error.args:
             message = str(error.args[0])
         else:

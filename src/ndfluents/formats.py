@@ -69,9 +69,17 @@ def _format_object(term: Term, row_hint: str) -> tuple[str, str]:
     raise FormatError(f"{row_hint}: blank nodes cannot be written to statements CSV")
 
 
-def read_statements_csv(text: str) -> list[AnnotatedStatement]:
+def _csv_rows(text: str, row_label: str) -> list[list[str]]:
+    """The rows of `text` that hold anything but blanks."""
     reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    try:
+        return [row for row in reader if row and any(cell.strip() for cell in row)]
+    except csv.Error as error:
+        raise FormatError(f"{row_label} {reader.line_num}: {error}") from None
+
+
+def read_statements_csv(text: str) -> list[AnnotatedStatement]:
+    rows = _csv_rows(text, "row")
     if not rows:
         raise FormatError("empty statements CSV")
     header = [cell.strip() for cell in rows[0][:4]]
@@ -136,8 +144,7 @@ def _bundle_iri(pairs: tuple[tuple[str, Iri], ...], base: str = DEFAULT_BUNDLE_B
 
 
 def read_bundle_sidecar_csv(text: str) -> dict[Iri, list[tuple[str, Iri]]]:
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    rows = _csv_rows(text, "sidecar row")
     if not rows or [c.strip() for c in rows[0]] != ["bundle", "dimension", "context"]:
         raise FormatError("bundle sidecar CSV needs header bundle,dimension,context")
     bundles: dict[Iri, list[tuple[str, Iri]]] = {}

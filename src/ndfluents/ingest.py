@@ -84,16 +84,19 @@ def read_estimate_rows(text: str) -> list[EstimateRow]:
     duplicate (source, year) pairs."""
     reader = csv.reader(io.StringIO(text))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestError("empty CSV: expected a header row") from None
+        records = list(reader)
+    except csv.Error as error:
+        raise IngestError(f"row {reader.line_num}: {error}") from None
+    if not records:
+        raise IngestError("empty CSV: expected a header row")
+    header = records[0]
     if tuple(cell.strip() for cell in header) != INGEST_HEADER:
         raise IngestError(
             f"bad header: expected {','.join(INGEST_HEADER)}, got {','.join(header)}"
         )
     rows: list[EstimateRow] = []
     seen: dict[tuple[str, int], int] = {}
-    for number, cells in enumerate(reader, start=2):
+    for number, cells in enumerate(records[1:], start=2):
         if not cells or all(not cell.strip() for cell in cells):
             continue
         if len(cells) != len(INGEST_HEADER):

@@ -117,9 +117,6 @@ class Variable:
         return f"?{self.name}"
 
 
-PatternTerm = "Term | Variable"
-
-
 @dataclass(frozen=True)
 class TriplePattern:
     """One triple pattern; each position is a concrete term or a variable."""

@@ -54,7 +54,6 @@ from .vocabulary import (
     FUNCTIONAL,
     INVERSE_FUNCTIONAL,
     RANGE,
-    RANGE_COMPLEMENT_OF,
     SUB_CLASS_OF,
     SUB_PROPERTY_OF,
     TRANSITIVE,
@@ -135,35 +134,27 @@ class _RuleIndex:
         self.avf_domain_by_via: dict[Iri, set[tuple[Iri, Iri]]] = {}
         self.avf_range_by_via: dict[Iri, set[tuple[Iri, Iri]]] = {}
         self.disjoint: list[tuple[Iri, Iri]] = []
+        binary = {SUB_CLASS_OF: self.super_classes, SUB_PROPERTY_OF: self.super_props,
+                  DOMAIN: self.domains, RANGE: self.ranges}
+        unary = {TRANSITIVE: self.transitive, FUNCTIONAL: self.functional,
+                 INVERSE_FUNCTIONAL: self.inverse_functional}
+        all_values_from = {ALL_VALUES_FROM_DOMAIN: (self.avf_domain, self.avf_domain_by_via),
+                           ALL_VALUES_FROM_RANGE: (self.avf_range, self.avf_range_by_via)}
+        # RangeComplementOf is enforced by validate()'s pattern checks, not by
+        # a forward rule, and declarations infer nothing.
         for ax in axioms:
             # The rule products put these terms into triples unchecked.
             if not all(isinstance(term, Iri) for term in ax.terms):
                 raise ValueError(f"axiom {ax.kind} has a term that is not an IRI: {ax.terms!r}")
-            if ax.kind == SUB_CLASS_OF:
-                self.super_classes.setdefault(ax.terms[0], set()).add(ax.terms[1])
-            elif ax.kind == SUB_PROPERTY_OF:
-                self.super_props.setdefault(ax.terms[0], set()).add(ax.terms[1])
-            elif ax.kind == DOMAIN:
-                self.domains.setdefault(ax.terms[0], set()).add(ax.terms[1])
-            elif ax.kind == RANGE:
-                self.ranges.setdefault(ax.terms[0], set()).add(ax.terms[1])
-            elif ax.kind == RANGE_COMPLEMENT_OF:
-                pass  # enforced by validate()'s pattern checks, not a forward rule
-
-            elif ax.kind == TRANSITIVE:
-                self.transitive.add(ax.terms[0])
-            elif ax.kind == FUNCTIONAL:
-                self.functional.add(ax.terms[0])
-            elif ax.kind == INVERSE_FUNCTIONAL:
-                self.inverse_functional.add(ax.terms[0])
-            elif ax.kind == ALL_VALUES_FROM_DOMAIN:
+            if ax.kind in binary:
+                binary[ax.kind].setdefault(ax.terms[0], set()).add(ax.terms[1])
+            elif ax.kind in unary:
+                unary[ax.kind].add(ax.terms[0])
+            elif ax.kind in all_values_from:
                 prop, via, cls = ax.terms
-                self.avf_domain.setdefault(prop, set()).add((via, cls))
-                self.avf_domain_by_via.setdefault(via, set()).add((prop, cls))
-            elif ax.kind == ALL_VALUES_FROM_RANGE:
-                prop, via, cls = ax.terms
-                self.avf_range.setdefault(prop, set()).add((via, cls))
-                self.avf_range_by_via.setdefault(via, set()).add((prop, cls))
+                by_prop, by_via = all_values_from[ax.kind]
+                by_prop.setdefault(prop, set()).add((via, cls))
+                by_via.setdefault(via, set()).add((prop, cls))
             elif ax.kind == DISJOINT_CLASSES:
                 self.disjoint.append((ax.terms[0], ax.terms[1]))
         # Properties in the partOf family: functional conflicts on these are
@@ -337,9 +328,7 @@ def saturate(
         delta = opened.copy()
 
     for a, b in idx.disjoint:
-        offenders = {
-            s for s in po.get((RDF_TYPE, a), set()) & po.get((RDF_TYPE, b), set())
-        }
+        offenders = po.get((RDF_TYPE, a), set()) & po.get((RDF_TYPE, b), set())
         for s in sorted(offenders, key=lambda x: x.n3()):
             v = Violation(
                 VIOLATION_DISJOINT,

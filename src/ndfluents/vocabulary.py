@@ -6,6 +6,10 @@ module, per-dimension modules, per-dimension restriction modules, the
 optional transitivity / functional-extent axioms, combined-dimension
 modules, and related contextual properties. Axiom lists are duplicate-free
 and deterministic in order.
+
+Each axiom kind has one RDF form, after the W3C OWL 2 mapping to RDF
+graphs, and one table holds them all: `axioms_to_graph` renders axioms
+through it and `axioms_from_graph` reads them back through its inverse.
 """
 
 from __future__ import annotations
@@ -278,6 +282,7 @@ class DimensionRegistry:
     ):
         self._dims: dict[str, ContextDimension] = {}
         self._patterns: dict[CoreVocabulary, PatternVocabulary] = {}
+        self._combined: dict[tuple[str, ...], ContextDimension] = {}
         self.combined_base = combined_base
         for dim in dimensions or ():
             self.add(dim)
@@ -299,7 +304,11 @@ class DimensionRegistry:
         return sorted(self._dims)
 
     def combined(self, names: list[str] | tuple[str, ...]) -> ContextDimension:
-        return combine_dimensions([self.get(n) for n in names], base=self.combined_base)
+        """The combined dimension of `names`, minted once per name set."""
+        key = tuple(sorted(names))
+        if key not in self._combined:
+            self._combined[key] = combine_dimensions([self.get(n) for n in key], base=self.combined_base)
+        return self._combined[key]
 
     def combined_name_sets(self) -> list[tuple[str, ...]]:
         """Every set of two or more registered names, as a sorted tuple:
@@ -492,15 +501,29 @@ def related_contextual_property(
 
 # --- axiom <-> graph ---------------------------------------------------------
 
-_DECL_CLASS_BY_ROLE = {
-    CLASS: OWL.Class,
-    OBJECT_PROPERTY: OWL.ObjectProperty,
-    DATA_PROPERTY: OWL.DatatypeProperty,
+# Each axiom kind's RDF form: a link kind is `(a, predicate, b)`, a typed kind
+# (by kind and role) `(a, rdf:type, class)`, and a structure kind links `a` to
+# a blank node of its class holding the other terms under its properties. A
+# range complement comes first: it wins over a restriction on the same node.
+_LINKS = {
+    SUB_CLASS_OF: RDFS.subClassOf,
+    SUB_PROPERTY_OF: RDFS.subPropertyOf,
+    DOMAIN: RDFS.domain,
+    RANGE: RDFS.range,
+    DISJOINT_CLASSES: OWL.disjointWith,
 }
-_CHARACTERISTIC_CLASSES = {
-    FUNCTIONAL: OWL.FunctionalProperty,
-    INVERSE_FUNCTIONAL: OWL.InverseFunctionalProperty,
-    TRANSITIVE: OWL.TransitiveProperty,
+_TYPES = {
+    (DECLARATION, CLASS): OWL.Class,
+    (DECLARATION, OBJECT_PROPERTY): OWL.ObjectProperty,
+    (DECLARATION, DATA_PROPERTY): OWL.DatatypeProperty,
+    (FUNCTIONAL, ""): OWL.FunctionalProperty,
+    (INVERSE_FUNCTIONAL, ""): OWL.InverseFunctionalProperty,
+    (TRANSITIVE, ""): OWL.TransitiveProperty,
+}
+_STRUCTURES = {
+    RANGE_COMPLEMENT_OF: (RDFS.range, OWL.Class, (OWL.complementOf,)),
+    ALL_VALUES_FROM_DOMAIN: (RDFS.domain, OWL.Restriction, (OWL.onProperty, OWL.allValuesFrom)),
+    ALL_VALUES_FROM_RANGE: (RDFS.range, OWL.Restriction, (OWL.onProperty, OWL.allValuesFrom)),
 }
 
 
@@ -508,41 +531,18 @@ def axioms_to_graph(axioms: list[Axiom]) -> Graph:
     """Render axioms with standard RDFS/OWL predicates. Restrictions and
     complements become blank-node structures."""
     triples: list[Triple] = []
-    counter = 0
-
-    def fresh() -> BlankNode:
-        nonlocal counter
-        counter += 1
-        return BlankNode(f"b{counter - 1}")
-
+    nodes = 0
     for ax in axioms:
-        if ax.kind == DECLARATION:
-            triples.append(Triple(ax.terms[0], RDF_TYPE, _DECL_CLASS_BY_ROLE[ax.role]))
-        elif ax.kind == SUB_CLASS_OF:
-            triples.append(Triple(ax.terms[0], RDFS.subClassOf, ax.terms[1]))
-        elif ax.kind == SUB_PROPERTY_OF:
-            triples.append(Triple(ax.terms[0], RDFS.subPropertyOf, ax.terms[1]))
-        elif ax.kind == DOMAIN:
-            triples.append(Triple(ax.terms[0], RDFS.domain, ax.terms[1]))
-        elif ax.kind == RANGE:
-            triples.append(Triple(ax.terms[0], RDFS.range, ax.terms[1]))
-        elif ax.kind == RANGE_COMPLEMENT_OF:
-            node = fresh()
-            triples.append(Triple(ax.terms[0], RDFS.range, node))
-            triples.append(Triple(node, RDF_TYPE, OWL.Class))
-            triples.append(Triple(node, OWL.complementOf, ax.terms[1]))
-        elif ax.kind in _CHARACTERISTIC_CLASSES:
-            triples.append(Triple(ax.terms[0], RDF_TYPE, _CHARACTERISTIC_CLASSES[ax.kind]))
-        elif ax.kind == DISJOINT_CLASSES:
-            triples.append(Triple(ax.terms[0], OWL.disjointWith, ax.terms[1]))
-        elif ax.kind in (ALL_VALUES_FROM_DOMAIN, ALL_VALUES_FROM_RANGE):
-            prop, via, cls = ax.terms
-            node = fresh()
-            link = RDFS.domain if ax.kind == ALL_VALUES_FROM_DOMAIN else RDFS.range
-            triples.append(Triple(prop, link, node))
-            triples.append(Triple(node, RDF_TYPE, OWL.Restriction))
-            triples.append(Triple(node, OWL.onProperty, via))
-            triples.append(Triple(node, OWL.allValuesFrom, cls))
+        if ax.kind in _LINKS:
+            triples.append(Triple(ax.terms[0], _LINKS[ax.kind], ax.terms[1]))
+        elif (ax.kind, ax.role) in _TYPES:
+            triples.append(Triple(ax.terms[0], RDF_TYPE, _TYPES[ax.kind, ax.role]))
+        elif ax.kind in _STRUCTURES:
+            link, cls, props = _STRUCTURES[ax.kind]
+            node = BlankNode(f"b{nodes}")
+            nodes += 1
+            triples += [Triple(ax.terms[0], link, node), Triple(node, RDF_TYPE, cls)]
+            triples += [Triple(node, prop, term) for prop, term in zip(props, ax.terms[1:])]
         else:
             raise ValueError(f"unknown axiom kind: {ax.kind!r}")
     return Graph(triples)
@@ -551,54 +551,32 @@ def axioms_to_graph(axioms: list[Axiom]) -> Graph:
 def axioms_from_graph(graph: Graph) -> list[Axiom]:
     """Extract the axiom forms this package emits from an RDF graph.
     Triples outside the supported schema vocabulary are ignored."""
-    restrictions: dict[BlankNode, dict[str, Iri]] = {}
-    complements: dict[BlankNode, Iri] = {}
-    data_props = {s for s in graph.subjects(RDF_TYPE, OWL.DatatypeProperty) if isinstance(s, Iri)}
+    typed = {cls: kind_role for kind_role, cls in _TYPES.items()}
+    linked = {pred: kind for kind, pred in _LINKS.items()}
+    # The IRI-valued properties of each blank node.
+    nodes: dict[BlankNode, dict[Iri, Iri]] = {}
     for triple in graph:
-        if isinstance(triple.subject, BlankNode):
-            node, pred, obj = triple.subject, triple.predicate, triple.object
-            if pred == OWL.onProperty and isinstance(obj, Iri):
-                restrictions.setdefault(node, {})["via"] = obj
-            elif pred == OWL.allValuesFrom and isinstance(obj, Iri):
-                restrictions.setdefault(node, {})["cls"] = obj
-            elif pred == OWL.complementOf and isinstance(obj, Iri):
-                complements[node] = obj
+        if isinstance(triple.subject, BlankNode) and isinstance(triple.object, Iri):
+            nodes.setdefault(triple.subject, {})[triple.predicate] = triple.object
+    data_props = set(graph.subjects(RDF_TYPE, _TYPES[DECLARATION, DATA_PROPERTY]))
 
     axioms: list[Axiom] = []
-    for triple in graph.sorted_triples():
-        subj, pred, obj = triple.subject, triple.predicate, triple.object
+    for subj, pred, obj in graph.sorted_triples():
         if not isinstance(subj, Iri):
             continue
         if pred == RDF_TYPE:
-            if obj == OWL.Class:
-                axioms.append(declaration(subj, CLASS))
-            elif obj == OWL.ObjectProperty:
-                axioms.append(declaration(subj, OBJECT_PROPERTY))
-            elif obj == OWL.DatatypeProperty:
-                axioms.append(declaration(subj, DATA_PROPERTY))
-            elif obj == OWL.FunctionalProperty:
-                axioms.append(functional(subj))
-            elif obj == OWL.InverseFunctionalProperty:
-                axioms.append(inverse_functional(subj))
-            elif obj == OWL.TransitiveProperty:
-                axioms.append(transitive(subj))
-        elif pred == RDFS.subClassOf and isinstance(obj, Iri):
-            axioms.append(sub_class_of(subj, obj))
-        elif pred == RDFS.subPropertyOf and isinstance(obj, Iri):
-            role = DATA_PROPERTY if subj in data_props else OBJECT_PROPERTY
-            axioms.append(sub_property_of(subj, obj, role))
-        elif pred in (RDFS.domain, RDFS.range):
-            is_domain = pred == RDFS.domain
-            if isinstance(obj, Iri):
-                axioms.append(property_domain(subj, obj) if is_domain else property_range(subj, obj))
-            elif isinstance(obj, BlankNode):
-                if obj in complements and not is_domain:
-                    axioms.append(range_complement_of(subj, complements[obj]))
-                elif obj in restrictions:
-                    parts = restrictions[obj]
-                    if "via" in parts and "cls" in parts:
-                        make = all_values_from_domain if is_domain else all_values_from_range
-                        axioms.append(make(subj, parts["via"], parts["cls"]))
-        elif pred == OWL.disjointWith and isinstance(obj, Iri):
-            axioms.append(disjoint_classes(subj, obj))
+            if obj in typed:
+                kind, role = typed[obj]
+                axioms.append(Axiom(kind, (subj,), role))
+        elif pred in linked and isinstance(obj, Iri):
+            kind, role = linked[pred], ""
+            if kind == SUB_PROPERTY_OF:
+                role = DATA_PROPERTY if subj in data_props else OBJECT_PROPERTY
+            axioms.append(Axiom(kind, (subj, obj), role))
+        elif isinstance(obj, BlankNode):
+            values = nodes.get(obj, {})
+            for kind, (link, _, props) in _STRUCTURES.items():
+                if pred == link and all(prop in values for prop in props):
+                    axioms.append(Axiom(kind, (subj, *(values[prop] for prop in props))))
+                    break
     return axioms

@@ -28,6 +28,7 @@ from ndfluents import (
 )
 from ndfluents import cli
 from ndfluents.cli import build_parser, main
+from ndfluents.config import load_config
 from ndfluents.parser import parse_ntriples, parse_turtle
 from ndfluents.serializer import serialize_ntriples
 from ndfluents.vocabulary import (
@@ -40,6 +41,7 @@ from ndfluents.vocabulary import (
 
 FIXTURE_CSV = "fixtures/world_population.csv"
 SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(args, hash_seed="0"):
@@ -403,6 +405,23 @@ class TestReason:
         assert list(derived.match(obj=EX.Thing))
 
 
+    @pytest.mark.parametrize("model", ["multi-context", "contexts-in-context", "combined-extent"])
+    def test_the_written_ontology_reads_back_as_the_configured_tbox(self, tmp_path, model):
+        config = tmp_path / "run.ini"
+        config.write_text(f"[core]\nmodel = {model}\n", encoding="utf-8")
+        tbox = tmp_path / "tbox.ttl"
+        assert main(["gen-ontology", "-c", str(config), "-o", str(tbox)]) == 0
+        read_back = axioms_from_graph(parse_turtle(tbox.read_text(encoding="utf-8")))
+        assert set(read_back) == set(load_config(config.read_text(encoding="utf-8")).axioms())
+        graph = GOLDEN / f"object_parts.{model}.nt"
+        written = []
+        for extra in ([], ["--tbox", str(tbox)]):
+            out = tmp_path / f"reasoned{len(extra)}.ttl"
+            assert main(["reason", "-c", str(config), str(graph), *extra, "-o", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+
 class TestQuery:
     def test_pattern_to_csv(self, tmp_path, graph_file, capsys):
         pattern = tmp_path / "pattern.rq"
@@ -594,6 +613,18 @@ MALFORMED_INPUTS = {
     "csv-undecodable": ("csv", _CSV_HEADER.encode() + b"http://e.org/\xff" + _CSV_ROW[14:].encode(), "not UTF-8 at byte 59"),
     "csv-dangling-dimension": ("csv", _CSV_HEADER[:-1] + ",dim2\n" + _CSV_ROW[:-1] + ",provenance\n", "row 2: dangling dimension"),
     "csv-unknown-dimension": ("csv", _CSV_HEADER + _CSV_ROW.replace("temporal", "spatial"), "unknown dimension: 'spatial'"),
+    "csv-oversized-field": (
+        "csv", _CSV_HEADER + _CSV_ROW.replace("http://e.org/a", "http://e.org/" + "a" * 131072),
+        "row 2: field larger than field limit",
+    ),
+    "estimates-oversized-field": (
+        "estimates", "source,year,population_low,population_high\n" + "s" * 131073 + ",2000,1,\n",
+        "row 2: field larger than field limit",
+    ),
+    "sidecar-oversized-field": (
+        "sidecar", "bundle,dimension,context\nhttp://e.org/" + "b" * 131072 + ",temporal,http://e.org/t1\n",
+        "sidecar row 2: field larger than field limit",
+    ),
     "config-truncated": ("config", "[core]\nmodel", "line 2: expected key = value"),
     "config-bad-section-header": ("config", "[core\nmodel = multi-context\n", "line 1: expected a [section] header"),
     "config-unknown-section": ("config", "[weird]\n", "unknown config section [weird]"),
@@ -628,8 +659,9 @@ MALFORMED_INPUTS = {
 
 
 class TestMalformedInputs:
-    """Every malformed statements, config or pattern file exits 2 with one
-    `error:` line and no traceback, in a fresh interpreter."""
+    """Every malformed statements, estimates, sidecar, config or pattern
+    file exits 2 with one `error:` line and no traceback, in a fresh
+    interpreter."""
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
     def test_exits_two_with_one_error_line(self, tmp_path, case):
@@ -642,8 +674,12 @@ class TestMalformedInputs:
         good_csv.write_text(_CSV_HEADER + _CSV_ROW, encoding="utf-8")
         graph = tmp_path / "graph.nt"
         graph.write_text("<http://e.org/a@t1> <http://e.org/p> <http://e.org/b@t1> .\n", encoding="utf-8")
+        quads = tmp_path / "good.nq"
+        quads.write_text("<http://e.org/a> <http://e.org/p> <http://e.org/b> <http://e.org/bundle> .\n", encoding="utf-8")
         argv = {
             "csv": ["contextualize", bad],
+            "estimates": ["ingest-csv", bad],
+            "sidecar": ["contextualize", quads, "--format", "nquads", "--sidecar", bad],
             "config": ["contextualize", good_csv, "-c", bad],
             "pattern": ["query", graph, "--pattern", bad],
         }[kind]

@@ -21,6 +21,13 @@ between statements. Its files were written by
     ndfluents contextualize -c MODEL.ini fixtures/object_parts.csv \\
         -o tests/golden/object_parts.MODEL.ttl
 
+The ontology each model's configuration calls for is pinned the same way,
+blank nodes of its range complement included; its files were written by
+
+    ndfluents gen-ontology -c MODEL.ini -o tests/golden/ontology.MODEL.ttl
+
+(and `--format ntriples -o tests/golden/ontology.MODEL.nt`).
+
 A change that means to alter the output regenerates them so.
 """
 
@@ -74,6 +81,19 @@ def test_contextualize_output_is_byte_identical_to_the_committed_file(ingested, 
     argv = ["contextualize", "-c", str(config), *inputs[name], "-o", str(out)]
     if fmt == "nt":
         argv += ["--out-format", "ntriples"]
+    assert main(argv) == 0
+    assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
+
+
+@pytest.mark.parametrize("model", list(MODELS))
+@pytest.mark.parametrize("fmt", ["ttl", "nt"])
+def test_gen_ontology_output_is_byte_identical_to_the_committed_file(tmp_path, model, fmt):
+    config = tmp_path / f"{model}.ini"
+    config.write_text(MODELS[model], encoding="utf-8")
+    out = tmp_path / f"ontology.{model}.{fmt}"
+    argv = ["gen-ontology", "-c", str(config), "-o", str(out)]
+    if fmt == "nt":
+        argv += ["--format", "ntriples"]
     assert main(argv) == 0
     assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
 

@@ -1,6 +1,8 @@
 """Vocabulary constants, dimension factories, and axiom module generators."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ndfluents import (
     Axiom,
@@ -21,13 +23,19 @@ from ndfluents import (
     related_contextual_property,
     temporal_dimension,
 )
+from ndfluents.parser import parse_turtle
 from ndfluents.vocabulary import (
+    CLASS,
+    DATA_PROPERTY,
+    OBJECT_PROPERTY,
     all_values_from_domain,
     all_values_from_range,
     combined_dimension_module,
+    declaration,
     disjoint_classes,
     functional,
     functional_extent_axiom,
+    inverse_functional,
     member_context_axioms,
     property_domain,
     property_range,
@@ -116,6 +124,16 @@ class TestRegistry:
         assert combined == combine_dimensions(
             [temporal_dimension(), provenance_dimension()]
         )
+
+    def test_each_combined_dimension_is_minted_once(self):
+        reg = default_registry()
+        combined = reg.combined(("provenance", "temporal"))
+        assert reg.combined(["temporal", "provenance"]) is combined
+        assert combined == combine_dimensions([temporal_dimension(), provenance_dimension()])
+        with pytest.raises(ValueError):
+            reg.combined(["temporal", "temporal"])
+        with pytest.raises(KeyError):
+            reg.combined(["temporal", "spatial"])
 
 
 class TestCoreModule:
@@ -244,6 +262,92 @@ class TestAxiomGraphRoundTrip:
             self._round_trip(module)
 
     def test_inverse_functional_round_trips(self):
-        from ndfluents.vocabulary import inverse_functional
-
         self._round_trip([inverse_functional(Iri("http://example.org/p"))])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_axiom_lists_round_trip(self, data):
+        # Both subproperty roles and at least two blank-node structures in
+        # every list, among axioms of all twelve kinds.
+        axioms = data.draw(st.lists(_ANY_AXIOM, max_size=16))
+        axioms += [data.draw(_DATA_SUB_PROPERTY), data.draw(_OBJECT_SUB_PROPERTY)]
+        axioms += data.draw(st.lists(_STRUCTURE, min_size=2, max_size=4))
+        # A data subproperty reads back as one only when its subject is
+        # declared a datatype property.
+        axioms += [
+            declaration(ax.terms[0], DATA_PROPERTY) for ax in axioms if ax.role == DATA_PROPERTY
+        ]
+        # A repeated structure renders as two blank nodes and reads back twice.
+        axioms = data.draw(st.permutations(list(dict.fromkeys(axioms))))
+        self._round_trip(axioms)
+
+
+# Data properties are drawn from their own pool, so that no object
+# subproperty's subject is declared a datatype property.
+_CLASSES = st.sampled_from([Iri(f"http://example.org/C{i}") for i in range(3)])
+_OBJECT_PROPERTIES = st.sampled_from([Iri(f"http://example.org/p{i}") for i in range(3)])
+_DATA_PROPERTIES = st.sampled_from([Iri(f"http://example.org/d{i}") for i in range(2)])
+_ANY_TERM = st.one_of(_CLASSES, _OBJECT_PROPERTIES, _DATA_PROPERTIES)
+_DATA_SUB_PROPERTY = st.builds(sub_property_of, _DATA_PROPERTIES, _ANY_TERM, st.just(DATA_PROPERTY))
+_OBJECT_SUB_PROPERTY = st.builds(sub_property_of, _OBJECT_PROPERTIES, _ANY_TERM, st.just(OBJECT_PROPERTY))
+_STRUCTURE = st.one_of(
+    st.builds(range_complement_of, _OBJECT_PROPERTIES, _CLASSES),
+    st.builds(all_values_from_domain, _OBJECT_PROPERTIES, _OBJECT_PROPERTIES, _CLASSES),
+    st.builds(all_values_from_range, _OBJECT_PROPERTIES, _OBJECT_PROPERTIES, _CLASSES),
+)
+_ANY_AXIOM = st.one_of(
+    _STRUCTURE,
+    _DATA_SUB_PROPERTY,
+    _OBJECT_SUB_PROPERTY,
+    st.builds(sub_class_of, _ANY_TERM, _ANY_TERM),
+    st.builds(property_domain, _OBJECT_PROPERTIES, _CLASSES),
+    st.builds(property_range, _OBJECT_PROPERTIES, _CLASSES),
+    st.builds(functional, _ANY_TERM),
+    st.builds(inverse_functional, _ANY_TERM),
+    st.builds(transitive, _ANY_TERM),
+    st.builds(disjoint_classes, _CLASSES, _CLASSES),
+    st.builds(declaration, st.one_of(_CLASSES, _OBJECT_PROPERTIES), st.sampled_from([CLASS, OBJECT_PROPERTY])),
+    st.builds(declaration, _DATA_PROPERTIES, st.just(DATA_PROPERTY)),
+)
+
+_PREFIXES = """\
+@prefix ex: <http://example.org/> .
+@prefix owl: <http://www.w3.org/2002/07/owl#> .
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+"""
+
+
+class TestAxiomsFromGraph:
+    """The blank-node structures `axioms_from_graph` reads, and the ones it
+    ignores."""
+
+    def _read(self, *lines: str) -> list[Axiom]:
+        return axioms_from_graph(parse_turtle(_PREFIXES + "\n".join(lines)))
+
+    def test_a_restriction_without_all_values_from_is_ignored(self):
+        assert self._read("ex:p rdfs:domain _:r .", "_:r a owl:Restriction ; owl:onProperty ex:q .") == []
+
+    def test_a_complement_under_domain_is_ignored(self):
+        assert self._read("ex:p rdfs:domain _:c .", "_:c a owl:Class ; owl:complementOf ex:C .") == []
+
+    def test_a_structure_without_a_type_is_read(self):
+        assert self._read(
+            "ex:p rdfs:range _:c .",
+            "_:c owl:complementOf ex:C .",
+            "ex:q rdfs:domain _:r .",
+            "_:r owl:onProperty ex:v ; owl:allValuesFrom ex:D .",
+        ) == [
+            range_complement_of(Iri("http://example.org/p"), Iri("http://example.org/C")),
+            all_values_from_domain(
+                Iri("http://example.org/q"), Iri("http://example.org/v"), Iri("http://example.org/D")
+            ),
+        ]
+
+    def test_a_literal_on_property_is_ignored(self):
+        assert self._read("ex:p rdfs:domain _:r .", '_:r owl:onProperty "q" ; owl:allValuesFrom ex:C .') == []
+
+    def test_a_range_complement_wins_over_a_restriction_on_the_same_node(self):
+        assert self._read(
+            "ex:p rdfs:range _:n .",
+            "_:n owl:complementOf ex:C ; owl:onProperty ex:v ; owl:allValuesFrom ex:D .",
+        ) == [range_complement_of(Iri("http://example.org/p"), Iri("http://example.org/C"))]
