@@ -28,17 +28,29 @@ blank nodes of its range complement included; its files were written by
 
 (and `--format ntriples -o tests/golden/ontology.MODEL.nt`).
 
+`context_slice` is pinned on those same `contextualize` outputs: the
+committed N-Triples file of each input and model, sliced for every context
+its statements name, once with the context's dimension and once without,
+each slice written as N-Triples to `golden/slices/`. Those files were
+written by
+
+    PYTHONPATH=src python tests/test_golden.py --write-slices
+
 A change that means to alter the output regenerates them so.
 """
 
+import sys
 from pathlib import Path
 
 import pytest
 
 from ndfluents.cli import main
 from ndfluents.config import load_config
+from ndfluents.formats import read_statements_csv
+from ndfluents.ingest import ingest_csv
 from ndfluents.parser import parse_ntriples, parse_turtle
-from ndfluents.serializer import serialize_turtle
+from ndfluents.query import context_slice
+from ndfluents.serializer import serialize_ntriples, serialize_turtle
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -104,3 +116,56 @@ def test_committed_turtle_reads_back_to_its_ntriples_and_writes_back_to_itself(m
     graph = parse_turtle(turtle)
     assert graph == parse_ntriples((GOLDEN / f"population.{model}.nt").read_bytes())
     assert serialize_turtle(graph, load_config(MODELS[model]).prefixes()) == turtle
+
+
+def _slice_cases():
+    """(file name, input, model, dimension or None, context) for every
+    committed slice: each context the input's statements name, with its
+    dimension and with none."""
+    fixtures = ROOT / "fixtures"
+    statements = {
+        "population": ingest_csv((fixtures / "world_population.csv").read_text(encoding="utf-8")).statements,
+        "object_parts": read_statements_csv((fixtures / "object_parts.csv").read_text(encoding="utf-8")),
+    }
+    cases = []
+    for name, annotated in statements.items():
+        pairs = sorted({(a.dimension, a.context.value, a.context) for s in annotated for a in s.contexts})
+        for model in MODELS:
+            for dimension, _, context in pairs:
+                for given in (dimension, None):
+                    stem = f"{name}.{model}.{given or 'any'}.{context.local_name()}"
+                    cases.append((f"{stem}.nt", name, model, given, context))
+    return cases
+
+
+SLICE_CASES = _slice_cases()
+
+
+def _slice_ntriples(name, model, dimension, context):
+    graph = parse_ntriples((GOLDEN / f"{name}.{model}.nt").read_bytes())
+    config = load_config(MODELS[model])
+    return serialize_ntriples(context_slice(graph, config.registry, context, dimension, config.vocab))
+
+
+@pytest.mark.parametrize(
+    "file_name, name, model, dimension, context", SLICE_CASES, ids=[case[0][:-3] for case in SLICE_CASES]
+)
+def test_context_slice_is_byte_identical_to_the_committed_file(file_name, name, model, dimension, context):
+    expected = (GOLDEN / "slices" / file_name).read_bytes()
+    assert _slice_ntriples(name, model, dimension, context).encode("utf-8") == expected
+
+
+def _write_slices() -> None:
+    out = GOLDEN / "slices"
+    out.mkdir(exist_ok=True)
+    names = [case[0] for case in SLICE_CASES]
+    assert len(set(names)) == len(names), "two slices share a file name"
+    for file_name, name, model, dimension, context in SLICE_CASES:
+        (out / file_name).write_bytes(_slice_ntriples(name, model, dimension, context).encode("utf-8"))
+    print(f"wrote {len(SLICE_CASES)} slices to {out}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write-slices"]:
+        sys.exit("usage: python tests/test_golden.py --write-slices")
+    _write_slices()
