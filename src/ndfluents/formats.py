@@ -69,11 +69,13 @@ def _format_object(term: Term, row_hint: str) -> tuple[str, str]:
     raise FormatError(f"{row_hint}: blank nodes cannot be written to statements CSV")
 
 
-def _csv_rows(text: str, row_label: str) -> list[list[str]]:
-    """The rows of `text` that hold anything but blanks."""
+def _csv_rows(text: str, row_label: str) -> list[tuple[int, list[str]]]:
+    """The rows of `text` that hold anything but blanks, each with the
+    physical line it ends on (`reader.line_num`), which every error about
+    the row names, as a `csv.Error` does."""
     reader = csv.reader(io.StringIO(text))
     try:
-        return [row for row in reader if row and any(cell.strip() for cell in row)]
+        return [(reader.line_num, row) for row in reader if row and any(cell.strip() for cell in row)]
     except csv.Error as error:
         raise FormatError(f"{row_label} {reader.line_num}: {error}") from None
 
@@ -82,11 +84,11 @@ def read_statements_csv(text: str) -> list[AnnotatedStatement]:
     rows = _csv_rows(text, "row")
     if not rows:
         raise FormatError("empty statements CSV")
-    header = [cell.strip() for cell in rows[0][:4]]
+    header = [cell.strip() for cell in rows[0][1][:4]]
     if header != CSV_HEADER:
         raise FormatError(f"bad header: expected {','.join(CSV_HEADER)},dim1,ctx1,...")
     statements = []
-    for idx, row in enumerate(rows[1:], start=2):
+    for idx, row in rows[1:]:
         if len(row) < 6:
             raise FormatError(f"row {idx}: expected at least one (dimension, context) pair")
         subject_val, predicate_val, object_val, object_type = (cell.strip() for cell in row[:4])
@@ -145,10 +147,10 @@ def _bundle_iri(pairs: tuple[tuple[str, Iri], ...], base: str = DEFAULT_BUNDLE_B
 
 def read_bundle_sidecar_csv(text: str) -> dict[Iri, list[tuple[str, Iri]]]:
     rows = _csv_rows(text, "sidecar row")
-    if not rows or [c.strip() for c in rows[0]] != ["bundle", "dimension", "context"]:
+    if not rows or [c.strip() for c in rows[0][1]] != ["bundle", "dimension", "context"]:
         raise FormatError("bundle sidecar CSV needs header bundle,dimension,context")
     bundles: dict[Iri, list[tuple[str, Iri]]] = {}
-    for idx, row in enumerate(rows[1:], start=2):
+    for idx, row in rows[1:]:
         if len(row) != 3:
             raise FormatError(f"sidecar row {idx}: expected 3 columns")
         try:

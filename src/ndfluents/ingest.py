@@ -81,22 +81,23 @@ class IngestResult(NamedTuple):
 
 def read_estimate_rows(text: str) -> list[EstimateRow]:
     """Parse the estimates CSV into rows, rejecting malformed rows and
-    duplicate (source, year) pairs."""
+    duplicate (source, year) pairs. An error names the physical line its
+    row ends on (`reader.line_num`), as a `csv.Error` does."""
     reader = csv.reader(io.StringIO(text))
     try:
-        records = list(reader)
+        records = [(reader.line_num, cells) for cells in reader]
     except csv.Error as error:
         raise IngestError(f"row {reader.line_num}: {error}") from None
     if not records:
         raise IngestError("empty CSV: expected a header row")
-    header = records[0]
+    header = records[0][1]
     if tuple(cell.strip() for cell in header) != INGEST_HEADER:
         raise IngestError(
             f"bad header: expected {','.join(INGEST_HEADER)}, got {','.join(header)}"
         )
     rows: list[EstimateRow] = []
     seen: dict[tuple[str, int], int] = {}
-    for number, cells in enumerate(records[1:], start=2):
+    for number, cells in records[1:]:
         if not cells or all(not cell.strip() for cell in cells):
             continue
         if len(cells) != len(INGEST_HEADER):

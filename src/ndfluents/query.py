@@ -11,12 +11,15 @@ pattern literature (Stocker et al., WWW 2008): before each step the
 patterns left are sorted, stably, by how many of their variables are still
 unbound, then by how many triples have their predicate, and the first one
 is taken. Which variables are bound depends only on the steps already
-taken, so the whole order is known up front. Each step records which of
-its positions are constants, variables bound by an earlier step, or new
-variables. A solution is a tuple of terms in the order the steps bind
-them; of each triple that `Graph.match` yields for a step, only the new
+taken, so the whole order is known up front. A solution is a tuple of
+terms: the pattern's constants, then its variables in the order the steps
+bind them. Each step records which of its positions the solution already
+holds (a constant or a variable an earlier step bound) and where, so it
+decides before reading any solution which of the graph's hash indexes it
+reads and cuts each solution's key out with one `itemgetter`: a solution
+costs one `dict.get`. Of each triple in the bucket it gets, only the new
 variables are read, and only a variable repeated inside the pattern
-(`?x ex:p ?x`) is compared.
+(`?x ex:p ?x`) is compared. `context_slice` reads the same indexes.
 
 Aggregation semantics:
 
@@ -44,7 +47,8 @@ from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cache
-from typing import Callable, Container, Iterable, Iterator, NamedTuple
+from operator import itemgetter
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
 from .parser import ParseError, TermReader
 from .terms import (
@@ -56,6 +60,7 @@ from .terms import (
     Literal,
     Term,
     Triple,
+    _members,
     term_sort_key,
 )
 from .vocabulary import CORE, CoreVocabulary, DimensionRegistry
@@ -251,93 +256,125 @@ def render_cell(cell: object) -> str:
 
 
 class _Step(NamedTuple):
-    """One triple pattern of a plan, compiled against the variables the
-    steps before it bind. Per position (subject, predicate, object),
-    `constants` holds the pattern's term or None and `slots` the index of a
-    bound variable in a solution or None; a position with neither is a new
-    variable. `binds` names the new variables in the order `new` cuts
-    their terms out of a matching triple. `repeats` pairs the position of a
-    new variable's first occurrence with each later one (`?x ex:p ?x`),
-    which a triple must fill with the same term."""
+    """One triple pattern of a plan, compiled against the slots that the
+    plan's constants and the steps before it fill. `bound` lists the
+    pattern's positions (0 subject, 1 predicate, 2 object) whose term a
+    solution already holds, and `key` cuts those terms out of a solution in
+    position order: the key of the graph's index on `bound`, or the whole
+    triple when all three are bound. `binds` names the new variables in the
+    order `new` cuts their terms out of a matching triple. `repeats` pairs
+    the position of a new variable's first occurrence with each later one
+    (`?x ex:p ?x`), which a triple must fill with the same term."""
 
     pattern: TriplePattern
-    constants: tuple[Term | None, Term | None, Term | None]
-    slots: tuple[int | None, int | None, int | None]
+    bound: tuple[int, ...]
+    key: itemgetter | None
     binds: tuple[str, ...]
     new: slice
     repeats: tuple[tuple[int, int], ...]
 
 
-def _compile(tp: TriplePattern, slots: dict[str, int]) -> _Step:
+class _Plan(NamedTuple):
+    """A join order and the layout of its solutions: each solution starts
+    with `head`, the pattern's distinct constants, and `slots` maps every
+    constant (by its term) and variable (by its name) to its place in a
+    solution."""
+
+    head: tuple[Term, ...]
+    steps: list[_Step]
+    slots: dict[Term | str, int]
+
+
+def _compile(tp: TriplePattern, slots: dict[Term | str, int]) -> _Step:
     """`tp` as the step after those that bound `slots`; its new variables
     take the next slots."""
-    constants: list[Term | None] = [None, None, None]
-    bound: list[int | None] = [None, None, None]
+    bound: list[int] = []
+    places: list[int] = []
     first: dict[str, int] = {}
     repeats: list[tuple[int, int]] = []
     for i, position in enumerate((tp.subject, tp.predicate, tp.object)):
-        if not isinstance(position, Variable):
-            constants[i] = position
-        elif position.name in slots:
-            bound[i] = slots[position.name]
-        elif position.name in first:
-            repeats.append((first[position.name], i))
+        if isinstance(position, Variable):
+            position = position.name
+        if position in slots:
+            bound.append(i)
+            places.append(slots[position])
+        elif position in first:
+            repeats.append((first[position], i))
         else:
-            first[position.name] = i
+            first[position] = i
     for name in first:
         slots[name] = len(slots)
     # Any subset of the three positions is evenly spaced, so one slice
     # cuts it out of a triple.
     new = list(first.values())
     cut = slice(new[0], new[-1] + 1, new[1] - new[0] if len(new) > 1 else 1) if new else slice(0, 0)
-    return _Step(tp, tuple(constants), tuple(bound), tuple(first), cut, tuple(repeats))
+    key = itemgetter(*places) if places else None
+    return _Step(tp, tuple(bound), key, tuple(first), cut, tuple(repeats))
 
 
-def _selectivity(graph: Graph, tp: TriplePattern, bound: Container[str]) -> tuple[int, int]:
-    unbound = sum(1 for v in tp.variables() if v.name not in bound)
-    extent = graph.count(None, tp.predicate, None) if isinstance(tp.predicate, Iri) else len(graph)
-    return (unbound, extent)
-
-
-def _plan(graph: Graph, patterns: Iterable[TriplePattern]) -> list[_Step]:
+def _plan(graph: Graph, patterns: Iterable[TriplePattern]) -> _Plan:
     """The join order, most-selective-first: before each step the patterns
     left are sorted, stably, by fewest unbound variables, then smallest
     predicate extent, and the first one is taken. Which variables are bound
     depends only on the steps taken, so the order is fixed before any
     triple is read."""
-    slots: dict[str, int] = {}
-    remaining = list(patterns)
-    plan: list[_Step] = []
+    patterns = list(patterns)
+    slots: dict[Term | str, int] = {}
+    for tp in patterns:
+        for position in (tp.subject, tp.predicate, tp.object):
+            if not isinstance(position, Variable):
+                slots.setdefault(position, len(slots))
+    head = tuple(slots)
+    # Each pattern with its variables' names and its predicate's extent,
+    # read once.
+    by_predicate = graph._index((1,))
+    remaining = [
+        (
+            tp,
+            [v.name for v in tp.variables()],
+            len(_members(by_predicate.get(tp.predicate))) if isinstance(tp.predicate, Iri) else len(graph),
+        )
+        for tp in patterns
+    ]
+    steps: list[_Step] = []
     while remaining:
-        remaining.sort(key=lambda tp: _selectivity(graph, tp, slots))
-        plan.append(_compile(remaining.pop(0), slots))
-    return plan
+        remaining.sort(key=lambda item: (sum(name not in slots for name in item[1]), item[2]))
+        steps.append(_compile(remaining.pop(0)[0], slots))
+    return _Plan(head, steps, slots)
 
 
-def _solve(graph: Graph, plan: list[_Step]) -> list[tuple[Term, ...]]:
+def _solve(graph: Graph, plan: _Plan) -> list[tuple[Term, ...]]:
     """All solution mappings of the plan's conjunction, each a tuple of the
-    terms of its variables in the order the steps bind them. `Graph.match`
-    has matched every constant and bound position of a triple it yields,
-    so a step reads only its new variables and checks only its repeats."""
-    match = graph.match
-    solutions: list[tuple[Term, ...]] = [()]
-    for _, (sc, pc, oc), (si, pi, oi), _, new, repeats in plan:
-        extended: list[tuple[Term, ...]] = []
-        for binding in solutions:
-            s = sc if si is None else binding[si]
-            p = pc if pi is None else binding[pi]
-            o = oc if oi is None else binding[oi]
-            # No triple has a literal subject or a predicate that is not an IRI.
-            if s.__class__ is Literal or (p is not None and p.__class__ is not Iri):
-                continue
-            if repeats:
-                extended += [
-                    binding + t[new] for t in match(s, p, o)
-                    if all(t[a] is t[b] for a, b in repeats)
-                ]
-            else:
-                extended += [binding + t[new] for t in match(s, p, o)]
-        solutions = extended
+    plan's constants and then the terms of its variables in the order the
+    steps bind them. A step with one or two positions bound reads one
+    bucket of one index per solution; the bucket's triples match every
+    bound position, so the step reads only its new variables and checks
+    only its repeats. A step with all three bound tests membership, and one
+    with none reads every triple."""
+    solutions: list[tuple[Term, ...]] = [plan.head]
+    for _, bound, key, _, new, repeats in plan.steps:
+        if len(bound) == 3:
+            solutions = [binding for binding in solutions if key(binding) in graph]
+        elif not bound:
+            cuts = [t[new] for t in graph.sorted_triples() if all(t[a] is t[b] for a, b in repeats)]
+            solutions = [binding + cut for binding in solutions for cut in cuts]
+        else:
+            get = graph._index(bound).get
+            extended: list[tuple[Term, ...]] = []
+            for binding in solutions:
+                bucket = get(key(binding))
+                if bucket is None:
+                    continue
+                if repeats:
+                    extended += [
+                        binding + t[new] for t in _members(bucket)
+                        if all(t[a] is t[b] for a, b in repeats)
+                    ]
+                elif bucket.__class__ is list:
+                    extended += [binding + t[new] for t in bucket]
+                else:
+                    extended.append(binding + bucket[new])
+            solutions = extended
         if not solutions:
             break
     return solutions
@@ -432,7 +469,7 @@ def match(
         graph = context_slice(graph, registry, context, dimension=dimension, vocab=vocab)
     plan = _plan(graph, pattern.patterns)
     solutions = _solve(graph, plan)
-    slot = {name: i for i, name in enumerate(name for step in plan for name in step.binds)}
+    slot = plan.slots  # variables by name
 
     if pattern.aggregates:
         groups: dict[Term | None, list[tuple[Term, ...]]] = {}
@@ -512,12 +549,22 @@ def context_slice(
             f"registered: {', '.join(registry.names())}"
         )
     pattern = registry.pattern_vocabulary(vocab)
+    # The graph's indexes on the subject, the subject and predicate, and the
+    # predicate and object, read directly: a slice makes one lookup per node
+    # and property it visits.
+    by_s, by_sp, by_po = graph._index((0,)), graph._index((0, 1)), graph._index((1, 2))
+
+    def about(node: Term) -> Collection[Triple]:
+        return _members(by_s.get(node))
+
+    def linked(prop: Iri, node: Term) -> Collection[Triple]:
+        return _members(by_po.get((prop, node)))
 
     @cache  # read per node, so a slice costs what it visits, not the whole graph
     def is_part(node: Term) -> bool:
         return any(
             t.predicate in pattern.part_of or (t.predicate == RDF_TYPE and t.object in pattern.part_classes)
-            for t in graph.match(node)
+            for t in about(node)
         )
 
     # Direct hits: a registered extent to `context` (of `dimension`, if given),
@@ -527,19 +574,21 @@ def context_slice(
         t.subject
         for prop, dim in pattern.extent_dimension.items()
         if dimension is None or dim.name == dimension
-        for t in graph.match(None, prop, context)
+        for t in linked(prop, context)
     ]
     if dimension is None or any(d.name == dimension for d in pattern.dimensions(graph, context)):
-        listing = [context, *(t.subject for t in graph.match(None, pattern.member_context, context))]
+        listing = [context, *(t.subject for t in linked(pattern.member_context, context))]
         targets = [x for x in listing if isinstance(x, Iri) and context in pattern.members(graph, x)]
         for prop in pattern.extents - pattern.extent_dimension.keys():
-            hits.extend(t.subject for target in targets for t in graph.match(None, prop, target))
+            hits.extend(t.subject for target in targets for t in linked(prop, target))
 
     def children(node: Term) -> Iterator[Term]:
-        return (t.subject for prop in pattern.part_of for t in graph.match(None, prop, node))
+        return (t.subject for prop in pattern.part_of for t in linked(prop, node))
 
     def parent_parts(node: Term) -> Iterator[Term]:
-        return (t.object for prop in pattern.part_of for t in graph.match(node, prop) if is_part(t.object))
+        return (
+            t.object for prop in pattern.part_of for t in _members(by_sp.get((node, prop))) if is_part(t.object)
+        )
 
     # A part is in the slice when it or a part-chain ancestor is a direct
     # hit, so walk down from every hit along the partOf edges reversed.
@@ -553,7 +602,7 @@ def context_slice(
     kept: set[Triple] = set()
     contexts: set[Term] = set()
     for part in chains:
-        for triple in graph.match(part):
+        for triple in about(part):
             if triple.predicate in pattern.scaffolding:
                 kept.add(triple)
                 if triple.predicate in pattern.extents:
@@ -563,14 +612,14 @@ def context_slice(
 
     # Member links and the member contexts themselves.
     for ctx in list(contexts):
-        for triple in graph.match(ctx, pattern.member_context):
+        for triple in _members(by_sp.get((ctx, pattern.member_context))):
             kept.add(triple)
             contexts.add(triple.object)
 
     # Context description closure (typing plus any non-scaffolding triples
     # hanging off the context nodes, e.g. interval year descriptions).
     def description(node: Term) -> list[Triple]:
-        return [t for t in graph.match(node) if t.predicate not in pattern.part_of]
+        return [t for t in about(node) if t.predicate not in pattern.part_of]
 
     def described(node: Term) -> Iterator[Term]:
         return (
@@ -623,6 +672,14 @@ _KEYWORD_LINES = {
 }
 
 
+# A PREFIX line's IRI that the TermReader would read as written: absolute,
+# free of the characters `Iri` forbids (a backslash, which would start an
+# escape, among them) and with nothing after it, so its value is stored
+# without the term walk. Any other text (a relative IRI, an escape, a
+# comment, another token) is read by the TermReader.
+_PLAIN_IRI_RE = re.compile(r'<([A-Za-z][A-Za-z0-9+.-]*:[^\x00-\x20<>"{}|^`\\]*)>')
+
+
 class _PatternParser:
     def __init__(self) -> None:
         self.reader = TermReader()
@@ -665,10 +722,15 @@ class _PatternParser:
         return [Variable(term) if isinstance(term, str) else term for term in terms]
 
     def _prefix_line(self, m: re.Match, line_number: int) -> None:
-        terms = self._read(m.group(2), line_number)
-        if len(terms) != 1 or not isinstance(terms[0], Iri):
-            raise QueryError(f"line {line_number}: expected PREFIX name: <iri>")
-        self.reader.prefixes[m.group(1) or ""] = terms[0].value
+        plain = _PLAIN_IRI_RE.fullmatch(m.group(2))
+        if plain is not None:
+            value = plain.group(1)
+        else:
+            terms = self._read(m.group(2), line_number)
+            if len(terms) != 1 or not isinstance(terms[0], Iri):
+                raise QueryError(f"line {line_number}: expected PREFIX name: <iri>")
+            value = terms[0].value
+        self.reader.prefixes[m.group(1) or ""] = value
 
     def _group_line(self, m: re.Match, line_number: int) -> None:
         if self.group_by is not None:

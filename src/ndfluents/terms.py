@@ -24,8 +24,14 @@ checked the positions (the parser, `contextualize`, `decontextualize`,
 `_unchecked_triple` instead.
 Graphs are frozen sets of triples. Iterating a graph follows a
 deterministic total order, so serialization, triple counting and diffing
-are stable across runs; `Graph.match` answers from hash indexes and yields
-in no particular order.
+are stable across runs. Lookups answer from hash indexes, one per set of
+bound positions short of all three, and yield in no particular order.
+`Graph._index` is the one accessor of an index: it builds the index on
+first need and publishes it only when complete. A bucket is one `Triple`
+stored bare or a list of two or more, and `_members` reads both shapes.
+`Graph.match` chooses its index inline, and `Graph.count` counts what it
+yields; the query engine (`query.py`) reads the indexes through the
+accessor directly.
 """
 
 from __future__ import annotations
@@ -296,14 +302,20 @@ class Triple(namedtuple("Triple", ("subject", "predicate", "object"))):
 _unchecked_triple = partial(tuple.__new__, Triple)
 
 
-# Key functions of the hash indexes, one per combination of bound positions
-# short of all three; each also names its index in `Graph._indexes`.
-_BY_S = itemgetter(0)
-_BY_P = itemgetter(1)
-_BY_O = itemgetter(2)
-_BY_SP = itemgetter(0, 1)
-_BY_SO = itemgetter(0, 2)
-_BY_PO = itemgetter(1, 2)
+# The hash indexes by the positions they key on, each with the function that
+# cuts its key out of a triple: the term itself for one position, a tuple of
+# the terms in position order for two. A `Graph` builds an index on the first
+# lookup that needs it.
+_S, _P, _O, _SP, _SO, _PO = (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)
+_INDEX_KEYS = {positions: itemgetter(*positions) for positions in (_S, _P, _O, _SP, _SO, _PO)}
+
+
+def _members(bucket: Triple | list[Triple] | None) -> Collection[Triple]:
+    """The triples of an index bucket, which is missing (no triple), one
+    `Triple` stored bare, or a list of two or more."""
+    if bucket is None:
+        return ()
+    return bucket if bucket.__class__ is list else (bucket,)
 
 
 class Graph:
@@ -314,8 +326,11 @@ class Graph:
     threads; derive new graphs with `union` instead of mutating.
 
     Iteration follows `Triple.sort_key`. `match` and `count` answer from
-    hash indexes, one per combination of bound positions, each built on
-    the first call that needs it and kept for the life of the graph.
+    hash indexes, one per combination of bound positions, which `_index`
+    builds on the first call that needs one and keeps for the life of the
+    graph. An index maps a key (the term at its one position, or the tuple
+    of the terms at its two) to a bucket: the one matching `Triple` bare,
+    or a list of them; `_members` gives either as a collection.
     """
 
     __slots__ = ("_triples", "name", "_sorted", "_indexes")
@@ -324,7 +339,7 @@ class Graph:
         self._triples = frozenset(triples)
         self.name = name
         self._sorted: tuple[Triple, ...] | None = None
-        self._indexes: dict[itemgetter, dict[object, Triple | list[Triple]]] = {}
+        self._indexes: dict[tuple[int, ...], dict[object, Triple | list[Triple]]] = {}
 
     def sorted_triples(self) -> tuple[Triple, ...]:
         """Triples in lexicographic (subject, predicate, object) order."""
@@ -339,49 +354,28 @@ class Graph:
             triples.update(other._triples if isinstance(other, Graph) else other)
         return Graph(triples, name=name if name is not None else self.name)
 
-    def _bucket(self, key: itemgetter, value: object) -> Collection[Triple]:
-        """The triples whose positions read by `key` equal `value`."""
-        index = self._indexes.get(key)
+    def _index(self, positions: tuple[int, ...]) -> dict[object, Triple | list[Triple]]:
+        """The hash index of the triples by the terms at `positions` (one of
+        the keys of `_INDEX_KEYS`), built on the first call. A bucket of one
+        triple is stored bare, which saves a list per key: most keys of the
+        two-position indexes have one triple; `_members` reads both shapes.
+        The index is built in full before it is published, so a thread that
+        reads the graph concurrently sees either no index or a complete one."""
+        index = self._indexes.get(positions)
         if index is None:
-            # A bucket of one triple is stored bare, which saves a list per
-            # key: most keys of the two-position indexes have one triple.
-            # The index is built in full before it is published, so a
-            # thread that reads the graph concurrently sees either no index
-            # or a complete one.
+            key = _INDEX_KEYS[positions]
             index = {}
             for t in self._triples:
                 k = key(t)
                 bucket = index.get(k)
                 if bucket is None:
                     index[k] = t
-                elif isinstance(bucket, Triple):
-                    index[k] = [bucket, t]
-                else:
+                elif bucket.__class__ is list:
                     bucket.append(t)
-            self._indexes[key] = index
-        bucket = index.get(value, ())
-        return (bucket,) if isinstance(bucket, Triple) else bucket
-
-    def _lookup(
-        self, subject: Term | None, predicate: Iri | None, obj: Term | None
-    ) -> Collection[Triple]:
-        """The triples equal to every non-None position, in no particular order."""
-        if subject is not None:
-            if predicate is not None:
-                if obj is not None:
-                    key = (subject, predicate, obj)
-                    return (_unchecked_triple(key),) if key in self._triples else ()
-                return self._bucket(_BY_SP, (subject, predicate))
-            if obj is not None:
-                return self._bucket(_BY_SO, (subject, obj))
-            return self._bucket(_BY_S, subject)
-        if predicate is not None:
-            if obj is not None:
-                return self._bucket(_BY_PO, (predicate, obj))
-            return self._bucket(_BY_P, predicate)
-        if obj is not None:
-            return self._bucket(_BY_O, obj)
-        return self._triples
+                else:
+                    index[k] = [bucket, t]
+            self._indexes[positions] = index
+        return index
 
     def match(
         self,
@@ -394,9 +388,23 @@ class Graph:
         With a position bound the triples come in no particular order (it
         can change between runs); with none bound, in `sorted_triples` order.
         """
-        if subject is None and predicate is None and obj is None:
-            return iter(self.sorted_triples())
-        return iter(self._lookup(subject, predicate, obj))
+        if subject is None:
+            if predicate is None:
+                if obj is None:
+                    return iter(self.sorted_triples())
+                positions, key = _O, obj
+            elif obj is None:
+                positions, key = _P, predicate
+            else:
+                positions, key = _PO, (predicate, obj)
+        elif predicate is None:
+            positions, key = (_S, subject) if obj is None else (_SO, (subject, obj))
+        elif obj is None:
+            positions, key = _SP, (subject, predicate)
+        else:
+            key = (subject, predicate, obj)
+            return iter((_unchecked_triple(key),) if key in self._triples else ())
+        return iter(_members(self._index(positions).get(key)))
 
     def count(
         self,
@@ -405,7 +413,9 @@ class Graph:
         obj: Term | None = None,
     ) -> int:
         """How many triples `match` yields for the same positions."""
-        return len(self._lookup(subject, predicate, obj))
+        if subject is None and predicate is None and obj is None:
+            return len(self._triples)
+        return len(list(self.match(subject, predicate, obj)))
 
     def subjects(self, predicate: Iri | None = None, obj: Term | None = None) -> list[Term]:
         """The distinct subjects of the matching triples, in `term_sort_key` order."""

@@ -72,6 +72,43 @@ class TestStatementsCsv:
             read_statements_csv(header + row)
 
 
+class TestPhysicalLineNumbers:
+    """Every error names the physical line of its row, as `csv.Error`
+    does, so the two agree after a blank line or a multi-line field."""
+
+    @pytest.mark.parametrize(
+        "before, line",
+        [
+            pytest.param("\n", 3, id="blank-line"),
+            pytest.param(
+                'http://e.org/a,http://e.org/p,"two\nlines",literal,temporal,http://e.org/t\n', 4, id="multi-line-field"
+            ),
+        ],
+    )
+    def test_statements_errors_name_the_line(self, before, line):
+        header = "subject,predicate,object,objectType,dim1,ctx1\n"
+        bad = "http://e.org/a,http://e.org/p,x,literal,temporal,t1\n"
+        with pytest.raises(FormatError, match=f"^row {line}: IRI is not absolute"):
+            read_statements_csv(header + before + bad)
+        oversized = bad.replace("t1", "http://e.org/" + "t" * 131072)
+        with pytest.raises(FormatError, match=f"^row {line}: field larger than field limit"):
+            read_statements_csv(header + before + oversized)
+
+    @pytest.mark.parametrize(
+        "before, line",
+        [
+            pytest.param("\n", 3, id="blank-line"),
+            pytest.param('http://e.org/b,"tem\nporal",http://e.org/t1\n', 4, id="multi-line-field"),
+        ],
+    )
+    def test_sidecar_errors_name_the_line(self, before, line):
+        header = "bundle,dimension,context\n"
+        with pytest.raises(FormatError, match=f"^sidecar row {line}: IRI is not absolute"):
+            read_bundle_sidecar_csv(header + before + "http://e.org/b,temporal,t1\n")
+        with pytest.raises(FormatError, match=f"^sidecar row {line}: field larger than field limit"):
+            read_bundle_sidecar_csv(header + before + "http://e.org/b,temporal,http://e.org/" + "t" * 131072 + "\n")
+
+
 class TestAnnotatedNQuads:
     def test_round_trip_with_csv_sidecar(self):
         statements = _sample_statements()

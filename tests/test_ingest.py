@@ -65,6 +65,19 @@ class TestReadEstimateRows:
             read_estimate_rows(HEADER + "A,one千,100,\n")
         assert "row 2" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "before, line",
+        [pytest.param("\n", 3, id="blank-line"), pytest.param('"Mc\nEvedy",1000,100,\n', 4, id="multi-line-field")],
+    )
+    def test_errors_name_the_physical_line(self, before, line):
+        # The same line that a `csv.Error` on that row names.
+        with pytest.raises(IngestError, match=f"^row {line}: year and populations must be integers"):
+            read_estimate_rows(HEADER + before + "A,one,100,\n")
+        with pytest.raises(IngestError, match=f"^row {line}: field larger than field limit"):
+            read_estimate_rows(HEADER + before + "s" * 131073 + ",2000,1,\n")
+        with pytest.raises(IngestError, match=f"^row {line + 1}: duplicate .* first seen at row {line}$"):
+            read_estimate_rows(HEADER + before + "A,1000,100,\nA,1000,200,\n")
+
     def test_bad_population_rejected(self):
         with pytest.raises(IngestError):
             read_estimate_rows(HEADER + "A,1000,many,\n")

@@ -3,7 +3,9 @@
 import dataclasses
 import itertools
 import random
+import re
 import sys
+import threading
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
@@ -35,6 +37,8 @@ from ndfluents import (
 )
 
 from ndfluents import query
+from ndfluents.parser import parse_ntriples
+from ndfluents.serializer import serialize_ntriples
 from ndfluents.vocabulary import CORE
 
 from conftest import (
@@ -160,7 +164,7 @@ class TestMatching:
         linked = TriplePattern(Variable("y"), Variable("r"), Variable("w"))
         narrow = TriplePattern(Variable("x"), EX.p, Variable("z"))
         # Fewest unbound variables first, then the smallest predicate extent.
-        plan = query._plan(g, [wide, linked, narrow])
+        plan = query._plan(g, [wide, linked, narrow]).steps
         assert [step.pattern for step in plan] == [narrow, wide, linked]
         assert [step.binds for step in plan] == [("x", "z"), ("y",), ("r", "w")]
 
@@ -207,6 +211,60 @@ class TestMatching:
             group_by=Variable("x"),
         )
         assert match(g, pattern).rows == ((EX.a,), (EX.b,))
+
+
+def test_threads_building_the_indexes_at_once_get_the_single_threaded_tables():
+    # Eight threads (a small fixed number) match on one freshly parsed graph
+    # with no index built, so they race to build and publish the same
+    # indexes; a thread that read an index before it was complete would
+    # miss triples.
+    registry = corpus_registry()
+    statements = [
+        annotate(
+            EX[f"city{i}"],
+            EX.pop,
+            Literal(str(i), datatype=XSD.integer),
+            ("temporal", EX[f"y{i % 20}"]),
+            ("provenance", EX[f"src{i % 5}"]),
+        )
+        for i in range(400)
+    ]
+    text = serialize_ntriples(contextualize(statements, registry, CombinationModel.multi_context()))
+    patterns = [
+        parse_pattern(
+            "PREFIX ex: <http://example.org/>\n"
+            "?part ex:pop ?v .\n?part <http://purl.org/NET/ndfluents/4dFluents#temporalExtent> ?y\n"
+            "GROUP BY ?y\nAGG SUM ?v AS total\nAGG COUNT ?part AS n\n"
+        ),
+        parse_pattern(
+            "PREFIX ex: <http://example.org/>\n?part ex:pop ?v .\n?part ?p ?o\n"
+            "AGG SUM ?v AS total\nAGG COUNT ?o AS n\nCONTEXT temporal ex:y3\n"
+        ),
+    ]
+    expected = [match(parse_ntriples(text), pattern, registry) for pattern in patterns]
+    assert all(table.rows for table in expected)
+
+    graph = parse_ntriples(text)
+    assert not graph._indexes
+    start = threading.Barrier(8)
+    results: list[object] = [None] * 8
+
+    def run(slot: int) -> None:
+        start.wait(timeout=60)
+        results[slot] = [match(graph, pattern, registry) for pattern in patterns]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(slot,)) for slot in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * 8
 
 
 def _score_graph(pairs):
@@ -669,6 +727,81 @@ AGG AVG ?v AS avg
     def test_literal_escapes_decoded(self):
         pattern = parse_pattern('?s <http://e.org/p> "\\u004A\\U0001F600\\t\\"" .\n')
         assert pattern.patterns[0].object == Literal('J\U0001F600\t"')
+
+
+# PREFIX lines that `_PatternParser` may store without the term walk, and
+# lines next to them that it must still read with the TermReader.
+_PREFIX_LINES = [
+    "PREFIX ex: <http://e.org/>",
+    "PREFIX : <http://e.org/>",
+    "PREFIX ex:<http://e.org/>",
+    "prefix ex: <http://e.org/ns#>",
+    "PREFIX é-1.x: <http://e.org/>",
+    "PREFIX ex: <urn:isbn:0451450523>",
+    "PREFIX ex: <HTTP://E.ORG/é/>",
+    "PREFIX ex: <mailto:a@b.org>",
+    "PREFIX ex: <h+t.t-p:x>",
+    "PREFIX ex: <http://e.org/>   ",
+    "PREFIX ex: <rel/>",
+    "PREFIX ex: <>",
+    "PREFIX ex: <1http://e.org/>",
+    "PREFIX ex: <:>",
+    "PREFIX ex: <http://e.org/\\u0041/>",
+    "PREFIX ex: <http://e.org/\\U00000041/>",
+    "PREFIX ex: <http://e.org/\\n>",
+    "PREFIX ex: <http://e.org/\\>",
+    "PREFIX ex: <http://e.org/> # a comment",
+    "PREFIX ex: <http://e.org/>#a comment",
+    "PREFIX ex: <http://e.org/> .",
+    "PREFIX ex: <http://e.org/> <http://f.org/>",
+    "PREFIX ex: <http://e.org/> ex:",
+    "PREFIX ex: <http://e.org/>>",
+    "PREFIX ex: <http://e.org/",
+    "PREFIX ex: <http://e.org/a b>",
+    "PREFIX ex: <http://e.org/a\tb>",
+    "PREFIX ex: <http://e.org/a\x01b>",
+    'PREFIX ex: <http://e.org/"a>',
+    "PREFIX ex: <http://e.org/{a}>",
+    "PREFIX ex: <http://e.org/a|b^c`d>",
+    "PREFIX ex: <http://e.org/<a>",
+    "PREFIX ex: http://e.org/",
+]
+
+
+def _parse_both_ways(text: str, monkeypatch) -> tuple[object, object]:
+    """`parse_pattern(text)` as it is, and with every PREFIX line read by
+    the TermReader; each result is a `Pattern` or a `QueryError`'s text."""
+
+    def outcome():
+        try:
+            return parse_pattern(text)
+        except QueryError as exc:
+            return f"QueryError: {exc}"
+
+    direct = outcome()
+    with monkeypatch.context() as patched:
+        patched.setattr(query, "_PLAIN_IRI_RE", re.compile(r"(?!)"))
+        walked = outcome()
+    return direct, walked
+
+
+@pytest.mark.parametrize("line", _PREFIX_LINES)
+def test_prefix_lines_read_as_the_term_reader_reads_them(line, monkeypatch):
+    match_name = re.match(r"(?i)PREFIX\s+(\S*):", line)
+    name = match_name.group(1) if match_name else "ex"
+    direct, walked = _parse_both_ways(f"{line}\n?s ?p {name}:x .\n", monkeypatch)
+    assert direct == walked
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(alphabet=st.sampled_from('aZ09:/#.+-é \t\\u0041<>"{}|^`\x01'), max_size=12),
+    st.sampled_from(["", " ", "  # c", " .", " x"]),
+)
+def test_drawn_prefix_lines_read_as_the_term_reader_reads_them(body, end):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        direct, walked = _parse_both_ways(f"PREFIX ex: <{body}>{end}\n?s ?p ex:x .\n", monkeypatch)
+    assert direct == walked
 
 
 # Pattern terms drawn with the text that writes them.
