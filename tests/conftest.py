@@ -117,6 +117,23 @@ def core_extent_graph() -> Graph:
     )
 
 
+def listed_context_graph(extent, context, members=(), types=()) -> Graph:
+    """`EX["Paris@c"]`, a part of `EX.Paris` through the core
+    contextualPartOf with one `extent` edge to `context`, which lists each
+    of `members` through memberContext; each (node, class) of `types` is a
+    typing triple; and `EX["Paris@c"] EX.population 5`."""
+    part = EX["Paris@c"]
+    return Graph(
+        [
+            Triple(part, CORE.contextualPartOf, EX.Paris),
+            Triple(part, extent, context),
+            Triple(part, EX.population, Literal("5", datatype=XSD.integer)),
+        ]
+        + [Triple(context, CORE.memberContext, member) for member in members]
+        + [Triple(node, RDF_TYPE, cls) for node, cls in types]
+    )
+
+
 @pytest.fixture
 def temporal_registry() -> DimensionRegistry:
     return DimensionRegistry([temporal_dimension()])

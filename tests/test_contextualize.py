@@ -49,7 +49,7 @@ from ndfluents.vocabulary import (
     transitive,
 )
 
-from conftest import EX, corpus_registry, random_corpus
+from conftest import EX, corpus_registry, listed_context_graph, random_corpus
 
 TEMPORAL = temporal_dimension()
 PROVENANCE = provenance_dimension()
@@ -395,6 +395,41 @@ class TestDecontextualize:
         )
         with pytest.raises(PatternError):
             decontextualize(g, temporal_registry)
+
+    @pytest.mark.parametrize("combined", [True, False], ids=["combined", "core"])
+    def test_a_member_no_dimension_types_cannot_be_attributed(self, two_dim_registry, combined):
+        # Of two such members, the first in sorted order is named.
+        extent = two_dim_registry.combined(["provenance", "temporal"]).extent if combined else CORE.contextualExtent
+        graph = listed_context_graph(extent, EX.cc, [EX.v, EX.t1, EX.u], [(EX.t1, TEMPORAL.context_class)])
+        with pytest.raises(PatternError) as raised:
+            decontextualize(graph, two_dim_registry)
+        assert str(raised.value) == (
+            f"cannot attribute context {EX.u.n3()} to a dimension (no recognized context type)"
+        )
+
+    def test_a_blank_node_combined_context_is_ignored(self, two_dim_registry):
+        extent = two_dim_registry.combined(["provenance", "temporal"]).extent
+        graph = listed_context_graph(extent, BlankNode("c"), [EX.t1], [(EX.t1, TEMPORAL.context_class)])
+        with pytest.raises(PatternError) as raised:
+            decontextualize(graph, two_dim_registry)
+        assert str(raised.value) == f"part {EX['Paris@c'].n3()} has no extent"
+
+    def test_a_registered_extent_attributes_its_context_not_the_members(self, two_dim_registry):
+        graph = listed_context_graph(TEMPORAL.extent, EX.cc, [EX.t1], [(EX.t1, TEMPORAL.context_class)])
+        (statement,) = decontextualize(graph, two_dim_registry)
+        assert statement.assignment_pairs() == (("temporal", EX.cc),)
+
+    @pytest.mark.parametrize("combined", [True, False], ids=["combined", "core"])
+    def test_a_context_that_lists_itself_is_one_of_its_members(self, two_dim_registry, combined):
+        extent = two_dim_registry.combined(["provenance", "temporal"]).extent if combined else CORE.contextualExtent
+        graph = listed_context_graph(
+            extent,
+            EX.cc,
+            [EX.cc, EX.t1],
+            [(EX.cc, PROVENANCE.context_class), (EX.t1, TEMPORAL.context_class)],
+        )
+        (statement,) = decontextualize(graph, two_dim_registry)
+        assert statement.assignment_pairs() == (("provenance", EX.cc), ("temporal", EX.t1))
 
     def test_chain_ending_at_blank_node_is_an_error(self, temporal_registry):
         from ndfluents import BlankNode

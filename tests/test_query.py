@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from ndfluents import (
     Aggregate,
+    BlankNode,
     CombinationModel,
     DimensionRegistry,
     Graph,
@@ -33,6 +34,7 @@ from ndfluents import (
     decontextualize,
     match,
     parse_pattern,
+    provenance_dimension,
     temporal_dimension,
 )
 
@@ -47,11 +49,13 @@ from conftest import (
     chain_outsider,
     core_extent_graph,
     corpus_registry,
+    listed_context_graph,
     part_chain,
     random_corpus,
 )
 
 TEMPORAL = temporal_dimension()
+PROVENANCE = provenance_dimension()
 
 
 def _core_extent_registry() -> DimensionRegistry:
@@ -600,6 +604,42 @@ class TestContextSlice:
         )
         piece = context_slice(graph, two_dim_registry, EX.t1)
         assert set(decontextualize(piece, two_dim_registry)) == {statement}
+
+    @pytest.mark.parametrize("combined", [True, False], ids=["combined", "core"])
+    def test_a_member_no_dimension_types_is_kept_only_without_a_dimension(self, two_dim_registry, combined):
+        extent = two_dim_registry.combined(["provenance", "temporal"]).extent if combined else CORE.contextualExtent
+        graph = listed_context_graph(extent, EX.cc, [EX.t1, EX.u], [(EX.t1, TEMPORAL.context_class)])
+        assert set(context_slice(graph, two_dim_registry, EX.u)) == set(graph)
+        assert set(context_slice(graph, two_dim_registry, EX.t1, dimension="temporal")) == set(graph)
+        for dimension in ("temporal", "provenance"):
+            assert len(context_slice(graph, two_dim_registry, EX.u, dimension=dimension)) == 0
+
+    def test_a_blank_node_combined_context_is_ignored(self, two_dim_registry):
+        extent = two_dim_registry.combined(["provenance", "temporal"]).extent
+        graph = listed_context_graph(extent, BlankNode("c"), [EX.t1], [(EX.t1, TEMPORAL.context_class)])
+        for dimension in (None, "temporal"):
+            assert len(context_slice(graph, two_dim_registry, EX.t1, dimension=dimension)) == 0
+
+    def test_a_registered_extent_selects_its_context_not_the_members(self, two_dim_registry):
+        graph = listed_context_graph(TEMPORAL.extent, EX.cc, [EX.t1], [(EX.t1, TEMPORAL.context_class)])
+        for dimension in (None, "temporal"):
+            assert len(context_slice(graph, two_dim_registry, EX.t1, dimension=dimension)) == 0
+            assert set(context_slice(graph, two_dim_registry, EX.cc, dimension=dimension)) == set(graph)
+        assert len(context_slice(graph, two_dim_registry, EX.cc, dimension="provenance")) == 0
+
+    @pytest.mark.parametrize("combined", [True, False], ids=["combined", "core"])
+    def test_a_context_that_lists_itself_is_one_of_its_members(self, two_dim_registry, combined):
+        extent = two_dim_registry.combined(["provenance", "temporal"]).extent if combined else CORE.contextualExtent
+        graph = listed_context_graph(
+            extent,
+            EX.cc,
+            [EX.cc, EX.t1],
+            [(EX.cc, PROVENANCE.context_class), (EX.t1, TEMPORAL.context_class)],
+        )
+        for context, dimension in [(EX.cc, None), (EX.cc, "provenance"), (EX.t1, None), (EX.t1, "temporal")]:
+            assert set(context_slice(graph, two_dim_registry, context, dimension=dimension)) == set(graph)
+        for context, dimension in [(EX.cc, "temporal"), (EX.t1, "provenance")]:
+            assert len(context_slice(graph, two_dim_registry, context, dimension=dimension)) == 0
 
     def test_deep_part_chain_does_not_recurse(self, temporal_registry):
         # Every part of the chain reaches the context only through all of

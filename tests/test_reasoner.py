@@ -409,6 +409,43 @@ class TestValidate:
         assert violation.triples == tuple(sorted(offenders, key=Triple.sort_key))
         assert violation.detail == f"{CORE.contextualPartOf.n3()} is functional but has 2 values"
 
+    def _disjoint_reports(self, axioms) -> list[str]:
+        """The rendered DisjointClasses violations of the clean graph once
+        `EX.t1`, a temporal interval, is asserted a Context and a
+        ContextualPart, and `EX.t2`, another, is typed a temporal part."""
+        graph, config = self._clean_graph()
+        seeded = graph.union([
+            Triple(EX.t1, RDF_TYPE, CORE.Context),
+            Triple(EX.t1, RDF_TYPE, CORE.ContextualPart),
+            Triple(EX.t2, RDF_TYPE, TEMPORAL.part_class),
+        ])
+        violations = validate(seeded, axioms, config.registry)
+        return [v.render() for v in violations if v.kind == VIOLATION_DISJOINT]
+
+    @staticmethod
+    def _typed_both(resource, a, b) -> str:
+        return "\n".join([
+            f"{VIOLATION_DISJOINT}: {resource.n3()}: typed both {a.n3()} and {b.n3()}, which are disjoint",
+            f"    {Triple(resource, RDF_TYPE, a).n3()}",
+            f"    {Triple(resource, RDF_TYPE, b).n3()}",
+        ])
+
+    def test_context_and_part_are_disjoint_without_axioms(self):
+        # With no schema, only the asserted core types meet.
+        assert self._disjoint_reports([]) == [self._typed_both(EX.t1, CORE.Context, CORE.ContextualPart)]
+
+    def test_a_reversed_disjointness_axiom_is_reported_beside_the_core_one(self):
+        assert self._disjoint_reports([disjoint_classes(CORE.ContextualPart, CORE.Context)]) == [
+            self._typed_both(EX.t1, CORE.Context, CORE.ContextualPart),
+            self._typed_both(EX.t1, CORE.ContextualPart, CORE.Context),
+        ]
+
+    def test_the_core_tbox_reports_each_subject_once(self):
+        _, config = self._clean_graph()
+        assert self._disjoint_reports(config.axioms()) == [
+            self._typed_both(resource, CORE.Context, CORE.ContextualPart) for resource in (EX.t1, EX.t2)
+        ]
+
 
 class TestRounds:
     def test_rounds_count_each_delta_on_a_part_chain(self):
