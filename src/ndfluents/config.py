@@ -90,17 +90,6 @@ _MODEL_ALIASES = {
     "c": MODEL_COMBINED_EXTENT,
 }
 
-_BOOLEANS = {
-    "1": True,
-    "true": True,
-    "yes": True,
-    "on": True,
-    "0": False,
-    "false": False,
-    "no": False,
-    "off": False,
-}
-
 _DIMENSION_TERM_KEYS = (
     "part_class",
     "context_class",
@@ -211,7 +200,7 @@ def default_config() -> Config:
 
 
 def _parse_bool(section: str, key: str, raw: str) -> bool:
-    value = _BOOLEANS.get(raw.strip().lower())
+    value = ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
     if value is None:
         raise ConfigError(f"[{section}] {key} must be a boolean, got {raw!r}")
     return value

@@ -403,18 +403,13 @@ class _Reader:
         """Dimension-attributed contexts reachable from one part's extent edges."""
         found: set[tuple[str, Iri]] = set()
         for edge in sorted(edges, key=Triple.sort_key):
-            if (dim := self.pattern.extent_dimension.get(edge.predicate)) is not None:
-                found.add((dim.name, edge.object))
-                continue
-            # combined or core extent: attribute each member by its context type
-            for member in sorted(self.pattern.members(self.graph, edge.object)):
-                attributed = self.pattern.dimensions(self.graph, member)
-                if not attributed:
+            for name, context in self.pattern.attributed(self.graph, edge.predicate, edge.object):
+                if name is None:
                     raise PatternError(
-                        f"cannot attribute context {member.n3()} to a dimension "
+                        f"cannot attribute context {context.n3()} to a dimension "
                         "(no recognized context type)"
                     )
-                found.update((d.name, member) for d in attributed)
+                found.add((name, context))
         return found
 
     def walk(self, part: Term) -> tuple[Term, set[tuple[str, Iri]]]:
@@ -468,6 +463,7 @@ def decontextualize(
     predicates back to base predicates (for related-property graphs)."""
     reader = _Reader(graph, registry, vocab)
     reverse = _predicate_map(predicate_map)
+    selected = None if selection is None else frozenset(selection)
     recovered: set[AnnotatedStatement] = set()
     # Sorted parts, then each part's sorted triples: the graph's own order.
     for part in sorted(reader.parts, key=term_sort_key):
@@ -482,7 +478,7 @@ def decontextualize(
                 raise PatternError(f"chain from {triple.subject.n3()} ends at non-IRI {subject.n3()}")
             if not contexts:
                 raise PatternError(f"no contexts recoverable for {triple.n3()}")
-            if selection is not None and not {ctx for _, ctx in contexts} & set(selection):
+            if selected is not None and selected.isdisjoint(ctx for _, ctx in contexts):
                 continue
             predicate = reverse.get(triple.predicate, triple.predicate)
             try:

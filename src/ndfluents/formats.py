@@ -22,7 +22,7 @@ import io
 from .contextualize import AnnotatedStatement, ContextAssignment, _context_digest
 from .parser import parse_nquads, parse_turtle
 from .serializer import serialize_nquads
-from .terms import Graph, Iri, Literal, Term, Triple, _unchecked_triple
+from .terms import XSD_STRING, Graph, Iri, Literal, Term, Triple, _unchecked_triple
 from .vocabulary import DimensionRegistry
 
 DEFAULT_BUNDLE_BASE = "http://purl.org/NET/ndfluents/bundle#"
@@ -61,9 +61,7 @@ def _format_object(term: Term, row_hint: str) -> tuple[str, str]:
     if isinstance(term, Literal):
         if term.language is not None:
             return term.lexical, f"literal@{term.language}"
-        from .terms import XSD_STRING
-
-        if term.datatype == XSD_STRING:
+        if term.datatype is XSD_STRING:
             return term.lexical, "literal"
         return term.lexical, f"literal:{term.datatype.value}"
     raise FormatError(f"{row_hint}: blank nodes cannot be written to statements CSV")

@@ -436,11 +436,18 @@ def _aggregate_value(aggregate: Aggregate, terms: list[Term], scale: int) -> obj
         terms = sorted(set(terms), key=term_sort_key)
     if aggregate.function == COUNT:
         return len(terms)
-    values = [_numeric_value(term, aggregate) for term in terms]
+    # An error names the first offender in term order, not in the order of
+    # the solutions, which follows hash buckets: only the error path sorts.
+    try:
+        values = [_numeric_value(term, aggregate) for term in terms]
+    except QueryError:
+        for term in sorted(terms, key=term_sort_key):
+            _numeric_value(term, aggregate)
+        raise
     try:
         return _reduce(aggregate.function, values, scale)
     except ValueError:
-        longest = max(terms, key=lambda term: len(term.lexical))
+        longest = max(sorted(terms, key=term_sort_key), key=lambda term: len(term.lexical))
         lexical = longest.lexical
         shown = longest.n3() if len(lexical) <= 40 else (
             f'"{lexical[:20]}..."^^{longest.datatype.n3()} ({len(lexical):,} characters)'
@@ -535,13 +542,13 @@ def context_slice(
     """The subgraph of `graph` scoped to one context.
 
     A contextual part is *in* the slice when it, or a part-chain ancestor
-    (Contexts-in-Context), has an extent edge that the pattern vocabulary
-    attributes to `context`, to `(dimension, context)` when a dimension is
-    given: the slice keeps exactly the parts `decontextualize` attributes
-    so. Data triples are kept when their subject (and object, when it is a
-    part) is in the slice; each kept part brings its scaffolding for the
-    whole chain plus the context descriptions, so the slice
-    decontextualizes on its own.
+    (Contexts-in-Context), has an extent edge that
+    `PatternVocabulary.attributed`, the rule `decontextualize` reads
+    contexts with, attributes to `context`, to `(dimension, context)` when
+    a dimension is given. Data triples are kept when their subject (and
+    object, when it is a part) is in the slice; each kept part brings its
+    scaffolding for the whole chain plus the context descriptions, so the
+    slice decontextualizes on its own.
     """
     if dimension is not None and dimension not in registry:
         raise QueryError(
@@ -567,20 +574,20 @@ def context_slice(
             for t in about(node)
         )
 
-    # Direct hits: a registered extent to `context` (of `dimension`, if given),
-    # or any other extent to an IRI whose members include `context` (when
-    # `context` is typed with the given dimension).
+    # Direct hits: the subjects of the extent edges, to `context` or to an
+    # IRI that lists it, whose attributed pairs hold `context` (in
+    # `dimension`, if given).
+    listing = [t.subject for t in linked(pattern.member_context, context) if isinstance(t.subject, Iri)]
     hits = [
         t.subject
-        for prop, dim in pattern.extent_dimension.items()
-        if dimension is None or dim.name == dimension
-        for t in linked(prop, context)
+        for target in [context, *listing]
+        for prop in pattern.extents
+        if (edges := linked(prop, target)) and any(
+            ctx == context and (dimension is None or name == dimension)
+            for name, ctx in pattern.attributed(graph, prop, target)
+        )
+        for t in edges
     ]
-    if dimension is None or any(d.name == dimension for d in pattern.dimensions(graph, context)):
-        listing = [context, *(t.subject for t in linked(pattern.member_context, context))]
-        targets = [x for x in listing if isinstance(x, Iri) and context in pattern.members(graph, x)]
-        for prop in pattern.extents - pattern.extent_dimension.keys():
-            hits.extend(t.subject for target in targets for t in linked(prop, target))
 
     def children(node: Term) -> Iterator[Term]:
         return (t.subject for prop in pattern.part_of for t in linked(prop, node))

@@ -30,8 +30,9 @@ sameAs conclusions are reported as derived triples but never applied as a
 congruence: the point of deriving them here is diagnostic.
 
 `validate` checks conformance of a contextual graph: disjointness of
-contexts and parts, functionality of partOf over asserted edges, parts
-without partOf or extent, partOf edges into contexts, and the same-extent
+contexts and parts, by `saturate`'s rule whatever axioms the caller
+passes, functionality of partOf over asserted edges, parts typed as such
+without a partOf edge, partOf edges into contexts, and the same-extent
 rule for statements between parts.
 """
 
@@ -57,6 +58,7 @@ from .vocabulary import (
     SUB_CLASS_OF,
     SUB_PROPERTY_OF,
     TRANSITIVE,
+    disjoint_classes,
 )
 
 SAME_AS = OWL.sameAs
@@ -389,7 +391,11 @@ def validate(
     same_extent: bool = True,
 ) -> list[Violation]:
     pattern = registry.pattern_vocabulary(vocab)
-    result = saturate(graph, axioms, vocab)
+    # Context and ContextualPart are disjoint even when the caller passed no
+    # axioms: the check defines pattern conformance. A list that has the
+    # axiom goes to saturate as it is, so equal lists share one rule index.
+    disjoint = disjoint_classes(vocab.Context, vocab.ContextualPart)
+    result = saturate(graph, axioms if disjoint in axioms else [*axioms, disjoint], vocab)
     derived = result.derived
     # The partOf check below reports every conflict of a partOf property,
     # citing all its values: it takes the place of saturate's report.
@@ -409,19 +415,6 @@ def validate(
             typed_parts.add(t.subject)
         if t.object in pattern.context_classes:
             contexts.add(t.subject)
-
-    # Context and ContextualPart are disjoint even when the caller passed no
-    # axioms: the check defines pattern conformance.
-    for resource in contexts & typed_parts:
-        cited = (Triple(resource, RDF_TYPE, vocab.Context),
-                 Triple(resource, RDF_TYPE, vocab.ContextualPart))
-        if all(t in graph or t in derived for t in cited):
-            add(Violation(
-                VIOLATION_DISJOINT,
-                (resource,),
-                f"typed both {vocab.Context.n3()} and {vocab.ContextualPart.n3()}, which are disjoint",
-                cited,
-            ))
 
     for prop in pattern.part_of:
         edges_by_part: dict[Term, list[Triple]] = {}

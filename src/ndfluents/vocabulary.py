@@ -238,10 +238,9 @@ def combine_dimensions(
 @dataclass(frozen=True)
 class PatternVocabulary:
     """How the contextual-part pattern reads under one core vocabulary, for
-    the builder, the reader, `context_slice` and `validate` alike. An extent
-    of a registered dimension attributes its object to that dimension; any
-    other extent reaches the `members` of its object, each attributed to the
-    `dimensions` whose context class types it. The reader skips
+    the builder, the reader, `context_slice` and `validate` alike.
+    `attributed` is the one rule for the contexts an extent edge gives its
+    part; the reader and `context_slice` both apply it. The reader skips
     `scaffolding`, so no data predicate may be in it."""
 
     part_of: frozenset[Iri]
@@ -259,16 +258,22 @@ class PatternVocabulary:
             t.subject for t in graph.match(None, RDF_TYPE) if t.object in self.part_classes
         }
 
-    def members(self, graph: Graph, context: Term) -> list[Term]:
-        """The IRI member contexts `context` lists, or `[context]` when it
-        lists none."""
-        return [
-            t.object for t in graph.match(context, self.member_context) if isinstance(t.object, Iri)
-        ] or [context]
-
-    def dimensions(self, graph: Graph, context: Term) -> list[ContextDimension]:
-        """The registered dimensions whose context class types `context`."""
-        return [d for t in graph.match(context, RDF_TYPE) if (d := self.context_dimension.get(t.object))]
+    def attributed(self, graph: Graph, extent: Iri, context: Term) -> list[tuple[str | None, Term]]:
+        """The (dimension name, context) pairs an `extent` edge to `context`
+        gives its part: for a registered dimension's extent, `context` in
+        that dimension; for any other, each IRI member that `context` lists
+        (`context` itself when it lists none), in sorted order, in each
+        dimension whose context class types it, or in None when none does."""
+        dim = self.extent_dimension.get(extent)
+        if dim is not None:
+            return [(dim.name, context)]
+        members = [t.object for t in graph.match(context, self.member_context) if isinstance(t.object, Iri)]
+        pairs: list[tuple[str | None, Term]] = []
+        for member in sorted(members or [context]):
+            types = (self.context_dimension.get(t.object) for t in graph.match(member, RDF_TYPE))
+            names = [d.name for d in types if d is not None] or [None]
+            pairs += [(name, member) for name in names]
+        return pairs
 
 
 class DimensionRegistry:

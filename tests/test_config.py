@@ -94,6 +94,19 @@ class TestLoadConfig:
         assert not config.restriction_axioms
         assert not config.same_extent_check
 
+    @pytest.mark.parametrize(
+        "raw, value",
+        [(raw, True) for raw in ("1", "true", "Yes", " ON ")]
+        + [(raw, False) for raw in ("0", "FALSE", "no", "off")],
+    )
+    def test_the_eight_boolean_words_in_any_case(self, raw, value):
+        assert load_config(f"[core]\nsame_extent_check ={raw}\n").same_extent_check is value
+
+    def test_a_bad_boolean_names_its_key_and_value(self):
+        with pytest.raises(ConfigError) as raised:
+            load_config("[core]\ndatatype_axioms = maybe\n")
+        assert str(raised.value) == "[core] datatype_axioms must be a boolean, got 'maybe'"
+
     def test_custom_namespace(self):
         config = load_config("[core]\nnamespace = http://example.org/ctx#\n")
         assert config.vocab.Context == Iri("http://example.org/ctx#Context")

@@ -383,6 +383,20 @@ class TestAggregates:
             "digits than Python writes out as text (see sys.set_int_max_str_digits)"
         )
 
+    def test_a_non_numeric_value_is_named_in_term_order(self):
+        # The terms come in reverse term order, as a group's solutions may.
+        terms = [Literal(f"bad{i}") for i in reversed(range(6))]
+        with pytest.raises(QueryError) as raised:
+            query._aggregate_value(Aggregate("SUM", Variable("v"), "s"), terms, 2)
+        assert str(raised.value) == 'SUM(?v) needs xsd numeric literals, got "bad0"'
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no integer digit limit")
+    def test_of_equally_long_values_past_the_digit_limit_the_first_in_term_order_is_named(self):
+        terms = [Literal(digit + "0" * 4999, datatype=XSD.integer) for digit in "21"]
+        with pytest.raises(QueryError) as raised:
+            query._aggregate_value(Aggregate("SUM", Variable("v"), "s"), terms, 2)
+        assert str(raised.value).startswith('SUM(?v) over "10000000000000000000..."^^')
+
     def test_a_small_minimum_beside_a_huge_value_is_kept(self):
         g = _score_graph([("g1", "9" * 5000), ("g1", -3)])
         assert match(g, _score_pattern("MIN", "lo")).column("lo") == (-3,)
