@@ -129,6 +129,33 @@ class TestLoadConfig:
             load_config(text)
 
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[core]\nmystery = 1\nzeta = 2\n", "[core] unknown keys: mystery, zeta"),
+            ("[minting]\nsep = -\n", "[minting] unknown keys: sep"),
+            (
+                "[dimension.trust]\nbase = http://e.org/t#\npart = http://e.org/P\n",
+                "[dimension.trust] unknown keys: part",
+            ),
+            ("[dimension.temporal]\nprefix = x\n", "[dimension.temporal] unknown keys: prefix"),
+            ("[core]\nmodel = b\n[minting]\nbase = x\n", "[minting] unknown keys: base"),
+            # the sections are checked in this order: each dimension, core, minting
+            ("[core]\nx = 1\n[dimension.trust]\ny = 1\n", "[dimension.trust] unknown keys: y"),
+            (
+                "[core]\nmodel = quantum\n[minting]\nbase = x\n",
+                "[core] model must be one of combined-extent, contexts-in-context, multi-context",
+            ),
+            ("[mystery]\na = 1\n", "unknown config section [mystery]"),
+            ("[dimension]\na = 1\n", "unknown config section [dimension]"),
+        ],
+    )
+    def test_unknown_keys_and_sections_are_named(self, text, message):
+        with pytest.raises(ConfigError) as raised:
+            load_config(text)
+        assert str(raised.value) == message
+
+
 class TestAxiomAssembly:
     def _config(self, model):
         return Config(

@@ -109,6 +109,76 @@ class TestPhysicalLineNumbers:
             read_bundle_sidecar_csv(header + before + "http://e.org/b,temporal,http://e.org/" + "t" * 131072 + "\n")
 
 
+_HEADER = "subject,predicate,object,objectType,dim1,ctx1\n"
+_SIDECAR = "bundle,dimension,context\n"
+_ROW = "http://e.org/s,http://e.org/p,{object},{type},{pairs}\n"
+
+
+def _row(object="x", type="literal", pairs="temporal,http://e.org/t"):
+    return _HEADER + _ROW.format(object=object, type=type, pairs=pairs)
+
+
+class TestErrorMessages:
+    """Every error text of the two CSV readers, word for word."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty statements CSV"),
+            ("\n ,  \n", "empty statements CSV"),
+            ("a,b,c\n", "bad header: expected subject,predicate,object,objectType,dim1,ctx1,..."),
+            (_row(pairs="temporal"), "row 2: expected at least one (dimension, context) pair"),
+            (
+                _row(pairs="temporal,http://e.org/t,provenance"),
+                "row 2: dangling dimension without a context IRI",
+            ),
+            (_row().replace("http://e.org/s", "s"), "row 2: IRI is not absolute (missing scheme): 's'"),
+            (_row().replace("http://e.org/p", "p"), "row 2: IRI is not absolute (missing scheme): 'p'"),
+            (_row(type="iri"), "row 2: IRI is not absolute (missing scheme): 'x'"),
+            (_row(type="literal:int"), "row 2: IRI is not absolute (missing scheme): 'int'"),
+            (
+                _row(type="literal:http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"),
+                "row 2: rdf:langString literal requires a language tag",
+            ),
+            (_row(type="literal@e n"), "row 2: invalid language tag: 'e n'"),
+            (_row(type="mystery"), "row 2: unknown objectType 'mystery'"),
+            (_row(pairs="temporal,t"), "row 2: IRI is not absolute (missing scheme): 't'"),
+            (_row(pairs=","), "row 2: an annotated statement needs at least one context"),
+            (
+                _row(pairs="temporal,http://e.org/t,temporal,http://e.org/u"),
+                "row 2: at most one context per dimension; split the statement instead",
+            ),
+            (_HEADER + "\n" + _row(type="mystery")[len(_HEADER):], "row 3: unknown objectType 'mystery'"),
+            (_row(pairs="temporal,http://e.org/" + "t" * 131072), "row 2: field larger than field limit (131072)"),
+        ],
+    )
+    def test_statements_csv(self, text, message):
+        with pytest.raises(FormatError) as raised:
+            read_statements_csv(text)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "bundle sidecar CSV needs header bundle,dimension,context"),
+            ("bundle,dim\n", "bundle sidecar CSV needs header bundle,dimension,context"),
+            (_SIDECAR + "http://e.org/b,temporal\n", "sidecar row 2: expected 3 columns"),
+            (_SIDECAR + "http://e.org/b,temporal,http://e.org/t,x\n", "sidecar row 2: expected 3 columns"),
+            (_SIDECAR + "b,temporal,http://e.org/t\n", "sidecar row 2: IRI is not absolute (missing scheme): 'b'"),
+            (_SIDECAR + "http://e.org/b,temporal,t\n", "sidecar row 2: IRI is not absolute (missing scheme): 't'"),
+            (_SIDECAR + "\nhttp://e.org/b,temporal,t\n", "sidecar row 3: IRI is not absolute (missing scheme): 't'"),
+            (
+                _SIDECAR + "http://e.org/b,temporal,http://e.org/" + "t" * 131072 + "\n",
+                "sidecar row 2: field larger than field limit (131072)",
+            ),
+        ],
+    )
+    def test_bundle_sidecar_csv(self, text, message):
+        with pytest.raises(FormatError) as raised:
+            read_bundle_sidecar_csv(text)
+        assert str(raised.value) == message
+
+
 class TestAnnotatedNQuads:
     def test_round_trip_with_csv_sidecar(self):
         statements = _sample_statements()
