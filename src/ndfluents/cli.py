@@ -19,9 +19,10 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from itertools import count
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .config import Config, default_config, load_config
 from .contextualize import (
@@ -33,13 +34,14 @@ from .contextualize import (
     size_report,
 )
 from .formats import (
-    read_annotated_nquads,
+    read_bundle_sidecar,
+    read_bundled_nquads,
     read_statements_csv,
     write_annotated_nquads,
     write_statements_csv,
 )
 from .ingest import ingest_csv
-from .parser import NQUADS, NTRIPLES, TURTLE, ParseError, normalize_format, parse
+from .parser import _FORMAT_ALIASES, NTRIPLES, TURTLE, ParseError, normalize_format, parse
 from .query import match, parse_pattern
 from .reasoner import saturate, validate
 from .serializer import canonicalize, serialize
@@ -47,15 +49,6 @@ from .terms import BlankNode, Graph, Iri, Triple
 from .vocabulary import axioms_from_graph, axioms_to_graph
 
 log = logging.getLogger("ndfluents")
-
-_EXTENSION_FORMATS = {
-    ".nt": NTRIPLES,
-    ".ntriples": NTRIPLES,
-    ".nq": NQUADS,
-    ".nquads": NQUADS,
-    ".ttl": TURTLE,
-    ".turtle": TURTLE,
-}
 
 STATEMENTS_CSV = "csv"
 STATEMENTS_NQUADS = "nquads"
@@ -68,7 +61,7 @@ class _UsageError(ValueError):
 def _guess_format(path: str, override: str | None, default: str = TURTLE) -> str:
     if override:
         return normalize_format(override)
-    return _EXTENSION_FORMATS.get(Path(path).suffix.lower(), default)
+    return _FORMAT_ALIASES.get(Path(path).suffix.lower()[1:], default)
 
 
 def _read_text(path: str) -> str:
@@ -90,10 +83,20 @@ def _write_text(text: str, out: str | None) -> None:
         raise _UsageError(f"cannot write {out}: {error.strerror or error}") from None
 
 
+@contextmanager
+def _naming(path: str) -> Iterator[None]:
+    """Name the file at `path` in a syntax error raised while it is read."""
+    try:
+        yield
+    except ParseError as error:
+        raise _UsageError(f"{path}: {error}") from None
+
+
 def _read_graph(path: str, fmt: str | None) -> Graph:
     text = _read_text(path)
     resolved = _guess_format(path, fmt)
-    data = parse(text, resolved)
+    with _naming(path):
+        data = parse(text, resolved)
     if isinstance(data, Graph):
         return data
     return Graph().union(*data)
@@ -138,12 +141,11 @@ def _read_statements(args: argparse.Namespace, config: Config) -> list[Annotated
     if fmt == STATEMENTS_NQUADS:
         if not args.sidecar:
             raise _UsageError("--format nquads needs --sidecar FILE")
-        return read_annotated_nquads(
-            _read_text(args.statements),
-            _read_text(args.sidecar),
-            config.registry,
-            sidecar_format=args.sidecar_format,
-        )
+        nquads, sidecar = _read_text(args.statements), _read_text(args.sidecar)
+        with _naming(args.sidecar):
+            bundles = read_bundle_sidecar(sidecar, config.registry, args.sidecar_format)
+        with _naming(args.statements):
+            return read_bundled_nquads(nquads, bundles)
     return read_statements_csv(_read_text(args.statements))
 
 
@@ -481,8 +483,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             message = str(error.args[0])
         else:
             message = str(error)
-        if isinstance(error, ParseError):
-            message = f"{getattr(args, 'graph', getattr(args, 'statements', 'input'))}: {message}"
         sys.stderr.write(f"error: {message}\n")
         return 2
     finally:

@@ -12,7 +12,7 @@ Example::
     [core]
     namespace = http://purl.org/NET/ndfluents#
     model = multi-context          ; or contexts-in-context / combined-extent
-    nesting_order = temporal, provenance
+    ; nesting_order = temporal, provenance   (contexts-in-context only)
     predicate_mode = keep          ; or subproperty / related
     datatype_axioms = true
     restriction_axioms = true
@@ -24,14 +24,15 @@ Example::
     context_base = http://purl.org/NET/ndfluents/context#
 
     [dimension.temporal]
-    base = http://purl.org/NET/ndfluents/4dFluents#
-    part_class = http://purl.org/NET/ndfluents/4dFluents#TemporalPart
+    part_class = http://example.org/Slice   ; the other five IRIs stay 4dFluents'
 
 Each ``[dimension.<name>]`` section takes a ``base`` namespace plus six
 per-term IRI overrides (``part_class``, ``context_class``, ``part_of``,
-``extent``, ``contextual_property``, ``contextual_data_property``);
-anything omitted falls back to the conventional spelling under ``base``.
-Declaring any dimension section replaces the default registry.
+``extent``, ``contextual_property``, ``contextual_data_property``). A
+well-known name (``temporal``, ``provenance``) with no ``base`` starts from
+its well-known vocabulary; any other name, or a ``base``, starts from the
+conventional spelling under ``base``; the overrides replace single IRIs of
+either. Declaring any dimension section replaces the default registry.
 """
 
 from __future__ import annotations
@@ -98,6 +99,22 @@ _DIMENSION_TERM_KEYS = (
     "contextual_property",
     "contextual_data_property",
 )
+
+# The keys each kind of section allows, by the section name before its first dot.
+_SECTION_KEYS = {
+    "core": {
+        "namespace",
+        "combined_base",
+        "model",
+        "nesting_order",
+        "predicate_mode",
+        "datatype_axioms",
+        "restriction_axioms",
+        "same_extent_check",
+    },
+    "minting": {"mode", "separator", "context_base"},
+    "dimension": {"base", *_DIMENSION_TERM_KEYS},
+}
 
 _WELL_KNOWN_DIMENSIONS = {
     "temporal": temporal_dimension,
@@ -213,26 +230,28 @@ def _parse_iri(section: str, key: str, raw: str) -> Iri:
         raise ConfigError(f"[{section}] {key}: {error}") from None
 
 
-def _dimension_from_section(name: str, section: str, items: dict[str, str]) -> ContextDimension:
-    unknown = set(items) - {"base", *_DIMENSION_TERM_KEYS}
+def _section(parser: ConfigParser, section: str) -> dict[str, str]:
+    """The keys of `section`, none if it is absent, each one a key that
+    its kind of section allows."""
+    items = dict(parser.items(section)) if parser.has_section(section) else {}
+    unknown = set(items) - _SECTION_KEYS[section.partition(".")[0]]
     if unknown:
-        raise ConfigError(
-            f"[{section}] unknown keys: {', '.join(sorted(unknown))}"
-        )
-    base = items.get("base")
-    if base is not None:
-        base = base.strip()
+        raise ConfigError(f"[{section}] unknown keys: {', '.join(sorted(unknown))}")
+    return items
+
+
+def _dimension_from_section(name: str, section: str, items: dict[str, str]) -> ContextDimension:
+    """A well-known `name` with no `base` starts from its well-known
+    dimension, any other from the conventional IRIs under `base`; the
+    per-term keys override single IRIs of either."""
+    base = items.get("base", "").strip()
     if base:
         _parse_iri(section, "base", base)
     try:
-        if base:
-            dim = conventional_dimension(name, base)
-        elif name in _WELL_KNOWN_DIMENSIONS and not any(
-            key in items for key in _DIMENSION_TERM_KEYS
-        ):
-            dim = _WELL_KNOWN_DIMENSIONS[name]()
+        if base or name not in _WELL_KNOWN_DIMENSIONS:
+            dim = conventional_dimension(name, base or None)
         else:
-            dim = conventional_dimension(name)
+            dim = _WELL_KNOWN_DIMENSIONS[name]()
     except ValueError as error:
         raise ConfigError(f"[{section}] {error}") from None
     overrides = {
@@ -261,32 +280,15 @@ def load_config(text: str) -> Config:
     except ConfigParserError as error:
         raise ConfigError(f"cannot parse config: {error}") from None
 
-    known_sections = {"core", "minting"}
     dimensions: list[ContextDimension] = []
     for section in parser.sections():
-        if section in known_sections:
-            continue
         if section.startswith("dimension."):
             name = section[len("dimension.") :]
-            dimensions.append(
-                _dimension_from_section(name, section, dict(parser.items(section)))
-            )
-        else:
+            dimensions.append(_dimension_from_section(name, section, _section(parser, section)))
+        elif section not in ("core", "minting"):
             raise ConfigError(f"unknown config section [{section}]")
 
-    core = dict(parser.items("core")) if parser.has_section("core") else {}
-    unknown = set(core) - {
-        "namespace",
-        "combined_base",
-        "model",
-        "nesting_order",
-        "predicate_mode",
-        "datatype_axioms",
-        "restriction_axioms",
-        "same_extent_check",
-    }
-    if unknown:
-        raise ConfigError(f"[core] unknown keys: {', '.join(sorted(unknown))}")
+    core = _section(parser, "core")
 
     namespace = core.get("namespace", DEFAULT_NAMESPACE).strip()
     try:
@@ -325,10 +327,7 @@ def load_config(text: str) -> Config:
             raise ConfigError("[core] nesting_order only applies to contexts-in-context")
         model = CombinationModel(kind)
 
-    minting = dict(parser.items("minting")) if parser.has_section("minting") else {}
-    unknown = set(minting) - {"mode", "separator", "context_base"}
-    if unknown:
-        raise ConfigError(f"[minting] unknown keys: {', '.join(sorted(unknown))}")
+    minting = _section(parser, "minting")
     mode = minting.get("mode", MINT_SUFFIX).strip().lower()
     if mode not in (MINT_SUFFIX, MINT_HASH):
         raise ConfigError(f"[minting] mode must be {MINT_SUFFIX} or {MINT_HASH}")

@@ -34,25 +34,16 @@ class FormatError(ValueError):
     """Malformed statements file; message carries the offending row."""
 
 
-def _parse_object(lexical: str, object_type: str, row: int) -> Term:
+def _parse_object(lexical: str, object_type: str) -> Term:
     if object_type == "iri":
-        try:
-            return Iri(lexical)
-        except ValueError as exc:
-            raise FormatError(f"row {row}: {exc}")
+        return Iri(lexical)
     if object_type == "literal":
         return Literal(lexical)
     if object_type.startswith("literal:"):
-        try:
-            return Literal(lexical, datatype=Iri(object_type[len("literal:"):]))
-        except ValueError as exc:
-            raise FormatError(f"row {row}: {exc}")
+        return Literal(lexical, datatype=Iri(object_type[len("literal:"):]))
     if object_type.startswith("literal@"):
-        try:
-            return Literal(lexical, language=object_type[len("literal@"):])
-        except ValueError as exc:
-            raise FormatError(f"row {row}: {exc}")
-    raise FormatError(f"row {row}: unknown objectType {object_type!r}")
+        return Literal(lexical, language=object_type[len("literal@"):])
+    raise FormatError(f"unknown objectType {object_type!r}")
 
 
 def _format_object(term: Term, row_hint: str) -> tuple[str, str]:
@@ -86,33 +77,20 @@ def read_statements_csv(text: str) -> list[AnnotatedStatement]:
     if header != CSV_HEADER:
         raise FormatError(f"bad header: expected {','.join(CSV_HEADER)},dim1,ctx1,...")
     statements = []
-    for idx, row in rows[1:]:
-        if len(row) < 6:
-            raise FormatError(f"row {idx}: expected at least one (dimension, context) pair")
-        subject_val, predicate_val, object_val, object_type = (cell.strip() for cell in row[:4])
-        rest = [cell.strip() for cell in row[4:]]
-        if len(rest) % 2 != 0:
-            raise FormatError(f"row {idx}: dangling dimension without a context IRI")
-        try:
-            subject = Iri(subject_val)
-            predicate = Iri(predicate_val)
-        except ValueError as exc:
-            raise FormatError(f"row {idx}: {exc}")
-        obj = _parse_object(object_val, object_type, idx)
-        assignments = []
-        for dim, ctx in zip(rest[::2], rest[1::2]):
-            if not dim and not ctx:
-                continue  # padded short row from spreadsheet tools
-            try:
-                assignments.append(ContextAssignment(dim, Iri(ctx)))
-            except ValueError as exc:
-                raise FormatError(f"row {idx}: {exc}")
-        try:
-            statements.append(
-                AnnotatedStatement(_unchecked_triple((subject, predicate, obj)), frozenset(assignments))
+    for line, row in rows[1:]:
+        try:  # any fault of the row names its line
+            if len(row) < 6:
+                raise FormatError("expected at least one (dimension, context) pair")
+            subject, predicate, lexical, object_type, *rest = (cell.strip() for cell in row)
+            if len(rest) % 2 != 0:
+                raise FormatError("dangling dimension without a context IRI")
+            base = _unchecked_triple((Iri(subject), Iri(predicate), _parse_object(lexical, object_type)))
+            assignments = frozenset(  # an empty pair pads a short row from a spreadsheet tool
+                ContextAssignment(dim, Iri(ctx)) for dim, ctx in zip(rest[::2], rest[1::2]) if dim or ctx
             )
-        except ValueError as exc:
-            raise FormatError(f"row {idx}: {exc}")
+            statements.append(AnnotatedStatement(base, assignments))
+        except ValueError as error:
+            raise FormatError(f"row {line}: {error}") from None
     return statements
 
 
@@ -148,13 +126,13 @@ def read_bundle_sidecar_csv(text: str) -> dict[Iri, list[tuple[str, Iri]]]:
     if not rows or [c.strip() for c in rows[0][1]] != ["bundle", "dimension", "context"]:
         raise FormatError("bundle sidecar CSV needs header bundle,dimension,context")
     bundles: dict[Iri, list[tuple[str, Iri]]] = {}
-    for idx, row in rows[1:]:
-        if len(row) != 3:
-            raise FormatError(f"sidecar row {idx}: expected 3 columns")
-        try:
+    for line, row in rows[1:]:
+        try:  # any fault of the row names its line
+            if len(row) != 3:
+                raise FormatError("expected 3 columns")
             bundle, dim, ctx = Iri(row[0].strip()), row[1].strip(), Iri(row[2].strip())
-        except ValueError as exc:
-            raise FormatError(f"sidecar row {idx}: {exc}")
+        except ValueError as error:
+            raise FormatError(f"sidecar row {line}: {error}") from None
         bundles.setdefault(bundle, []).append((dim, ctx))
     return bundles
 
@@ -179,18 +157,22 @@ def read_bundle_sidecar_turtle(
     return bundles
 
 
-def read_annotated_nquads(
-    nquads_text: str,
-    sidecar_text: str,
-    registry: DimensionRegistry,
-    sidecar_format: str = "csv",
-) -> list[AnnotatedStatement]:
+def read_bundle_sidecar(
+    text: str, registry: DimensionRegistry, sidecar_format: str = "csv"
+) -> dict[Iri, list[tuple[str, Iri]]]:
+    """The bundles of a sidecar written as `csv` or as `turtle`."""
     if sidecar_format == "csv":
-        bundles = read_bundle_sidecar_csv(sidecar_text)
-    elif sidecar_format in ("turtle", "ttl"):
-        bundles = read_bundle_sidecar_turtle(sidecar_text, registry)
-    else:
-        raise FormatError(f"unknown sidecar format: {sidecar_format!r}")
+        return read_bundle_sidecar_csv(text)
+    if sidecar_format in ("turtle", "ttl"):
+        return read_bundle_sidecar_turtle(text, registry)
+    raise FormatError(f"unknown sidecar format: {sidecar_format!r}")
+
+
+def read_bundled_nquads(
+    nquads_text: str, bundles: dict[Iri, list[tuple[str, Iri]]]
+) -> list[AnnotatedStatement]:
+    """The statements of an N-Quads document, each in the contexts of the
+    bundle that labels its graph."""
     statements = []
     for graph in parse_nquads(nquads_text):
         if graph.name is None:
@@ -205,6 +187,15 @@ def read_annotated_nquads(
         for triple in graph.sorted_triples():
             statements.append(AnnotatedStatement(triple, assignments))
     return statements
+
+
+def read_annotated_nquads(
+    nquads_text: str,
+    sidecar_text: str,
+    registry: DimensionRegistry,
+    sidecar_format: str = "csv",
+) -> list[AnnotatedStatement]:
+    return read_bundled_nquads(nquads_text, read_bundle_sidecar(sidecar_text, registry, sidecar_format))
 
 
 def write_annotated_nquads(

@@ -478,7 +478,7 @@ def match(
     solutions = _solve(graph, plan)
     slot = plan.slots  # variables by name
 
-    if pattern.aggregates:
+    if pattern.aggregates or pattern.group_by is not None:
         groups: dict[Term | None, list[tuple[Term, ...]]] = {}
         if pattern.group_by is None:
             if solutions:
@@ -501,11 +501,6 @@ def match(
                 row.append(_aggregate_value(agg, [b[value_slot] for b in group], pattern.scale))
             rows.append(tuple(row))
         return ResultTable(tuple(columns), tuple(rows))
-
-    if pattern.group_by is not None:
-        key_slot = slot[pattern.group_by.name]
-        keys = sorted({binding[key_slot] for binding in solutions}, key=term_sort_key)
-        return ResultTable((pattern.group_by.name,), tuple((key,) for key in keys))
 
     columns = tuple(v.name for v in pattern.variables())
     order = [slot[name] for name in columns]

@@ -689,6 +689,44 @@ class TestMalformedInputs:
         assert lines[0].startswith("error: ") and expected in lines[0]
 
 
+class TestSyntaxErrorNamesItsFile:
+    """A syntax error's `error:` line names the file that holds it, for
+    each RDF input the CLI reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["validate", "{bad}.ttl"], id="graph"),
+            pytest.param(["contextualize", "{csv}", "--merge", "{bad}.ttl"], id="merge"),
+            pytest.param(["validate", "{graph}", "--tbox", "{bad}.ttl"], id="validate-tbox"),
+            pytest.param(["reason", "{graph}", "--tbox", "{bad}.ttl"], id="reason-tbox"),
+            pytest.param(
+                ["contextualize", "{bad}.nq", "--format", "nquads", "--sidecar", "{sidecar}"], id="nquads-statements"
+            ),
+            pytest.param(
+                ["contextualize", "{quads}", "--format", "nquads", "--sidecar", "{bad}.ttl", "--sidecar-format", "turtle"],
+                id="turtle-sidecar",
+            ),
+        ],
+    )
+    def test_the_error_line_names_the_faulty_file(self, tmp_path, capsys, argv):
+        files = {
+            "csv": ("good.csv", _CSV_HEADER + _CSV_ROW),
+            "graph": ("good.nt", "<http://e.org/a@t1> <http://e.org/p> <http://e.org/b@t1> .\n"),
+            "quads": ("good.nq", "<http://e.org/a> <http://e.org/p> <http://e.org/b> <http://e.org/bundle> .\n"),
+            "sidecar": ("good.sidecar.csv", "bundle,dimension,context\nhttp://e.org/bundle,temporal,http://e.org/t1\n"),
+        }
+        paths = {key: tmp_path / name for key, (name, _) in files.items()}
+        for key, (_, text) in files.items():
+            paths[key].write_text(text, encoding="utf-8")
+        argv = [arg.format(bad=tmp_path / "bad", **paths) for arg in argv]
+        bad = next(arg for arg in argv if Path(arg).name.startswith("bad."))
+        Path(bad).write_text('<http://e.org/a> <http://e.org/p> "x .\n', encoding="utf-8")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: line 1, column 39: newline inside string literal\n"
+
+
 class TestErrorPaths:
     def test_missing_file(self, capsys):
         assert main(["validate", "no/such/file.ttl"]) == 2

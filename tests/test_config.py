@@ -1,5 +1,7 @@
 """Declarative run configuration: INI parsing and TBox assembly."""
 
+import dataclasses
+
 import pytest
 
 from ndfluents import (
@@ -84,6 +86,15 @@ class TestLoadConfig:
         dim = config.registry.get("temporal")
         assert dim.part_class == Iri("http://example.org/Slice")
         assert dim.extent == temporal_dimension().extent
+
+    @pytest.mark.parametrize(
+        "key",
+        ["part_class", "context_class", "part_of", "extent", "contextual_property", "contextual_data_property"],
+    )
+    def test_one_override_keeps_the_other_well_known_iris(self, key):
+        config = load_config(f"[dimension.temporal]\n{key} = http://example.org/Slice\n")
+        expected = dataclasses.replace(temporal_dimension(), **{key: Iri("http://example.org/Slice")})
+        assert config.registry.get("temporal") == expected
 
     def test_boolean_flags(self):
         config = load_config(

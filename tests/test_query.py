@@ -214,7 +214,9 @@ class TestMatching:
             (TriplePattern(Variable("x"), RDF_TYPE, EX.C),),
             group_by=Variable("x"),
         )
-        assert match(g, pattern).rows == ((EX.a,), (EX.b,))
+        table = match(g, pattern)
+        assert table.columns == ("x",)
+        assert table.rows == ((EX.a,), (EX.b,))
 
 
 def test_threads_building_the_indexes_at_once_get_the_single_threaded_tables():

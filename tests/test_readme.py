@@ -1,5 +1,5 @@
-"""The README's examples run as written: its python blocks, its pattern
-example, and the worked pipeline, whose query output must equal the table
+"""The README's examples run as written: its python blocks, its config and
+pattern examples, and the worked pipeline, whose query output must equal the table
 the README shows."""
 
 import re
@@ -7,6 +7,7 @@ import shlex
 import shutil
 from pathlib import Path
 
+from ndfluents import load_config
 from ndfluents.cli import main
 from ndfluents.query import parse_pattern
 
@@ -28,6 +29,13 @@ def test_python_blocks_run():
         exec(compile(body, "README.md", "exec"), namespace)
     assert namespace["problems"] == []
     assert namespace["table"].columns == ("entity", "parts")
+
+
+def test_config_example_loads():
+    _, text = _first_block(lambda lang, body: lang == "ini")
+    config = load_config(text)
+    assert config.registry.names() == ["trust"]
+    assert config.model.kind == "multi-context"
 
 
 def test_query_pattern_example_parses():
