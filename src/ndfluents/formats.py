@@ -158,7 +158,7 @@ def read_bundle_sidecar_turtle(
 
 
 def read_bundle_sidecar(
-    text: str, registry: DimensionRegistry, sidecar_format: str = "csv"
+    text: str, registry: DimensionRegistry, sidecar_format: str
 ) -> dict[Iri, list[tuple[str, Iri]]]:
     """The bundles of a sidecar written as `csv` or as `turtle`."""
     if sidecar_format == "csv":

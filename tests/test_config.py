@@ -139,7 +139,6 @@ class TestLoadConfig:
         with pytest.raises(ConfigError):
             load_config(text)
 
-
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -111,11 +111,10 @@ class TestPhysicalLineNumbers:
 
 _HEADER = "subject,predicate,object,objectType,dim1,ctx1\n"
 _SIDECAR = "bundle,dimension,context\n"
-_ROW = "http://e.org/s,http://e.org/p,{object},{type},{pairs}\n"
 
 
-def _row(object="x", type="literal", pairs="temporal,http://e.org/t"):
-    return _HEADER + _ROW.format(object=object, type=type, pairs=pairs)
+def _row(object_type="literal", pairs="temporal,http://e.org/t"):
+    return _HEADER + f"http://e.org/s,http://e.org/p,x,{object_type},{pairs}\n"
 
 
 class TestErrorMessages:
@@ -134,21 +133,21 @@ class TestErrorMessages:
             ),
             (_row().replace("http://e.org/s", "s"), "row 2: IRI is not absolute (missing scheme): 's'"),
             (_row().replace("http://e.org/p", "p"), "row 2: IRI is not absolute (missing scheme): 'p'"),
-            (_row(type="iri"), "row 2: IRI is not absolute (missing scheme): 'x'"),
-            (_row(type="literal:int"), "row 2: IRI is not absolute (missing scheme): 'int'"),
+            (_row(object_type="iri"), "row 2: IRI is not absolute (missing scheme): 'x'"),
+            (_row(object_type="literal:int"), "row 2: IRI is not absolute (missing scheme): 'int'"),
             (
-                _row(type="literal:http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"),
+                _row(object_type="literal:http://www.w3.org/1999/02/22-rdf-syntax-ns#langString"),
                 "row 2: rdf:langString literal requires a language tag",
             ),
-            (_row(type="literal@e n"), "row 2: invalid language tag: 'e n'"),
-            (_row(type="mystery"), "row 2: unknown objectType 'mystery'"),
+            (_row(object_type="literal@e n"), "row 2: invalid language tag: 'e n'"),
+            (_row(object_type="mystery"), "row 2: unknown objectType 'mystery'"),
             (_row(pairs="temporal,t"), "row 2: IRI is not absolute (missing scheme): 't'"),
             (_row(pairs=","), "row 2: an annotated statement needs at least one context"),
             (
                 _row(pairs="temporal,http://e.org/t,temporal,http://e.org/u"),
                 "row 2: at most one context per dimension; split the statement instead",
             ),
-            (_HEADER + "\n" + _row(type="mystery")[len(_HEADER):], "row 3: unknown objectType 'mystery'"),
+            (_HEADER + "\n" + _row(object_type="mystery")[len(_HEADER):], "row 3: unknown objectType 'mystery'"),
             (_row(pairs="temporal,http://e.org/" + "t" * 131072), "row 2: field larger than field limit (131072)"),
         ],
     )

@@ -1,6 +1,6 @@
 """The README's examples run as written: its python blocks, its config and
-pattern examples, and the worked pipeline, whose query output must equal the table
-the README shows."""
+pattern examples, and the worked pipeline, whose query output must equal
+the table the README shows."""
 
 import re
 import shlex
