@@ -562,6 +562,8 @@ def _assert_matches_reference(graph, axioms):
     derived, violations = _reference_saturate(graph, axioms)
     assert set(result.derived) == derived
     assert [v.render() for v in result.violations] == [v.render() for v in violations]
+    assert sum(result.rounds) == len(graph) + len(result.derived)
+    return result
 
 
 _CLASSES = [EX[f"C{i}"] for i in range(4)]
@@ -640,19 +642,24 @@ def test_equal_axiom_lists_share_one_rule_index(monkeypatch):
     _rule_index.cache_clear()
 
 
+# The size of each round's delta on the five seeded graphs of each model: a
+# rewrite of the round loop must keep the rounds as well as the products.
 @pytest.mark.parametrize(
-    "model",
+    "model, rounds",
     [
-        B,
-        CombinationModel.contexts_in_context(["temporal", "provenance", "trust"]),
-        CombinationModel.contexts_in_context(["trust", "provenance", "temporal"]),
-        CombinationModel.combined_extent(),
+        (B, [(108,), (97,), (121,), (114,), (71,)]),
+        (CombinationModel.contexts_in_context(["temporal", "provenance", "trust"]),
+         [(108,), (118, 12, 5), (121,), (114,), (77, 5)]),
+        (CombinationModel.contexts_in_context(["trust", "provenance", "temporal"]),
+         [(108,), (117, 10, 5), (121,), (114,), (77, 3)]),
+        (CombinationModel.combined_extent(), [(108,), (126,), (121,), (114,), (89,)]),
     ],
     ids=["multi", "nested", "nested-reversed", "combined"],
 )
-def test_saturate_agrees_with_the_reference_on_contextual_graphs(model):
+def test_saturate_agrees_with_the_reference_on_contextual_graphs(model, rounds):
     registry = corpus_registry()
     config = Config(registry=registry, model=model, policy=MintingPolicy(), vocab=CORE)
+    measured = []
     for serial in range(5):
         statements = random_corpus(random.Random(30_000 + serial), serial)
         graph = contextualize(statements, registry, model)
@@ -665,4 +672,6 @@ def test_saturate_agrees_with_the_reference_on_contextual_graphs(model):
             Triple(EX.t1, RDF_TYPE, CORE.ContextualPart),
             Triple(EX.t1, RDF_TYPE, CORE.Context),
         ])
-        _assert_matches_reference(seeded, config.axioms() + [functional(TEMPORAL.part_of)])
+        result = _assert_matches_reference(seeded, config.axioms() + [functional(TEMPORAL.part_of)])
+        measured.append(result.rounds)
+    assert measured == rounds
