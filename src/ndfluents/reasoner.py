@@ -10,14 +10,17 @@ pattern validator.
   reach rdf:type (a class then has super-classes of its own). `_RuleIndex`
   compiles that closure once per shape into a template over the triple's
   subject and object, and is itself built once per TBox: equal axiom lists
-  share one index, templates included. A triple from the input or from a
-  join rule expands its template in one step; the template's products need
-  no expansion of their own, since their consequences are already in the
-  template.
+  share one index, templates included. The triples from the input or from
+  a join rule expand their templates by key, in one step: a row on the
+  subject once per distinct subject, a row on the object once per distinct
+  object. The template's products need no expansion of their own, since
+  their consequences are already in the template.
 - The join rules: transitivity and the four AllValuesFrom lookups over a
-  `via` property. They run, semi-naively, only on triples whose predicate
-  heads one of them, against indexes kept only for the predicates they
-  read. The delta of each round is processed in no particular order.
+  `via` property. They run semi-naively, a round at a time, only on triples
+  whose predicate heads one of them. Their indexes are keyed by predicate
+  first and kept only for the predicates they read. Each round indexes its
+  whole delta before any of it joins, then runs each rule once over each
+  predicate's part of the delta, so no order within a round matters.
 - The identity rules: functional and inverse-functional properties. They
   consider asserted triples only: derived edges (a transitive partOf hop,
   a subproperty projection) are not independent assertions, and counting
@@ -38,6 +41,7 @@ rule for statements between parts.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from itertools import chain
@@ -235,102 +239,104 @@ def saturate(
     vocab: CoreVocabulary = CORE,
 ) -> InferenceResult:
     idx = _rule_index(tuple(axioms), vocab)
-    everything: set[Triple] = set(graph)
+    # The graph's own set, not its iteration, which sorts.
+    asserted = graph._triples
+    everything: set[Triple] = set(asserted)
     templates, types_object = idx.templates, idx.types_object
-    sp_predicates, po_predicates = idx.sp_predicates, idx.po_predicates
-    join_heads = idx.join_heads
-    indexed = sp_predicates | po_predicates  # every join head among them
-    sp: dict[tuple[Iri, Term], set[Term]] = {}
-    po: dict[tuple[Iri, Term], set[Term]] = {}
+    indexed = idx.sp_predicates | idx.po_predicates  # every join head among them
+    # The join indexes, by predicate first: the values of each subject in
+    # `sp[p]`, the subjects of each value in `po[p]`.
+    sp: dict[Iri, defaultdict[Term, set[Term]]] = {p: defaultdict(set) for p in idx.sp_predicates}
+    po: dict[Iri, defaultdict[Term, set[Term]]] = {p: defaultdict(set) for p in idx.po_predicates}
     violations: dict[tuple, Violation] = {}
 
-    def join(s: Term, p: Iri, o: Term) -> list[tuple]:
-        """What the join rules derive from `(s, p, o)` and the indexed triples."""
-        out: list[tuple] = []
-        if p in idx.transitive:
-            # A literal `o` has no values of its own, but it is the value of
-            # every `w` that reaches `s`.
-            out += [(s, p, z) for z in sp.get((p, o), ())]
-            out += [(w, p, o) for w in po.get((p, s), ())]
-        for via, cls in idx.avf_domain.get(p, ()):
-            out += [(z, RDF_TYPE, cls) for z in sp.get((via, s), ()) if not isinstance(z, Literal)]
-        if not isinstance(o, Literal):
-            for via, cls in idx.avf_range.get(p, ()):
-                out += [(z, RDF_TYPE, cls) for z in sp.get((via, o), ()) if not isinstance(z, Literal)]
-            # The triple may be the `via` edge of an AllValuesFrom axiom.
-            for prop, cls in idx.avf_domain_by_via.get(p, ()):
-                if sp.get((prop, s)):
-                    out.append((o, RDF_TYPE, cls))
-            for prop, cls in idx.avf_range_by_via.get(p, ()):
-                if po.get((prop, s)):
-                    out.append((o, RDF_TYPE, cls))
-        return out
-
-    # The open triples of a round: the input and what the identity rules
-    # derive, then what the join rules derive. A candidate is tested as a
-    # plain tuple, which hashes and compares as a `Triple` does, so a
-    # duplicate builds no `Triple`. Every product puts a subject or object
-    # of the graph, or a term of an axiom, where it may stand (a literal is
-    # never a subject), so it is built unchecked.
-    triple = _unchecked_triple
-    opened = list(everything)
-    for c in _identity(graph, idx, violations):
-        if c not in everything:
-            t = triple(c)
-            everything.add(t)
-            opened.append(t)
-    delta = opened.copy()
+    # A round works a set at a time. Its open triples (the input and what
+    # the identity rules derive, then what the join rules derive) expand
+    # their templates by template key: a row on the subject once per
+    # distinct subject of the key's triples, a row on the object once per
+    # distinct object. Candidates are plain tuples, which hash and compare
+    # as a `Triple` does, collected by predicate; one set difference per
+    # predicate against `everything` keeps the new ones, and only those are
+    # built as triples. Every product puts a subject or object of the graph,
+    # or a term of an axiom, where it may stand (a literal is never a
+    # subject), so it is built unchecked.
+    opened = list(map(_unchecked_triple, set(_identity(graph, idx, violations)).difference(everything)))
+    everything.update(opened)
+    opened += asserted
     rounds: list[int] = []
     while opened:
-        # Each open triple adds the products of its template.
-        for s, p, o in opened:
-            key = (p, o) if p in types_object else (p, o.__class__)
+        groups: defaultdict[tuple, list[Triple]] = defaultdict(list)
+        for t in opened:
+            p, o = t[1], t[2]
+            groups[(p, o) if p in types_object else (p, o.__class__)].append(t)
+        found: defaultdict[Iri, set[tuple]] = defaultdict(set)
+        # The round's delta (its open triples and their new template
+        # products) of each indexed predicate.
+        delta: defaultdict[Iri, list[Triple]] = defaultdict(list)
+        for key, members in groups.items():
             template = templates.get(key)
             if template is None:
-                template = templates[key] = idx.template(p, o)
+                template = templates[key] = idx.template(key[0], members[0][2])
+            if key[0] in indexed:
+                delta[key[0]] += members
             on_both, on_subject, on_object, constant = template
+            subjects = {t[0] for t in members} if on_subject else ()
+            objects = {t[2] for t in members} if on_object else ()
             for q in on_both:
-                if (c := (s, q, o)) not in everything:
-                    t = triple(c)
-                    everything.add(t)
-                    delta.append(t)
+                found[q].update([(s, q, o) for s, _, o in members])
             for q, x in on_subject:
-                if (c := (s, q, x)) not in everything:
-                    t = triple(c)
-                    everything.add(t)
-                    delta.append(t)
+                found[q].update([(s, q, x) for s in subjects])
             for q, x in on_object:
-                if (c := (o, q, x)) not in everything:
-                    t = triple(c)
-                    everything.add(t)
-                    delta.append(t)
+                found[q].update([(o, q, x) for o in objects])
             for c in constant:
-                if c not in everything:
-                    t = triple(c)
-                    everything.add(t)
-                    delta.append(t)
-        rounds.append(len(delta))
-        # Each triple is indexed before it joins, so of two triples that
-        # join, the later one finds the earlier.
-        opened = []
-        for t in delta:
-            s, p, o = t
-            if p not in indexed:
-                continue
-            if p in sp_predicates:
-                sp.setdefault((p, s), set()).add(o)
-            if p in po_predicates:
-                po.setdefault((p, o), set()).add(s)
-            if p in join_heads:
-                for c in join(s, p, o):
-                    if c not in everything:
-                        u = triple(c)
-                        everything.add(u)
-                        opened.append(u)
-        delta = opened.copy()
+                found[c[1]].add(c)
+        size = len(opened)
+        for q, candidates in found.items():
+            new = list(map(_unchecked_triple, candidates.difference(everything)))
+            everything.update(new)
+            size += len(new)
+            if q in indexed:
+                delta[q] += new
+        rounds.append(size)
+
+        # The whole delta is indexed before any of it joins: two triples of
+        # one delta that join find each other, and each join rule runs once
+        # per predicate, over that predicate's part of the delta.
+        for p, members in delta.items():
+            if p in sp:
+                values = sp[p]
+                for s, _, o in members:
+                    values[s].add(o)
+            if p in po:
+                holders = po[p]
+                for s, _, o in members:
+                    holders[o].add(s)
+        joined: set[tuple] = set()
+        for p, members in delta.items():
+            if p in idx.transitive:
+                # A literal `o` has no values of its own, but it is the
+                # value of every `w` that reaches `s`.
+                values, holders = sp[p], po[p]
+                joined.update([(s, p, z) for s, _, o in members for z in values.get(o, ())])
+                joined.update([(w, p, o) for s, _, o in members for w in holders.get(s, ())])
+            for via, cls in idx.avf_domain.get(p, ()):
+                joined.update([(z, RDF_TYPE, cls) for s, _, _ in members for z in sp[via].get(s, ())
+                               if not isinstance(z, Literal)])
+            for via, cls in idx.avf_range.get(p, ()):
+                joined.update([(z, RDF_TYPE, cls) for _, _, o in members for z in sp[via].get(o, ())
+                               if not isinstance(z, Literal)])
+            # The triples may be the `via` edges of an AllValuesFrom axiom.
+            for prop, cls in idx.avf_domain_by_via.get(p, ()):
+                joined.update([(o, RDF_TYPE, cls) for s, _, o in members
+                               if s in sp[prop] and not isinstance(o, Literal)])
+            for prop, cls in idx.avf_range_by_via.get(p, ()):
+                joined.update([(o, RDF_TYPE, cls) for s, _, o in members
+                               if s in po[prop] and not isinstance(o, Literal)])
+        opened = list(map(_unchecked_triple, joined.difference(everything)))
+        everything.update(opened)
 
     for a, b in idx.disjoint:
-        offenders = po.get((RDF_TYPE, a), set()) & po.get((RDF_TYPE, b), set())
+        offenders = po[RDF_TYPE].get(a, set()) & po[RDF_TYPE].get(b, set())
         for s in sorted(offenders, key=lambda x: x.n3()):
             v = Violation(
                 VIOLATION_DISJOINT,
@@ -341,7 +347,7 @@ def saturate(
             violations.setdefault(_violation_key(v), v)
 
     ordered = tuple(sorted(violations.values(), key=_violation_key))
-    derived = Graph(everything.difference(graph))
+    derived = Graph(everything.difference(asserted))
     return InferenceResult(graph, derived, ordered, tuple(rounds))
 
 
@@ -410,7 +416,8 @@ def validate(
     linked = {t.subject for prop in pattern.part_of for t in graph.match(None, prop)}
     typed_parts: set[Term] = set()
     contexts: set[Term] = set()
-    for t in chain(graph.match(None, RDF_TYPE), derived.match(None, RDF_TYPE)):
+    # One scan of the derived triples: an index of them would serve only this.
+    for t in chain(graph.match(None, RDF_TYPE), [t for t in derived._triples if t[1] is RDF_TYPE]):
         if t.object in pattern.part_classes:
             typed_parts.add(t.subject)
         if t.object in pattern.context_classes:

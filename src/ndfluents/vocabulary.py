@@ -160,16 +160,19 @@ class ContextDimension:
     contextual_property: Iri
     contextual_data_property: Iri
 
+    @property
+    def iris(self) -> tuple[Iri, ...]:
+        return (self.part_class, self.context_class, self.part_of, self.extent,
+                self.contextual_property, self.contextual_data_property)
+
     def __post_init__(self) -> None:
         if not _DIMENSION_NAME_RE.match(self.name):
             raise ValueError(f"bad dimension name: {self.name!r}")
-        iris = (self.part_class, self.context_class, self.part_of, self.extent,
-                self.contextual_property, self.contextual_data_property)
         # The builders put these into triples unchecked.
-        for iri in iris:
+        for iri in self.iris:
             if not isinstance(iri, Iri):
                 raise ValueError(f"dimension {self.name!r} needs IRIs, got {iri!r}")
-        if len(set(iris)) != len(iris):
+        if len(set(self.iris)) != len(self.iris):
             raise ValueError(f"dimension {self.name!r} reuses an IRI across roles")
 
 
@@ -296,6 +299,10 @@ class DimensionRegistry:
         existing = self._dims.get(dim.name)
         if existing is not None and existing != dim:
             raise ValueError(f"dimension {dim.name!r} already registered with different IRIs")
+        # A shared IRI would read one dimension's parts as the other's.
+        for other in self._dims.values():
+            if other.name != dim.name and (shared := set(other.iris) & set(dim.iris)):
+                raise ValueError(f"dimensions {other.name!r} and {dim.name!r} share the IRI {min(shared).n3()}")
         self._dims[dim.name] = dim
         self._patterns.clear()
 

@@ -645,6 +645,13 @@ MALFORMED_INPUTS = {
         "nesting_order names unregistered dimensions: spatial",
     ),
     "config-unknown-key": ("config", "[dimension.spatial]\ncolour = red\n", "unknown keys: colour"),
+    "config-shared-dimension-iri": (
+        "config",
+        "[dimension.temporal]\nextent = http://purl.org/NET/ndfluents/provenance#provenanceExtent\n"
+        "[dimension.provenance]\n",
+        "dimensions 'temporal' and 'provenance' share the IRI "
+        "<http://purl.org/NET/ndfluents/provenance#provenanceExtent>",
+    ),
     "pattern-truncated": ("pattern", "?s ?p", "line 1: a triple pattern needs exactly 3 terms"),
     "pattern-bad-group": ("pattern", "?s ?p ?o .\nGROUP BY\n", "line 2: expected GROUP BY ?variable"),
     "pattern-relative-iri": ("pattern", "<rel> ?p ?o .\n", "line 1: relative IRI 'rel'"),

@@ -460,6 +460,21 @@ class TestRounds:
         assert result.rounds == (12, 2, 1)
         assert sum(result.rounds) == len(g) + len(result.derived)
 
+    def test_saturate_does_not_sort_its_input(self):
+        # `reason` saturates the graph it has just parsed: the rules need
+        # its triples as a set, never in order.
+        g = Graph([
+            Triple(EX.a, TEMPORAL.part_of, EX.b),
+            Triple(EX.a, TEMPORAL.part_of, EX.c),
+            Triple(EX.b, TEMPORAL.part_of, EX.d),
+            Triple(EX.a, RDF_TYPE, CORE.Context),
+        ])
+        axioms = _temporal_tbox() + [transitivity_axiom(), functional(TEMPORAL.part_of),
+                                     disjoint_classes(CORE.Context, CORE.ContextualPart)]
+        result = saturate(g, axioms)
+        assert len(result.derived) > 0 and len(result.violations) == 2
+        assert g._sorted is None
+
 
 # --- reference oracle ---------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Vocabulary constants, dimension factories, and axiom module generators."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +119,21 @@ class TestRegistry:
         reg = default_registry()
         with pytest.raises(ValueError):
             reg.add(conventional_dimension("temporal"))
+
+    def test_dimensions_sharing_an_iri_rejected(self):
+        # A provenance part with the temporal extent would read back as a
+        # temporal part.
+        reg = default_registry()
+        clash = replace(provenance_dimension(), name="trust", extent=temporal_dimension().extent)
+        with pytest.raises(ValueError, match=(
+            "^dimensions 'temporal' and 'trust' share the IRI "
+            "<http://purl.org/NET/ndfluents/4dFluents#temporalExtent>$"
+        )):
+            reg.add(clash)
+        assert reg == default_registry()
+        with pytest.raises(ValueError, match="^dimensions 'provenance' and 'trust' share the IRI "):
+            trust = replace(conventional_dimension("trust"), part_of=provenance_dimension().part_of)
+            DimensionRegistry([provenance_dimension(), trust])
 
     def test_combined_lookup(self):
         reg = default_registry()
