@@ -169,13 +169,9 @@ class _RuleIndex:
         # Properties whose triples type their subject with their object, so
         # the object's super-classes belong in their template.
         self.types_object = self._family(RDF_TYPE)
-        self.join_heads = (
-            self.transitive | self.avf_domain.keys() | self.avf_range.keys()
-            | self.avf_domain_by_via.keys() | self.avf_range_by_via.keys()
-        )
-        # What the join rules look up: values by (predicate, subject) in
-        # `sp`, subjects by (predicate, object) in `po`; disjointness reads
-        # the typed subjects of each class from `po`.
+        # The predicates whose values of each subject the join rules look up
+        # (`sp`), and those whose subjects of each value they look up (`po`);
+        # disjointness reads the typed subjects of each class from `po`.
         self.sp_predicates = (
             self.transitive | self.avf_domain.keys()
             | self.avf_domain_by_via.keys() | self.avf_range_by_via.keys()
@@ -417,7 +413,7 @@ def validate(
     typed_parts: set[Term] = set()
     contexts: set[Term] = set()
     # One scan of the derived triples: an index of them would serve only this.
-    for t in chain(graph.match(None, RDF_TYPE), [t for t in derived._triples if t[1] is RDF_TYPE]):
+    for t in chain(graph.match(None, RDF_TYPE), [d for d in derived._triples if d[1] is RDF_TYPE]):
         if t.object in pattern.part_classes:
             typed_parts.add(t.subject)
         if t.object in pattern.context_classes:
