@@ -1,6 +1,8 @@
 """Forward-chaining saturation and pattern validation."""
 
 import random
+from functools import cache
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from ndfluents import (
     annotate,
     contextualize,
     core_axioms,
+    default_registry,
     dimension_module,
     related_contextual_property,
     related_property_iri,
@@ -39,6 +42,7 @@ from ndfluents.reasoner import (
     _rule_index,
     _violation_key,
 )
+from ndfluents.terms import Term
 from ndfluents import reasoner
 from ndfluents.terms import term_sort_key
 from ndfluents.vocabulary import (
@@ -690,3 +694,159 @@ def test_saturate_agrees_with_the_reference_on_contextual_graphs(model, rounds):
         result = _assert_matches_reference(seeded, config.axioms() + [functional(TEMPORAL.part_of)])
         measured.append(result.rounds)
     assert measured == rounds
+
+
+def _reference_validate(graph, axioms, registry, vocab=CORE, *, same_extent=True):
+    """The pattern checks `validate` replaced: a scan of each partOf
+    property's edges for the parts that have one, another per property for
+    the range-complement and functional checks, the typed parts less those
+    as the parts missing one, and the same-extent rule over the sorted
+    graph, each part's extents read through a per-call cache."""
+    pattern = registry.pattern_vocabulary(vocab)
+    # Context and ContextualPart are disjoint even when the caller passed no
+    # axioms: the check defines pattern conformance. A list that has the
+    # axiom goes to saturate as it is, so equal lists share one rule index.
+    disjoint = disjoint_classes(vocab.Context, vocab.ContextualPart)
+    result = saturate(graph, axioms if disjoint in axioms else [*axioms, disjoint], vocab)
+    derived = result.derived
+    # The partOf check below reports every conflict of a partOf property,
+    # citing all its values: it takes the place of saturate's report.
+    violations: dict[tuple, Violation] = {
+        _violation_key(v): v for v in result.violations
+        if not (v.kind == VIOLATION_FUNCTIONAL and v.triples[0].predicate in pattern.part_of)
+    }
+
+    def add(v: Violation) -> None:
+        violations.setdefault(_violation_key(v), v)
+
+    linked = {t.subject for prop in pattern.part_of for t in graph.match(None, prop)}
+    typed_parts: set[Term] = set()
+    contexts: set[Term] = set()
+    # One scan of the derived triples: an index of them would serve only this.
+    for t in chain(graph.match(None, RDF_TYPE), [d for d in derived._triples if d[1] is RDF_TYPE]):
+        if t.object in pattern.part_classes:
+            typed_parts.add(t.subject)
+        if t.object in pattern.context_classes:
+            contexts.add(t.subject)
+
+    for prop in pattern.part_of:
+        edges_by_part: dict[Term, list[Triple]] = {}
+        for edge in graph.match(None, prop):
+            edges_by_part.setdefault(edge.subject, []).append(edge)
+            # partOf must not point into a context.
+            if edge.object in contexts:
+                add(Violation(
+                    VIOLATION_RANGE_COMPLEMENT,
+                    (edge.subject, edge.object),
+                    f"{prop.n3()} points at a context individual",
+                    (edge,),
+                ))
+        # Functionality of partOf over asserted edges, per property.
+        for part, edges in edges_by_part.items():
+            if len(edges) > 1:
+                add(Violation(
+                    VIOLATION_FUNCTIONAL,
+                    (part,),
+                    f"{prop.n3()} is functional but has {len(edges)} values",
+                    tuple(sorted(edges, key=Triple.sort_key)),
+                ))
+
+    # Parts must have a partOf edge.
+    for resource in typed_parts - linked:
+        add(Violation(
+            VIOLATION_MISSING_PART_OF,
+            (resource,),
+            "typed as a contextual part but carries no partOf edge",
+            tuple(
+                typing for cls in sorted(pattern.part_classes)
+                if (typing := Triple(resource, RDF_TYPE, cls)) in graph or typing in derived
+            ),
+        ))
+
+    if same_extent:
+        scaffolding = pattern.scaffolding | {SAME_AS}
+        parts = linked | typed_parts
+
+        # A part is in many part-to-part triples: read its extents once. The
+        # cache lives only as long as this call.
+        @cache
+        def extents_of(part: Term) -> dict[Iri, set[Term]]:
+            found: dict[Iri, set[Term]] = {}
+            for t in graph.match(part):
+                if t.predicate in pattern.extents:
+                    found.setdefault(t.predicate, set()).add(t.object)
+            return found
+
+        for t in graph.sorted_triples():
+            if t.predicate in scaffolding:
+                continue
+            if not (t.subject in parts and t.object in parts):
+                continue
+            subject_extents = extents_of(t.subject)
+            object_extents = extents_of(t.object)
+            for prop in sorted(set(subject_extents) & set(object_extents)):
+                if subject_extents[prop] != object_extents[prop]:
+                    add(Violation(
+                        VIOLATION_SAME_EXTENT,
+                        (t.subject, t.object),
+                        f"linked parts disagree on {prop.n3()}",
+                        (t,),
+                    ))
+
+    return sorted(violations.values(), key=_violation_key)
+
+
+_REGISTRY = default_registry()
+_PATTERN = _REGISTRY.pattern_vocabulary()
+# The TBox of each model over the default registry, and none.
+_TBOXES = [
+    Config(registry=_REGISTRY, model=model, policy=MintingPolicy(), vocab=CORE).axioms()
+    for model in (B, CombinationModel.contexts_in_context(["temporal", "provenance"]),
+                  CombinationModel.combined_extent())
+] + [[]]
+_PATTERN_NODES = [EX[f"n{i}"] for i in range(5)] + [BlankNode("b2"), BlankNode("b10")]
+_PATTERN_CLASSES = sorted(_PATTERN.part_classes | _PATTERN.context_classes) + [EX.C0]
+_PATTERN_PREDICATES = sorted(_PATTERN.part_of | _PATTERN.extents) + [
+    _PATTERN.member_context, EX.knows, EX.near, SAME_AS,
+]
+
+
+@st.composite
+def _pattern_graph(draw):
+    """A graph over the default registry's pattern: parts with a partOf
+    edge and extents in two contexts, part and context typings, member
+    contexts, data triples between parts, and random edges between a few
+    IRIs and blank nodes, some with literal objects."""
+    nodes = st.sampled_from(_PATTERN_NODES)
+    # Parts and their links drawn from a few nodes, so that links meet.
+    few = st.sampled_from(_PATTERN_NODES[:3] + _PATTERN_NODES[-1:])
+    contexts = st.sampled_from([EX.t1, EX.t2])
+    parts = draw(st.lists(
+        st.tuples(few, st.sampled_from(sorted(_PATTERN.part_of)), nodes,
+                  st.sampled_from(sorted(_PATTERN.extents)), contexts),
+        max_size=4,
+    ))
+    triples = [Triple(part, part_of, whole) for part, part_of, whole, _, _ in parts]
+    triples += [Triple(part, extent, context) for part, _, _, extent, context in parts]
+    triples += draw(st.lists(st.builds(Triple, few, st.sampled_from([EX.knows, EX.near]), few), max_size=4))
+    triples += draw(st.lists(
+        st.builds(Triple, st.sampled_from(_PATTERN_NODES + [EX.t1]), st.just(RDF_TYPE),
+                  st.sampled_from(_PATTERN_CLASSES)),
+        max_size=5,
+    ))
+    triples += draw(st.lists(
+        st.builds(Triple, nodes, st.sampled_from(_PATTERN_PREDICATES),
+                  st.sampled_from(_PATTERN_NODES + [EX.t1, Literal("x"), Literal("7", datatype=XSD.integer)])),
+        max_size=8,
+    ))
+    return Graph(triples)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_pattern_graph())
+def test_validate_agrees_with_the_reference(graph):
+    for axioms in _TBOXES:
+        for same_extent in (True, False):
+            assert [v.render() for v in validate(graph, axioms, _REGISTRY, same_extent=same_extent)] == [
+                v.render() for v in _reference_validate(graph, axioms, _REGISTRY, same_extent=same_extent)
+            ]
