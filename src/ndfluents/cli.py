@@ -273,7 +273,7 @@ def _cmd_reason(args: argparse.Namespace) -> int:
         log.warning("%s", violation.render())
     log.info("derived %d new triples", len(result.derived))
     log.info("rounds %s", json.dumps(list(result.rounds)))
-    output = Graph(result.derived) if args.derived_only else result.all
+    output = result.derived if args.derived_only else result.all
     _write_graph(output, args.out, args.out_format, config)
     return 0
 

@@ -350,13 +350,13 @@ def _solve(graph: Graph, plan: _Plan) -> list[tuple[Term, ...]]:
     bucket of one index per solution; the bucket's triples match every
     bound position, so the step reads only its new variables and checks
     only its repeats. A step with all three bound tests membership, and one
-    with none reads every triple."""
+    with none reads every triple, in set order, which no row shows."""
     solutions: list[tuple[Term, ...]] = [plan.head]
     for _, bound, key, _, new, repeats in plan.steps:
         if len(bound) == 3:
             solutions = [binding for binding in solutions if key(binding) in graph]
         elif not bound:
-            cuts = [t[new] for t in graph.sorted_triples() if all(t[a] is t[b] for a, b in repeats)]
+            cuts = [t[new] for t in graph._triples if all(t[a] is t[b] for a, b in repeats)]
             solutions = [binding + cut for binding in solutions for cut in cuts]
         else:
             get = graph._index(bound).get

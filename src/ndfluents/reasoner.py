@@ -34,16 +34,19 @@ congruence: the point of deriving them here is diagnostic.
 
 `validate` checks conformance of a contextual graph: disjointness of
 contexts and parts, by `saturate`'s rule whatever axioms the caller
-passes, functionality of partOf over asserted edges, parts typed as such
-without a partOf edge, partOf edges into contexts, and the same-extent
-rule for statements between parts.
+passes, then one pass over the parts that reads each part's edges once.
+A part's partOf edges are checked on the spot: it has one, each partOf
+property gives it one whole, over asserted edges, and none points into a
+context. Its extents and its data triples to other parts feed the
+same-extent rule, run last over those triples in `Triple.sort_key` order:
+the first of several that share a report cites it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import chain
 
 from .terms import OWL, RDF_TYPE, Graph, Iri, Literal, Term, Triple, _unchecked_triple
@@ -333,7 +336,7 @@ def saturate(
 
     for a, b in idx.disjoint:
         offenders = po[RDF_TYPE].get(a, set()) & po[RDF_TYPE].get(b, set())
-        for s in sorted(offenders, key=lambda x: x.n3()):
+        for s in offenders:
             v = Violation(
                 VIOLATION_DISJOINT,
                 (s,),
@@ -409,7 +412,6 @@ def validate(
     def add(v: Violation) -> None:
         violations.setdefault(_violation_key(v), v)
 
-    linked = {t.subject for prop in pattern.part_of for t in graph.match(None, prop)}
     typed_parts: set[Term] = set()
     contexts: set[Term] = set()
     # One scan of the derived triples: an index of them would serve only this.
@@ -419,20 +421,44 @@ def validate(
         if t.object in pattern.context_classes:
             contexts.add(t.subject)
 
-    for prop in pattern.part_of:
-        edges_by_part: dict[Term, list[Triple]] = {}
-        for edge in graph.match(None, prop):
-            edges_by_part.setdefault(edge.subject, []).append(edge)
-            # partOf must not point into a context.
-            if edge.object in contexts:
-                add(Violation(
-                    VIOLATION_RANGE_COMPLEMENT,
-                    (edge.subject, edge.object),
-                    f"{prop.n3()} points at a context individual",
-                    (edge,),
-                ))
+    # One pass over the parts, each read once: its partOf edges and its
+    # extents by property, and its data triples to other parts.
+    parts = typed_parts | {t.subject for prop in pattern.part_of for t in graph.match(None, prop)}
+    scaffolding = pattern.scaffolding | {SAME_AS}
+    extents: dict[Term, dict[Iri, set[Term]]] = {}
+    links: list[Triple] = []
+    for part in parts:
+        wholes: dict[Iri, list[Triple]] = {}
+        found = extents[part] = {}
+        for t in graph.match(part):
+            p = t[1]
+            if p in pattern.part_of:
+                wholes.setdefault(p, []).append(t)
+                # partOf must not point into a context.
+                if t[2] in contexts:
+                    add(Violation(
+                        VIOLATION_RANGE_COMPLEMENT,
+                        (part, t[2]),
+                        f"{p.n3()} points at a context individual",
+                        (t,),
+                    ))
+            if p in pattern.extents:
+                found.setdefault(p, set()).add(t[2])
+            elif p not in scaffolding and t[2] in parts:
+                links.append(t)
+        # Parts must have a partOf edge.
+        if not wholes:
+            add(Violation(
+                VIOLATION_MISSING_PART_OF,
+                (part,),
+                "typed as a contextual part but carries no partOf edge",
+                tuple(
+                    typing for cls in sorted(pattern.part_classes)
+                    if (typing := Triple(part, RDF_TYPE, cls)) in graph or typing in derived
+                ),
+            ))
         # Functionality of partOf over asserted edges, per property.
-        for part, edges in edges_by_part.items():
+        for prop, edges in wholes.items():
             if len(edges) > 1:
                 add(Violation(
                     VIOLATION_FUNCTIONAL,
@@ -441,44 +467,16 @@ def validate(
                     tuple(sorted(edges, key=Triple.sort_key)),
                 ))
 
-    # Parts must have a partOf edge.
-    for resource in typed_parts - linked:
-        add(Violation(
-            VIOLATION_MISSING_PART_OF,
-            (resource,),
-            "typed as a contextual part but carries no partOf edge",
-            tuple(
-                typing for cls in sorted(pattern.part_classes)
-                if (typing := Triple(resource, RDF_TYPE, cls)) in graph or typing in derived
-            ),
-        ))
-
+    # Each key above is one violation's own. The links of two parts share
+    # theirs, so they go in `Triple.sort_key` order: the first one cites.
     if same_extent:
-        scaffolding = pattern.scaffolding | {SAME_AS}
-        parts = linked | typed_parts
-
-        # A part is in many part-to-part triples: read its extents once. The
-        # cache lives only as long as this call.
-        @cache
-        def extents_of(part: Term) -> dict[Iri, set[Term]]:
-            found: dict[Iri, set[Term]] = {}
-            for t in graph.match(part):
-                if t.predicate in pattern.extents:
-                    found.setdefault(t.predicate, set()).add(t.object)
-            return found
-
-        for t in graph.sorted_triples():
-            if t.predicate in scaffolding:
-                continue
-            if not (t.subject in parts and t.object in parts):
-                continue
-            subject_extents = extents_of(t.subject)
-            object_extents = extents_of(t.object)
-            for prop in sorted(set(subject_extents) & set(object_extents)):
-                if subject_extents[prop] != object_extents[prop]:
+        for t in sorted(links, key=Triple.sort_key):
+            ours, theirs = extents[t[0]], extents[t[2]]
+            for prop in sorted(ours.keys() & theirs.keys()):
+                if ours[prop] != theirs[prop]:
                     add(Violation(
                         VIOLATION_SAME_EXTENT,
-                        (t.subject, t.object),
+                        (t[0], t[2]),
                         f"linked parts disagree on {prop.n3()}",
                         (t,),
                     ))

@@ -385,6 +385,15 @@ class TestValidate:
         violations = validate(seeded, config.axioms(), config.registry)
         assert violations and all(v.kind == VIOLATION_SAME_EXTENT for v in violations)
 
+    def test_a_same_extent_report_cites_the_first_link(self):
+        # Two links of the same two parts make one report, which cites the
+        # link that comes first in `Triple.sort_key` order.
+        graph, config = self._clean_graph()
+        links = [Triple(EX["Paris@t1"], p, EX["Paris@src_t2"]) for p in (EX.near, EX.knows)]
+        (violation,) = validate(graph.union(links), config.axioms(), config.registry)
+        assert violation.kind == VIOLATION_SAME_EXTENT
+        assert violation.triples == (links[1],)
+
     def test_same_extent_check_can_be_disabled(self):
         graph, config = self._clean_graph()
         seeded = graph.union([Triple(EX["Paris@t1"], EX.knows, EX["Paris@src_t2"])])
@@ -412,6 +421,26 @@ class TestValidate:
         assert violation.subjects == (EX["Paris@t1"],)
         assert violation.triples == tuple(sorted(offenders, key=Triple.sort_key))
         assert violation.detail == f"{CORE.contextualPartOf.n3()} is functional but has 2 values"
+
+    def test_validate_does_not_sort_its_input(self):
+        # The four faults the `reason` benchmark seeds, and a part with no
+        # partOf edge: the checks read the graph by index, and only the
+        # links between parts go in order.
+        graph, config = self._clean_graph()
+        seeded = graph.union([
+            Triple(EX["Paris@t1"], RDF_TYPE, CORE.Context),
+            Triple(EX["Paris@t1"], TEMPORAL.part_of, EX.Lyon),
+            Triple(EX.stray, TEMPORAL.part_of, EX.t1),
+            Triple(EX["Paris@t1"], EX.knows, EX["Paris@src_t2"]),
+            Triple(EX.orphan, RDF_TYPE, TEMPORAL.part_class),
+        ])
+        fresh = Graph(seeded._triples)
+        violations = validate(fresh, config.axioms(), config.registry)
+        assert {v.kind for v in violations} == {
+            VIOLATION_DISJOINT, VIOLATION_FUNCTIONAL, VIOLATION_RANGE_COMPLEMENT,
+            VIOLATION_SAME_EXTENT, VIOLATION_MISSING_PART_OF,
+        }
+        assert fresh._sorted is None
 
     def _disjoint_reports(self, axioms) -> list[str]:
         """The rendered DisjointClasses violations of the clean graph once
