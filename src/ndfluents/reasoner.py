@@ -34,12 +34,9 @@ congruence: the point of deriving them here is diagnostic.
 
 `validate` checks conformance of a contextual graph: disjointness of
 contexts and parts, by `saturate`'s rule whatever axioms the caller
-passes, then one pass over the parts that reads each part's edges once.
-A part's partOf edges are checked on the spot: it has one, each partOf
-property gives it one whole, over asserted edges, and none points into a
-context. Its extents and its data triples to other parts feed the
-same-extent rule, run last over those triples in `Triple.sort_key` order:
-the first of several that share a report cites it.
+passes, then in one read of each part's edges its partOf edges (one at
+least, one whole per partOf property, none into a context) and the
+same-extent rule over the data triples between parts.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 
-from .terms import OWL, RDF_TYPE, Graph, Iri, Literal, Term, Triple, _unchecked_triple
+from .terms import OWL, RDF_TYPE, Graph, Iri, Literal, Term, Triple, _members, _unchecked_triple
 from .vocabulary import (
     ALL_VALUES_FROM_DOMAIN,
     ALL_VALUES_FROM_RANGE,
@@ -421,19 +418,18 @@ def validate(
         if t.object in pattern.context_classes:
             contexts.add(t.subject)
 
-    # One pass over the parts, each read once: its partOf edges and its
-    # extents by property, and its data triples to other parts.
+    # One pass over the parts reads each part's edges once, from the S index.
     parts = typed_parts | {t.subject for prop in pattern.part_of for t in graph.match(None, prop)}
     scaffolding = pattern.scaffolding | {SAME_AS}
-    extents: dict[Term, dict[Iri, set[Term]]] = {}
+    extent_edges: list[Triple] = []
     links: list[Triple] = []
+    by_subject = graph._index((0,))
     for part in parts:
-        wholes: dict[Iri, list[Triple]] = {}
-        found = extents[part] = {}
-        for t in graph.match(part):
+        wholes: list[Triple] = []
+        for t in _members(by_subject.get(part)):
             p = t[1]
             if p in pattern.part_of:
-                wholes.setdefault(p, []).append(t)
+                wholes.append(t)
                 # partOf must not point into a context.
                 if t[2] in contexts:
                     add(Violation(
@@ -443,7 +439,7 @@ def validate(
                         (t,),
                     ))
             if p in pattern.extents:
-                found.setdefault(p, set()).add(t[2])
+                extent_edges.append(t)
             elif p not in scaffolding and t[2] in parts:
                 links.append(t)
         # Parts must have a partOf edge.
@@ -458,7 +454,8 @@ def validate(
                 ),
             ))
         # Functionality of partOf over asserted edges, per property.
-        for prop, edges in wholes.items():
+        for prop in {t[1] for t in wholes} if len(wholes) > 1 else ():
+            edges = [t for t in wholes if t[1] is prop]
             if len(edges) > 1:
                 add(Violation(
                     VIOLATION_FUNCTIONAL,
@@ -467,13 +464,17 @@ def validate(
                     tuple(sorted(edges, key=Triple.sort_key)),
                 ))
 
-    # Each key above is one violation's own. The links of two parts share
-    # theirs, so they go in `Triple.sort_key` order: the first one cites.
+    # Each key is one violation's own, but for the links of two parts, which
+    # share theirs: they go in `Triple.sort_key` order, so the first cites.
     if same_extent:
+        extents: dict[Term, dict[Iri, set[Term]]] = {end: {} for t in links for end in (t[0], t[2])}
+        for part, prop, context in extent_edges:
+            if part in extents:
+                extents[part].setdefault(prop, set()).add(context)
         for t in sorted(links, key=Triple.sort_key):
             ours, theirs = extents[t[0]], extents[t[2]]
-            for prop in sorted(ours.keys() & theirs.keys()):
-                if ours[prop] != theirs[prop]:
+            for prop, values in ours.items():
+                if prop in theirs and theirs[prop] != values:
                     add(Violation(
                         VIOLATION_SAME_EXTENT,
                         (t[0], t[2]),
