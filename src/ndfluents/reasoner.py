@@ -34,8 +34,8 @@ congruence: the point of deriving them here is diagnostic.
 
 `validate` checks conformance of a contextual graph: disjointness of
 contexts and parts, by `saturate`'s rule whatever axioms the caller
-passes, then in one read of each part's edges its partOf edges (one at
-least, one whole per partOf property, none into a context) and the
+passes; then, reading each part's edges once, that it has a partOf edge,
+one whole per partOf property and none that is a context; last the
 same-extent rule over the data triples between parts.
 """
 
