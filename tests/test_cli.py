@@ -35,6 +35,7 @@ from ndfluents.vocabulary import (
     CORE,
     axioms_from_graph,
     functional,
+    provenance_dimension,
     temporal_dimension,
     transitive,
 )
@@ -601,6 +602,12 @@ class TestSubprocess:
 _CSV_HEADER = "subject,predicate,object,objectType,dim1,ctx1\n"
 _CSV_ROW = "http://e.org/a,http://e.org/p,http://e.org/b,iri,temporal,http://e.org/t1\n"
 
+# N-Triples of a part <a> with a temporal extent and one data triple, and
+# the partOf edges that chain it (or break its chain) to a whole.
+_PART_OF, _EXTENT = temporal_dimension().part_of.n3(), temporal_dimension().extent.n3()
+_PART_A = f"<http://e.org/a> {_EXTENT} <http://e.org/t1> .\n<http://e.org/a> <http://e.org/p> <http://e.org/c> .\n"
+_A_PART_OF_S = f"<http://e.org/a> {_PART_OF} <http://e.org/S> .\n"
+
 # (input kind, file content, a piece of the one error line); each kind is
 # fed to the command that reads it.
 MALFORMED_INPUTS = {
@@ -652,6 +659,30 @@ MALFORMED_INPUTS = {
         "dimensions 'temporal' and 'provenance' share the IRI "
         "<http://purl.org/NET/ndfluents/provenance#provenanceExtent>",
     ),
+    "nt-partof-cycle": (
+        "nt",
+        _PART_A + f"<http://e.org/a> {_PART_OF} <http://e.org/b> .\n<http://e.org/b> {_PART_OF} <http://e.org/a> .\n"
+        f"<http://e.org/b> {_EXTENT} <http://e.org/t1> .\n",
+        "partOf cycle at <http://e.org/a>",
+    ),
+    "nt-no-partof": (
+        "nt",
+        _PART_A + f"<http://e.org/a> {RDF.type.n3()} {temporal_dimension().part_class.n3()} .\n",
+        "part <http://e.org/a> has no partOf edge",
+    ),
+    "nt-functional-partof": (
+        "nt",
+        _PART_A + _A_PART_OF_S + f"<http://e.org/a> {_PART_OF} <http://e.org/T> .\n",
+        f"part <http://e.org/a> has 2 values for {_PART_OF}; contextualPartOf is functional",
+    ),
+    "nt-two-entities": (
+        "nt",
+        _PART_A + _A_PART_OF_S + f"<http://e.org/a> {provenance_dimension().part_of.n3()} <http://e.org/T> .\n",
+        "part <http://e.org/a> belongs to more than one entity",
+    ),
+    "nt-blank-whole": (
+        "nt", _PART_A + f"<http://e.org/a> {_PART_OF} _:b0 .\n", "chain from <http://e.org/a> ends at non-IRI _:b0"
+    ),
     "pattern-truncated": ("pattern", "?s ?p", "line 1: a triple pattern needs exactly 3 terms"),
     "pattern-bad-group": ("pattern", "?s ?p ?o .\nGROUP BY\n", "line 2: expected GROUP BY ?variable"),
     "pattern-relative-iri": ("pattern", "<rel> ?p ?o .\n", "line 1: relative IRI 'rel'"),
@@ -667,8 +698,8 @@ MALFORMED_INPUTS = {
 
 class TestMalformedInputs:
     """Every malformed statements, estimates, sidecar, config or pattern
-    file exits 2 with one `error:` line and no traceback, in a fresh
-    interpreter."""
+    file, and every graph that breaks the contextual-part pattern, exits 2
+    with one `error:` line and no traceback, in a fresh interpreter."""
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
     def test_exits_two_with_one_error_line(self, tmp_path, case):
@@ -689,6 +720,7 @@ class TestMalformedInputs:
             "sidecar": ["contextualize", quads, "--format", "nquads", "--sidecar", bad],
             "config": ["contextualize", good_csv, "-c", bad],
             "pattern": ["query", graph, "--pattern", bad],
+            "nt": ["decontextualize", bad],
         }[kind]
         done = run_cli(argv)
         lines = done.stderr.splitlines()

@@ -445,6 +445,35 @@ class TestDecontextualize:
         with pytest.raises(PatternError):
             decontextualize(g, temporal_registry)
 
+    @pytest.mark.parametrize(
+        "chain, message",
+        [
+            (
+                [Triple(EX.a, TEMPORAL.part_of, EX.b), Triple(EX.b, TEMPORAL.part_of, EX.a),
+                 Triple(EX.b, TEMPORAL.extent, EX.t1)],
+                f"partOf cycle at {EX.a.n3()}",
+            ),
+            ([Triple(EX.a, RDF_TYPE, TEMPORAL.part_class)], f"part {EX.a.n3()} has no partOf edge"),
+            (
+                [Triple(EX.a, TEMPORAL.part_of, EX.S), Triple(EX.a, TEMPORAL.part_of, EX.T)],
+                f"part {EX.a.n3()} has 2 values for {TEMPORAL.part_of.n3()}; contextualPartOf is functional",
+            ),
+            (
+                [Triple(EX.a, TEMPORAL.part_of, EX.S), Triple(EX.a, PROVENANCE.part_of, EX.T)],
+                f"part {EX.a.n3()} belongs to more than one entity",
+            ),
+            (
+                [Triple(EX.a, TEMPORAL.part_of, BlankNode("b0"))],
+                f"chain from {EX.a.n3()} ends at non-IRI _:b0",
+            ),
+        ],
+        ids=["cycle", "no-part-of", "functional", "two-entities", "blank-whole"],
+    )
+    def test_a_broken_chain_names_the_part(self, two_dim_registry, chain, message):
+        g = Graph([Triple(EX.a, TEMPORAL.extent, EX.t1), Triple(EX.a, EX.p, EX.c), *chain])
+        with pytest.raises(PatternError) as raised:
+            decontextualize(g, two_dim_registry)
+        assert str(raised.value) == message
 
     @pytest.mark.parametrize(
         "extra, message",
