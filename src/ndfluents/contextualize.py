@@ -476,6 +476,8 @@ def decontextualize(
                 contexts = contexts | object_contexts
             if not isinstance(subject, Iri):
                 raise PatternError(f"chain from {triple.subject.n3()} ends at non-IRI {subject.n3()}")
+            if obj is not triple.object and not isinstance(obj, Iri):
+                raise PatternError(f"chain from {triple.object.n3()} ends at non-IRI {obj.n3()}")
             if not contexts:
                 raise PatternError(f"no contexts recoverable for {triple.n3()}")
             if selected is not None and selected.isdisjoint(ctx for _, ctx in contexts):

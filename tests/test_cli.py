@@ -683,6 +683,16 @@ MALFORMED_INPUTS = {
     "nt-blank-whole": (
         "nt", _PART_A + f"<http://e.org/a> {_PART_OF} _:b0 .\n", "chain from <http://e.org/a> ends at non-IRI _:b0"
     ),
+    "nt-object-literal-whole": (
+        "nt",
+        _PART_A + _A_PART_OF_S + f'<http://e.org/c> {_PART_OF} "x" .\n<http://e.org/c> {_EXTENT} <http://e.org/t1> .\n',
+        'chain from <http://e.org/c> ends at non-IRI "x"',
+    ),
+    "nt-object-blank-whole": (
+        "nt",
+        _PART_A + _A_PART_OF_S + f"<http://e.org/c> {_PART_OF} _:b0 .\n<http://e.org/c> {_EXTENT} <http://e.org/t1> .\n",
+        "chain from <http://e.org/c> ends at non-IRI _:b0",
+    ),
     "pattern-truncated": ("pattern", "?s ?p", "line 1: a triple pattern needs exactly 3 terms"),
     "pattern-bad-group": ("pattern", "?s ?p ?o .\nGROUP BY\n", "line 2: expected GROUP BY ?variable"),
     "pattern-relative-iri": ("pattern", "<rel> ?p ?o .\n", "line 1: relative IRI 'rel'"),

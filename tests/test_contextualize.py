@@ -476,6 +476,29 @@ class TestDecontextualize:
         assert str(raised.value) == message
 
     @pytest.mark.parametrize(
+        "subject_whole, object_whole, message",
+        [
+            (EX.S, Literal("x"), f'chain from {EX.c.n3()} ends at non-IRI "x"'),
+            (EX.S, BlankNode("b0"), f"chain from {EX.c.n3()} ends at non-IRI _:b0"),
+            (BlankNode("b1"), Literal("x"), f"chain from {EX.a.n3()} ends at non-IRI _:b1"),
+        ],
+        ids=["object-literal", "object-blank", "subject-first"],
+    )
+    def test_an_object_chain_must_end_at_an_iri(self, temporal_registry, subject_whole, object_whole, message):
+        g = Graph(
+            [
+                Triple(EX.a, TEMPORAL.part_of, subject_whole),
+                Triple(EX.a, TEMPORAL.extent, EX.t1),
+                Triple(EX.a, EX.knows, EX.c),
+                Triple(EX.c, TEMPORAL.part_of, object_whole),
+                Triple(EX.c, TEMPORAL.extent, EX.t1),
+            ]
+        )
+        with pytest.raises(PatternError) as raised:
+            decontextualize(g, temporal_registry)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
         "extra, message",
         [
             (Triple(EX.p1, TEMPORAL.extent, EX.t2), "at most one context per dimension"),
