@@ -81,11 +81,12 @@ class IngestResult(NamedTuple):
 
 def read_estimate_rows(text: str) -> list[EstimateRow]:
     """Parse the estimates CSV into rows, rejecting malformed rows and
-    duplicate (source, year) pairs. An error names the physical line its
-    row ends on (`reader.line_num`), as a `csv.Error` does."""
+    duplicate (source, year) pairs. Rows of blanks are skipped, before the
+    header too. An error names the physical line its row ends on
+    (`reader.line_num`), as a `csv.Error` does."""
     reader = csv.reader(io.StringIO(text))
     try:
-        records = [(reader.line_num, cells) for cells in reader]
+        records = [(reader.line_num, cells) for cells in reader if any(cell.strip() for cell in cells)]
     except csv.Error as error:
         raise IngestError(f"row {reader.line_num}: {error}") from None
     if not records:
@@ -98,8 +99,6 @@ def read_estimate_rows(text: str) -> list[EstimateRow]:
     rows: list[EstimateRow] = []
     seen: dict[tuple[str, int], int] = {}
     for number, cells in records[1:]:
-        if not cells or all(not cell.strip() for cell in cells):
-            continue
         if len(cells) != len(INGEST_HEADER):
             raise IngestError(
                 f"row {number}: expected {len(INGEST_HEADER)} fields, got {len(cells)}"

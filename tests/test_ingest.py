@@ -78,6 +78,16 @@ class TestReadEstimateRows:
         with pytest.raises(IngestError, match=f"^row {line + 1}: duplicate .* first seen at row {line}$"):
             read_estimate_rows(HEADER + before + "A,1000,100,\nA,1000,200,\n")
 
+    def test_blank_rows_before_the_header_are_skipped(self):
+        assert read_estimate_rows("\n , \n" + HEADER + "A,1000,100,\n") == [EstimateRow("A", 1000, 100)]
+        with pytest.raises(IngestError, match="^row 4: year and populations must be integers$"):
+            read_estimate_rows("\n\n" + HEADER + "A,one,100,\n")
+
+    @pytest.mark.parametrize("text", ["", "\n", "\n , \n\n"], ids=["empty", "blank-line", "blank-rows"])
+    def test_a_file_of_blank_rows_has_no_header(self, text):
+        with pytest.raises(IngestError, match="^empty CSV: expected a header row$"):
+            read_estimate_rows(text)
+
     def test_bad_population_rejected(self):
         with pytest.raises(IngestError):
             read_estimate_rows(HEADER + "A,1000,many,\n")
