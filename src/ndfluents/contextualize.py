@@ -16,9 +16,9 @@ chain, chosen in `_Builder._levels` and written by one loop:
   combined context that lists the member contexts; a statement in one
   dimension falls back to multi-context.
 
-`decontextualize` inverts all three with one loop too, `_Reader.walk`:
-it follows partOf edges back to the first resource that is not a
-contextual part and collects the contexts of every level on the way.
+`decontextualize` inverts all three with one loop too: from each part it
+follows partOf edges back to the first resource that is not a contextual
+part and collects the contexts of every level on the way.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .terms import (
     Namespace,
     Term,
     Triple,
+    _members,
     _unchecked_triple,
     term_sort_key,
 )
@@ -93,9 +94,6 @@ class AnnotatedStatement:
         for term in (self.base.subject, self.base.object):
             if isinstance(term, BlankNode):
                 raise ValueError("blank nodes in base statements are not supported")
-
-    def dimensions(self) -> list[str]:
-        return sorted(a.dimension for a in self.contexts)
 
     def assignment_pairs(self) -> tuple[tuple[str, Iri], ...]:
         """(dimension, context) pairs sorted by dimension name."""
@@ -283,7 +281,7 @@ class _Builder:
         related = self.predicate_mode == PREDICATE_RELATED
         if related:
             predicate = self.predicate_map.get(predicate) or related_property_iri(predicate)
-        # The reader skips scaffolding: a statement under it would be lost.
+        # decontextualize skips scaffolding: a statement under it would be lost.
         if predicate in self.scaffolding:
             raise ValueError(
                 f"predicate {predicate.n3()} collides with scaffolding vocabulary; "
@@ -387,51 +385,54 @@ def contextualize(
 # --- decontextualization -----------------------------------------------------
 
 
-class _Reader:
-    """Reads contextual parts back out of a graph through its indexes; of
-    several faults, the first in sorted-triple order is raised."""
+def decontextualize(
+    graph: Graph,
+    registry: DimensionRegistry,
+    selection: set[Iri] | frozenset[Iri] | None = None,
+    vocab: CoreVocabulary = CORE,
+    *,
+    predicate_map: dict[Iri, Iri] | None = None,
+) -> list[AnnotatedStatement]:
+    """Invert contextualize. `selection` keeps only statements whose
+    recovered context IRIs intersect it. `predicate_map` maps rewritten
+    predicates back to base predicates (for related-property graphs). Each
+    part's edges are read from the S index; of several faults, the first in
+    sorted-triple order is raised."""
+    # Combined dimensions are recognized alongside the registered ones so
+    # combined-extent output decontextualizes with the same registry.
+    pattern = registry.pattern_vocabulary(vocab)
+    parts = pattern.parts(graph)
+    by_subject = graph._index((0,))
+    walks: dict[Term, tuple[Term, set[tuple[str, Iri]]]] = {}
 
-    def __init__(self, graph: Graph, registry: DimensionRegistry, vocab: CoreVocabulary):
-        self.graph = graph
-        # Combined dimensions are recognized alongside the registered ones so
-        # combined-extent output decontextualizes with the same registry.
-        self.pattern = registry.pattern_vocabulary(vocab)
-        self.parts = self.pattern.parts(graph)
-        self._walks: dict[Term, tuple[Term, set[tuple[str, Iri]]]] = {}
-
-    def context_assignments(self, edges: list[Triple]) -> set[tuple[str, Iri]]:
-        """Dimension-attributed contexts reachable from one part's extent edges."""
-        found: set[tuple[str, Iri]] = set()
-        for edge in sorted(edges, key=Triple.sort_key):
-            for name, context in self.pattern.attributed(self.graph, edge.predicate, edge.object):
-                if name is None:
-                    raise PatternError(
-                        f"cannot attribute context {context.n3()} to a dimension "
-                        "(no recognized context type)"
-                    )
-                found.add((name, context))
-        return found
-
-    def walk(self, part: Term) -> tuple[Term, set[tuple[str, Iri]]]:
-        """Follow partOf edges to the first non-part, collecting contexts."""
-        walked = self._walks.get(part)
+    def walk(part: Term) -> tuple[Term, set[tuple[str, Iri]]]:
+        """Follow partOf edges to the first non-part, collecting the
+        dimension-attributed contexts of each level's extent edges."""
+        walked = walks.get(part)
         if walked is not None:
             return walked
         contexts: set[tuple[str, Iri]] = set()
         current = part
         seen: set[Term] = set()
-        while current in self.parts:
+        while current in parts:
             if current in seen:
                 raise PatternError(f"partOf cycle at {current.n3()}")
             seen.add(current)
             by_prop: dict[Iri, set[Term]] = {}
-            part_extents: list[Triple] = []
-            for t in self.graph.match(current):
-                if t.predicate in self.pattern.part_of:
+            extents: list[Triple] = []
+            for t in _members(by_subject.get(current)):
+                if t.predicate in pattern.part_of:
                     by_prop.setdefault(t.predicate, set()).add(t.object)
-                elif t.predicate in self.pattern.extents and isinstance(t.object, Iri):
-                    part_extents.append(t)
-            contexts |= self.context_assignments(part_extents)
+                elif t.predicate in pattern.extents and isinstance(t.object, Iri):
+                    extents.append(t)
+            for edge in sorted(extents, key=Triple.sort_key):
+                for name, context in pattern.attributed(graph, edge.predicate, edge.object):
+                    if name is None:
+                        raise PatternError(
+                            f"cannot attribute context {context.n3()} to a dimension "
+                            "(no recognized context type)"
+                        )
+                    contexts.add((name, context))
             if not by_prop:
                 raise PatternError(f"part {current.n3()} has no partOf edge")
             for prop in sorted(by_prop, key=Iri.n3):
@@ -443,43 +444,30 @@ class _Reader:
             targets = set().union(*by_prop.values())
             if len(targets) > 1:
                 raise PatternError(f"part {current.n3()} belongs to more than one entity")
-            if not part_extents:
+            if not extents:
                 raise PatternError(f"part {current.n3()} has no extent")
             current = next(iter(targets))
-        walked = self._walks[part] = (current, contexts)
+        walked = walks[part] = (current, contexts)
         return walked
 
-
-def decontextualize(
-    graph: Graph,
-    registry: DimensionRegistry,
-    selection: set[Iri] | frozenset[Iri] | None = None,
-    vocab: CoreVocabulary = CORE,
-    *,
-    predicate_map: dict[Iri, Iri] | None = None,
-) -> list[AnnotatedStatement]:
-    """Invert contextualize. `selection` keeps only statements whose
-    recovered context IRIs intersect it. `predicate_map` maps rewritten
-    predicates back to base predicates (for related-property graphs)."""
-    reader = _Reader(graph, registry, vocab)
     reverse = _predicate_map(predicate_map)
     selected = None if selection is None else frozenset(selection)
     recovered: set[AnnotatedStatement] = set()
     # Sorted parts, then each part's sorted triples: the graph's own order.
-    for part in sorted(reader.parts, key=term_sort_key):
-        data = [t for t in graph.match(part) if t.predicate not in reader.pattern.scaffolding]
+    # Every level a walk visits has an extent edge, and each such edge gives
+    # at least one context or raises, so every statement has a context.
+    for part in sorted(parts, key=term_sort_key):
+        data = [t for t in _members(by_subject.get(part)) if t.predicate not in pattern.scaffolding]
         for triple in sorted(data, key=Triple.sort_key):
-            subject, contexts = reader.walk(triple.subject)
+            subject, contexts = walk(part)
             obj: Term = triple.object
-            if triple.object in reader.parts:
-                obj, object_contexts = reader.walk(triple.object)
+            if obj in parts:
+                obj, object_contexts = walk(obj)
                 contexts = contexts | object_contexts
             if not isinstance(subject, Iri):
-                raise PatternError(f"chain from {triple.subject.n3()} ends at non-IRI {subject.n3()}")
+                raise PatternError(f"chain from {part.n3()} ends at non-IRI {subject.n3()}")
             if obj is not triple.object and not isinstance(obj, Iri):
                 raise PatternError(f"chain from {triple.object.n3()} ends at non-IRI {obj.n3()}")
-            if not contexts:
-                raise PatternError(f"no contexts recoverable for {triple.n3()}")
             if selected is not None and selected.isdisjoint(ctx for _, ctx in contexts):
                 continue
             predicate = reverse.get(triple.predicate, triple.predicate)

@@ -98,43 +98,32 @@ def _split_iri(iri: Iri) -> tuple[str, str]:
     return value[: cut + 1], value[cut + 1 :]
 
 
-class _TurtleAbbreviator:
-    """The Turtle token of each term, made once: `tokens` maps each term
-    seen so far to it, and `token` makes the token of a term not yet seen."""
-
-    def __init__(self, prefixes: dict[str, str]):
-        self.by_base = {base: name for name, base in prefixes.items()}
-        self.used: set[str] = set()
-        self.tokens: dict[Term, str] = {}
-
-    def token(self, term: Term) -> str:
-        token = self.tokens.get(term)
-        if token is None:
-            token = self.tokens[term] = self._abbreviate(term)
-        return token
-
-    def _abbreviate(self, term: Term) -> str:
-        if isinstance(term, Iri):
-            base, local = _split_iri(term)
-            name = self.by_base.get(base)
-            if name is not None and _SAFE_LOCAL_RE.match(local) and not local.endswith("."):
-                self.used.add(name)
-                return f"{name}:{local}"
-            return term.n3()
-        if isinstance(term, Literal) and term.datatype is not None and term.language is None:
-            dt_token = self.token(term.datatype)
-            if dt_token != term.datatype.n3():
-                plain = term.n3()
-                if plain.endswith(term.datatype.n3()):
-                    return plain[: -len(term.datatype.n3())] + dt_token
-        return term.n3()
-
-
 def serialize_turtle(graph: Graph, prefixes: dict[str, str] | None = None) -> str:
     """Serialize as Turtle with subject grouping, preserving canonical order."""
     prefixes = dict(prefixes or {})
-    abbr = _TurtleAbbreviator(prefixes)
-    cached, token = abbr.tokens.get, abbr.token
+    by_base = {base: name for name, base in prefixes.items()}
+    used: set[str] = set()
+    tokens: dict[Term, str] = {}
+    cached = tokens.get
+
+    def token(term: Term) -> str:
+        """The Turtle token of `term`, kept in `tokens`: a prefixed name
+        where a prefix covers the IRI or the literal's datatype, else the
+        N-Triples token."""
+        text = term.n3()
+        if isinstance(term, Iri):
+            base, local = _split_iri(term)
+            name = by_base.get(base)
+            if name is not None and _SAFE_LOCAL_RE.match(local) and not local.endswith("."):
+                used.add(name)
+                text = f"{name}:{local}"
+        elif isinstance(term, Literal) and term.language is None:
+            datatype = term.datatype.n3()
+            dt_token = cached(term.datatype) or token(term.datatype)
+            if dt_token != datatype and text.endswith(datatype):
+                text = text[: -len(datatype)] + dt_token
+        tokens[term] = text
+        return text
 
     # Terms are interned, so a repeated subject or predicate is the same object.
     body: list[str] = []
@@ -159,7 +148,7 @@ def serialize_turtle(graph: Graph, prefixes: dict[str, str] | None = None) -> st
     header = [
         f"@prefix {name}: <{base}> .\n"
         for name, base in sorted(prefixes.items())
-        if name in abbr.used or not body
+        if name in used or not body
     ]
     sep = "\n" if header and body else ""
     return "".join(header) + sep + "".join(body)

@@ -30,8 +30,10 @@ bound positions short of all three, and yield in no particular order.
 first need and publishes it only when complete. A bucket is one `Triple`
 stored bare or a list of two or more, and `_members` reads both shapes.
 `Graph.match` chooses its index inline, and `Graph.count` counts what it
-yields; the query engine (`query.py`) reads the indexes through the
-accessor directly.
+yields. Readers that look up once per node or per join row skip `match`'s
+calls and read the indexes through the accessor directly: the query
+engine's joins and `context_slice` (`query.py`), `validate`
+(`reasoner.py`) and `decontextualize` (`contextualize.py`).
 """
 
 from __future__ import annotations

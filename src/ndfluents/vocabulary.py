@@ -241,10 +241,10 @@ def combine_dimensions(
 @dataclass(frozen=True)
 class PatternVocabulary:
     """How the contextual-part pattern reads under one core vocabulary, for
-    the builder, the reader, `context_slice` and `validate` alike.
+    the builder, `decontextualize`, `context_slice` and `validate` alike.
     `attributed` is the one rule for the contexts an extent edge gives its
-    part; the reader and `context_slice` both apply it. The reader skips
-    `scaffolding`, so no data predicate may be in it."""
+    part; `decontextualize` and `context_slice` both apply it.
+    `decontextualize` skips `scaffolding`, so no data predicate may be in it."""
 
     part_of: frozenset[Iri]
     extents: frozenset[Iri]

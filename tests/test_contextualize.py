@@ -320,7 +320,7 @@ class TestPredicateModes:
         assert related_property_iri(Iri("http://e.org/p")) == Iri("http://e.org/p#contextual")
 
     def test_related_mode_rejects_a_scaffolding_map_value(self, temporal_registry, paris_statement):
-        # The map's value is the predicate written; the reader would skip it
+        # The map's value is the predicate written; decontextualize would skip it
         # as scaffolding and lose the statement.
         with pytest.raises(ValueError, match="collides with scaffolding vocabulary"):
             contextualize(
