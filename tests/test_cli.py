@@ -45,9 +45,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def run_cli(args, hash_seed="0"):
-    """Run the command line in a fresh interpreter with the given hash seed."""
-    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+def run_cli(args, hash_seed=None):
+    """Run the command line in a fresh interpreter with the given hash seed,
+    by default the outer `PYTHONHASHSEED`, or 0 when that is unset."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed or os.environ.get("PYTHONHASHSEED") or "0")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "ndfluents.cli", *map(str, args)],
