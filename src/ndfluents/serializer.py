@@ -106,22 +106,21 @@ def serialize_turtle(graph: Graph, prefixes: dict[str, str] | None = None) -> st
     tokens: dict[Term, str] = {}
     cached = tokens.get
 
+    # Not recursive, so no reference cycle keeps `tokens` and its terms
+    # alive after the call.
     def token(term: Term) -> str:
-        """The Turtle token of `term`, kept in `tokens`: a prefixed name
-        where a prefix covers the IRI or the literal's datatype, else the
-        N-Triples token."""
+        """The Turtle token of `term`, kept in `tokens`: the N-Triples token
+        with the IRI, or the literal's datatype, as a prefixed name where a
+        prefix covers it."""
         text = term.n3()
-        if isinstance(term, Iri):
-            base, local = _split_iri(term)
+        iri = term.datatype if isinstance(term, Literal) and term.language is None else term
+        if isinstance(iri, Iri):
+            base, local = _split_iri(iri)
             name = by_base.get(base)
             if name is not None and _SAFE_LOCAL_RE.match(local) and not local.endswith("."):
                 used.add(name)
-                text = f"{name}:{local}"
-        elif isinstance(term, Literal) and term.language is None:
-            datatype = term.datatype.n3()
-            dt_token = cached(term.datatype) or token(term.datatype)
-            if dt_token != datatype and text.endswith(datatype):
-                text = text[: -len(datatype)] + dt_token
+                if text.endswith(iri.n3()):
+                    text = text[: -len(iri.n3())] + f"{name}:{local}"
         tokens[term] = text
         return text
 

@@ -1,5 +1,6 @@
 """Canonicalization and serialization round-trips."""
 
+import gc
 import random
 
 from hypothesis import given, settings
@@ -133,6 +134,19 @@ class TestSerializationDetails:
         g = Graph([Triple(tricky, EX.p, EX.b)])
         text = serialize_turtle(g, prefixes={"ex": "http://example.org/"})
         assert "<http://example.org/has%20space>" in text
+
+    def test_turtle_leaves_no_garbage_cycle(self):
+        # A cycle would hold the token cache, and so every term of the
+        # graph, until the next collection.
+        g = Graph([Triple(EX.a, EX.p, Literal("5", datatype=XSD.integer)), Triple(EX.a, EX.q, Literal("x"))])
+        prefixes = {"ex": "http://example.org/", "xsd": str(XSD.base)}
+        gc.collect()
+        gc.disable()
+        try:
+            assert serialize_turtle(g, prefixes).endswith('ex:a\n    ex:p "5"^^xsd:integer ;\n    ex:q "x" .\n')
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_serialize_rejects_unknown_format(self):
         try:
