@@ -45,7 +45,7 @@ from .parser import _FORMAT_ALIASES, NTRIPLES, TURTLE, ParseError, normalize_for
 from .query import match, parse_pattern
 from .reasoner import saturate, validate
 from .serializer import canonicalize, serialize
-from .terms import BlankNode, Graph, Iri, Triple
+from .terms import BlankNode, Graph, Iri, Triple, _collector_paused
 from .vocabulary import axioms_from_graph, axioms_to_graph
 
 log = logging.getLogger("ndfluents")
@@ -452,6 +452,7 @@ _PARSER: argparse.ArgumentParser | None = None
 _LOG_FORMAT = logging.Formatter("%(levelname)s %(message)s")
 
 
+@_collector_paused
 def main(argv: Sequence[str] | None = None) -> int:
     global _PARSER
     if _PARSER is None:

@@ -37,6 +37,7 @@ from .terms import (
     Namespace,
     Term,
     Triple,
+    _collector_paused,
     _members,
     _unchecked_triple,
     term_sort_key,
@@ -366,6 +367,7 @@ class _Builder:
         return Graph(self.triples).union(*self.descriptions)
 
 
+@_collector_paused
 def contextualize(
     statements: list[AnnotatedStatement] | tuple[AnnotatedStatement, ...],
     registry: DimensionRegistry,
@@ -385,6 +387,7 @@ def contextualize(
 # --- decontextualization -----------------------------------------------------
 
 
+@_collector_paused
 def decontextualize(
     graph: Graph,
     registry: DimensionRegistry,

@@ -40,7 +40,7 @@ from itertools import islice
 from urllib.parse import urljoin
 
 from .terms import (
-    RDF_TYPE, XSD, XSD_STRING, BlankNode, Graph, Iri, Literal, Term, Triple, _unchecked_triple,
+    RDF_TYPE, XSD, XSD_STRING, BlankNode, Graph, Iri, Literal, Term, Triple, _collector_paused, _unchecked_triple,
 )
 
 
@@ -493,10 +493,12 @@ def _decode(document: str | bytes) -> str:
     return document
 
 
+@_collector_paused
 def parse_ntriples(document: str | bytes) -> Graph:
     return Graph(_Parser(strict=True, quads=False).run(_decode(document)).get(None, ()))
 
 
+@_collector_paused
 def parse_nquads(document: str | bytes) -> list[Graph]:
     """Parse N-Quads into one Graph per graph label (default graph first)."""
     by_name = _Parser(strict=True, quads=True).run(_decode(document))
@@ -504,6 +506,7 @@ def parse_nquads(document: str | bytes) -> list[Graph]:
     return [Graph(by_name[name], name=name) for name in names]
 
 
+@_collector_paused
 def parse_turtle(document: str | bytes, base: str | None = None) -> Graph:
     return Graph(_Parser(strict=False, quads=False, base=base).run(_decode(document)).get(None, ()))
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 
-from .terms import OWL, RDF_TYPE, Graph, Iri, Literal, Term, Triple, _members, _unchecked_triple
+from .terms import OWL, RDF_TYPE, Graph, Iri, Literal, Term, Triple, _collector_paused, _members, _unchecked_triple
 from .vocabulary import (
     ALL_VALUES_FROM_DOMAIN,
     ALL_VALUES_FROM_RANGE,
@@ -229,6 +229,7 @@ def _rule_index(axioms: tuple[Axiom, ...], vocab: CoreVocabulary) -> _RuleIndex:
     return _RuleIndex(axioms, vocab)
 
 
+@_collector_paused
 def saturate(
     graph: Graph,
     axioms: list[Axiom],
@@ -384,6 +385,7 @@ def _identity(graph: Graph, idx: _RuleIndex, violations: dict[tuple, Violation])
 # --- validation ---------------------------------------------------------------
 
 
+@_collector_paused
 def validate(
     graph: Graph,
     axioms: list[Axiom],

@@ -13,7 +13,7 @@ import re
 from collections.abc import Iterable
 
 from .parser import NQUADS, NTRIPLES, TURTLE, normalize_format
-from .terms import RDF_TYPE, BlankNode, Graph, Iri, Literal, Term, Triple
+from .terms import RDF_TYPE, BlankNode, Graph, Iri, Literal, Term, Triple, _collector_paused
 
 # Local names that can appear after `prefix:` without escaping. Anything
 # else falls back to the full <...> form rather than risking invalid Turtle.
@@ -52,6 +52,7 @@ def _relabel_sorted(graph: Graph) -> Graph:
     )
 
 
+@_collector_paused
 def canonicalize(graph: Graph) -> Graph:
     """Return the graph with canonical blank labels: serializing it and
     parsing the result gives back the same graph."""
@@ -69,6 +70,7 @@ def canonicalize(graph: Graph) -> Graph:
     raise RuntimeError("blank node relabeling did not converge")
 
 
+@_collector_paused
 def serialize_ntriples(graph: Graph) -> str:
     lines = [triple.n3() + "\n" for triple in graph.sorted_triples()]
     return "".join(lines)
@@ -98,6 +100,7 @@ def _split_iri(iri: Iri) -> tuple[str, str]:
     return value[: cut + 1], value[cut + 1 :]
 
 
+@_collector_paused
 def serialize_turtle(graph: Graph, prefixes: dict[str, str] | None = None) -> str:
     """Serialize as Turtle with subject grouping, preserving canonical order."""
     prefixes = dict(prefixes or {})

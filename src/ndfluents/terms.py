@@ -14,7 +14,9 @@ term dies, with `_weakref._remove_dead_weakref`, the atomic removal that
 `weakref.WeakValueDictionary` uses: it deletes the entry only if it still
 holds a dead reference, so it never drops the entry of a newer term with
 the same key. The table takes a lock on a miss, so two threads that build
-the same term at once get one object.
+the same term at once get one object. The bulk stages (parsing,
+(de)contextualizing, canonicalizing, serializing, `saturate`, `validate`,
+`cli.main`) pause automatic collection: their data holds no reference cycle.
 
 A `Triple` is a tuple `(subject, predicate, object)` that checks its
 positions when built; it compares and hashes as that tuple, so it also
@@ -31,21 +33,22 @@ first need and publishes it only when complete. A bucket is one `Triple`
 stored bare or a list of two or more, and `_members` reads both shapes.
 `Graph.match` chooses its index inline, and `Graph.count` counts what it
 yields. Readers that look up once per node or per join row skip `match`'s
-calls and read the indexes through the accessor directly: the query
-engine's joins and `context_slice` (`query.py`), `validate`
-(`reasoner.py`) and `decontextualize` (`contextualize.py`).
+calls and read the indexes through the accessor directly: the query engine's
+joins and `context_slice` (`query.py`), `validate` (`reasoner.py`),
+`decontextualize` (`contextualize.py`) and `PatternVocabulary.attributed`.
 """
 
 from __future__ import annotations
 
+import gc
 import re
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
 from collections import namedtuple
-from functools import partial, total_ordering
+from functools import partial, total_ordering, wraps
 from operator import itemgetter
-from typing import Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 
 _IRI_RE = re.compile(r'[A-Za-z][A-Za-z0-9+.-]*:[^\x00-\x20<>"{}|^`\\]*\Z')
@@ -61,6 +64,8 @@ _CANONICAL_BLANK_RE = re.compile(r"^b([0-9]+)$")
 # term.
 _REFS: dict[object, weakref.ref] = {}
 _LOCK = threading.Lock()
+_PAUSE_LOCK = threading.Lock()
+_pause = [0, False]  # process-wide, as the collector is: [paused calls running, collection was on]
 _set = object.__setattr__
 
 
@@ -80,6 +85,28 @@ def _intern(cls: type, key: object, *fields: object) -> "Term":
             term._build(*fields)
             _REFS[key] = weakref.ref(term, partial(_release, key))
     return term
+
+
+def _collector_paused(function: Callable) -> Callable:
+    """Run `function` with automatic cyclic collection off. The first paused
+    call in, of any thread, records whether it was on; the last out, by return
+    or raise, turns it back on if it was. Never wrap a generator or a function
+    that returns a lazy iterator: the pause would end before its work."""
+    @wraps(function)
+    def paused(*args, **kwargs):
+        with _PAUSE_LOCK:
+            if not _pause[0]:
+                _pause[1] = gc.isenabled()
+                gc.disable()
+            _pause[0] += 1
+        try:
+            return function(*args, **kwargs)
+        finally:
+            with _PAUSE_LOCK:
+                _pause[0] -= 1
+                if not _pause[0] and _pause[1]:
+                    gc.enable()
+    return paused
 
 
 @total_ordering

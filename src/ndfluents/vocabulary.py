@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
 
-from .terms import RDF_TYPE, BlankNode, Graph, Iri, Namespace, OWL, RDFS, Term, Triple
+from .terms import RDF_TYPE, BlankNode, Graph, Iri, Namespace, OWL, RDFS, Term, Triple, _members
 
 DEFAULT_NAMESPACE = "http://purl.org/NET/ndfluents#"
 DEFAULT_DIMENSION_ROOT = "http://purl.org/NET/ndfluents/"
@@ -270,10 +270,11 @@ class PatternVocabulary:
         dim = self.extent_dimension.get(extent)
         if dim is not None:
             return [(dim.name, context)]
-        members = [t.object for t in graph.match(context, self.member_context) if isinstance(t.object, Iri)]
+        by_sp = graph._index((0, 1))
+        members = [t.object for t in _members(by_sp.get((context, self.member_context))) if isinstance(t.object, Iri)]
         pairs: list[tuple[str | None, Term]] = []
         for member in sorted(members or [context]):
-            types = (self.context_dimension.get(t.object) for t in graph.match(member, RDF_TYPE))
+            types = (self.context_dimension.get(t.object) for t in _members(by_sp.get((member, RDF_TYPE))))
             names = [d.name for d in types if d is not None] or [None]
             pairs += [(name, member) for name in names]
         return pairs

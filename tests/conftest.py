@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -153,3 +155,31 @@ def full_registry() -> DimensionRegistry:
 def paris_statement() -> AnnotatedStatement:
     """One object statement with one temporal context."""
     return annotate(EX.Paris, EX.capitalOf, EX.France, ("temporal", EX.year508))
+
+
+def gc_state() -> tuple:
+    """What a caller may have set on the cyclic collector."""
+    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+
+@contextmanager
+def collector(enabled: bool):
+    """Automatic collection switched on or off for the block, and put back
+    as it was after it."""
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def caller_gc(request) -> tuple:
+    """A caller's collector: on or off, with a threshold of its own. Gives
+    its `gc_state()` and afterwards puts back the suite's."""
+    threshold = gc.get_threshold()
+    with collector(request.param):
+        gc.set_threshold(500, 7, 9)
+        yield gc_state()
+        gc.set_threshold(*threshold)

@@ -1,6 +1,7 @@
 """End-to-end command-line tests driven through `main(argv)`."""
 
 import contextlib
+import gc
 import io
 import json
 import logging
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import EX, core_extent_graph, part_chain
+from conftest import EX, collector, core_extent_graph, gc_state, part_chain
 
 from ndfluents import (
     RDF,
@@ -707,6 +708,30 @@ MALFORMED_INPUTS = {
 }
 
 
+def _malformed_argv(tmp_path, case):
+    """The command line that feeds the malformed input `case` to the command
+    that reads it, with the files it names written under `tmp_path`."""
+    kind, content, _ = MALFORMED_INPUTS[case]
+    bad = tmp_path / f"bad.{kind}"
+    if isinstance(content, str):
+        content = content.encode("utf-8")
+    bad.write_bytes(content)
+    good_csv = tmp_path / "good.csv"
+    good_csv.write_text(_CSV_HEADER + _CSV_ROW, encoding="utf-8")
+    graph = tmp_path / "graph.nt"
+    graph.write_text("<http://e.org/a@t1> <http://e.org/p> <http://e.org/b@t1> .\n", encoding="utf-8")
+    quads = tmp_path / "good.nq"
+    quads.write_text("<http://e.org/a> <http://e.org/p> <http://e.org/b> <http://e.org/bundle> .\n", encoding="utf-8")
+    return {
+        "csv": ["contextualize", bad],
+        "estimates": ["ingest-csv", bad],
+        "sidecar": ["contextualize", quads, "--format", "nquads", "--sidecar", bad],
+        "config": ["contextualize", good_csv, "-c", bad],
+        "pattern": ["query", graph, "--pattern", bad],
+        "nt": ["decontextualize", bad],
+    }[kind]
+
+
 class TestMalformedInputs:
     """Every malformed statements, estimates, sidecar, config or pattern
     file, and every graph that breaks the contextual-part pattern, exits 2
@@ -714,29 +739,68 @@ class TestMalformedInputs:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
     def test_exits_two_with_one_error_line(self, tmp_path, case):
-        kind, content, expected = MALFORMED_INPUTS[case]
-        bad = tmp_path / f"bad.{kind}"
-        if isinstance(content, str):
-            content = content.encode("utf-8")
-        bad.write_bytes(content)
-        good_csv = tmp_path / "good.csv"
-        good_csv.write_text(_CSV_HEADER + _CSV_ROW, encoding="utf-8")
-        graph = tmp_path / "graph.nt"
-        graph.write_text("<http://e.org/a@t1> <http://e.org/p> <http://e.org/b@t1> .\n", encoding="utf-8")
-        quads = tmp_path / "good.nq"
-        quads.write_text("<http://e.org/a> <http://e.org/p> <http://e.org/b> <http://e.org/bundle> .\n", encoding="utf-8")
-        argv = {
-            "csv": ["contextualize", bad],
-            "estimates": ["ingest-csv", bad],
-            "sidecar": ["contextualize", quads, "--format", "nquads", "--sidecar", bad],
-            "config": ["contextualize", good_csv, "-c", bad],
-            "pattern": ["query", graph, "--pattern", bad],
-            "nt": ["decontextualize", bad],
-        }[kind]
-        done = run_cli(argv)
+        done = run_cli(_malformed_argv(tmp_path, case))
         lines = done.stderr.splitlines()
+        expected = MALFORMED_INPUTS[case][2]
         assert (done.returncode, done.stdout, len(lines)) == (2, "", 1), done.stderr
         assert lines[0].startswith("error: ") and expected in lines[0]
+
+
+def _every_command(tmp_path, fixture):
+    """One successful call of each command on `fixture`, in pipeline order:
+    the estimates of `world_population.csv` are ingested first, while
+    `object_parts.csv` holds statements already."""
+    statements, descriptions = tmp_path / "statements.csv", tmp_path / "descriptions.ttl"
+    graph, pattern = tmp_path / "graph.ttl", tmp_path / "pattern.rq"
+    pattern.write_text("?part <http://purl.org/NET/ndfluents/4dFluents#temporalPartOf> ?entity .\n", encoding="utf-8")
+    if fixture == "object_parts":
+        statements, merge = Path("fixtures/object_parts.csv"), []
+        calls = []
+    else:
+        merge = ["--merge", descriptions]
+        calls = [["ingest-csv", FIXTURE_CSV, "-o", statements, "--descriptions", descriptions]]
+    return calls + [
+        ["gen-ontology", "-o", tmp_path / "tbox.ttl"],
+        ["contextualize", statements, *merge, "-o", graph],
+        ["validate", graph],
+        ["reason", graph, "-o", tmp_path / "reasoned.ttl"],
+        ["query", graph, "--pattern", pattern, "-o", tmp_path / "rows.csv"],
+        ["decontextualize", graph, "-o", tmp_path / "back.csv"],
+        ["stats", statements, "-o", tmp_path / "stats.csv"],
+    ]
+
+
+class TestCollectorState:
+    """`main` pauses automatic cyclic collection while it runs and leaves
+    the collector as its caller set it: on or off, its threshold and its
+    frozen objects, whether the command succeeds or fails."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_a_malformed_input(self, tmp_path, caller_gc, case):
+        code, _, err = _call([str(arg) for arg in _malformed_argv(tmp_path, case)])
+        assert code == 2 and err.startswith("error: ")
+        assert gc_state() == caller_gc
+
+    @pytest.mark.parametrize("fixture", ["world_population", "object_parts"])
+    def test_every_command(self, tmp_path, caller_gc, fixture):
+        for argv in _every_command(tmp_path, fixture):
+            assert _call([str(arg) for arg in argv])[0] == 0, argv
+            assert gc_state() == caller_gc, argv
+
+    def test_no_command_leaves_garbage(self, tmp_path):
+        """What a command allocates is freed by reference counting: none of
+        it waits for a collection. The first call builds the argument
+        parser, whose objects do hold cycles, so each command runs once
+        before it is measured."""
+        calls = _every_command(tmp_path, "world_population")
+        calls.append(_malformed_argv(tmp_path, "nt-partof-cycle"))
+        with collector(False):
+            for argv in calls:
+                argv = [str(arg) for arg in argv]
+                _call(argv)
+                gc.collect()
+                _call(argv)
+                assert gc.collect() == 0, argv
 
 
 class TestSyntaxErrorNamesItsFile:
