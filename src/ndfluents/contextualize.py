@@ -38,9 +38,7 @@ from .terms import (
     Term,
     Triple,
     _collector_paused,
-    _members,
     _unchecked_triple,
-    term_sort_key,
 )
 from .vocabulary import CORE, ContextDimension, CoreVocabulary, DimensionRegistry
 
@@ -399,89 +397,33 @@ def decontextualize(
     """Invert contextualize. `selection` keeps only statements whose
     recovered context IRIs intersect it. `predicate_map` maps rewritten
     predicates back to base predicates (for related-property graphs). Each
-    part's edges are read from the S index; of several faults, the first in
-    sorted-triple order is raised."""
+    part's edges are read once, from the S index; of several faults, the
+    first in sorted-triple order is raised."""
     # Combined dimensions are recognized alongside the registered ones so
     # combined-extent output decontextualizes with the same registry.
     pattern = registry.pattern_vocabulary(vocab)
-    parts = pattern.parts(graph)
-    by_subject = graph._index((0,))
-    walks: dict[Term, tuple[Term, set[tuple[str, Iri]]]] = {}
-
-    def walk(part: Term) -> tuple[Term, set[tuple[str, Iri]]]:
-        """Follow partOf edges to the first non-part, collecting the
-        dimension-attributed contexts of each level's extent edges."""
-        walked = walks.get(part)
-        if walked is not None:
-            return walked
-        contexts: set[tuple[str, Iri]] = set()
-        current = part
-        seen: set[Term] = set()
-        while current in parts:
-            if current in seen:
-                raise PatternError(f"partOf cycle at {current.n3()}")
-            seen.add(current)
-            by_prop: dict[Iri, set[Term]] = {}
-            extents: list[Triple] = []
-            for t in _members(by_subject.get(current)):
-                if t.predicate in pattern.part_of:
-                    by_prop.setdefault(t.predicate, set()).add(t.object)
-                elif t.predicate in pattern.extents and isinstance(t.object, Iri):
-                    extents.append(t)
-            for edge in sorted(extents, key=Triple.sort_key):
-                for name, context in pattern.attributed(graph, edge.predicate, edge.object):
-                    if name is None:
-                        raise PatternError(
-                            f"cannot attribute context {context.n3()} to a dimension "
-                            "(no recognized context type)"
-                        )
-                    contexts.add((name, context))
-            if not by_prop:
-                raise PatternError(f"part {current.n3()} has no partOf edge")
-            for prop in sorted(by_prop, key=Iri.n3):
-                if len(by_prop[prop]) > 1:
-                    raise PatternError(
-                        f"part {current.n3()} has {len(by_prop[prop])} values for {prop.n3()}; "
-                        "contextualPartOf is functional"
-                    )
-            targets = set().union(*by_prop.values())
-            if len(targets) > 1:
-                raise PatternError(f"part {current.n3()} belongs to more than one entity")
-            if not extents:
-                raise PatternError(f"part {current.n3()} has no extent")
-            current = next(iter(targets))
-        walked = walks[part] = (current, contexts)
-        return walked
-
+    levels, data = pattern.levels(graph, pattern.parts(graph))
     reverse = _predicate_map(predicate_map)
     selected = None if selection is None else frozenset(selection)
     recovered: set[AnnotatedStatement] = set()
-    # Sorted parts, then each part's sorted triples: the graph's own order.
-    # Every level a walk visits has an extent edge, and each such edge gives
-    # at least one context or raises, so every statement has a context.
-    for part in sorted(parts, key=term_sort_key):
-        data = [t for t in _members(by_subject.get(part)) if t.predicate not in pattern.scaffolding]
-        for triple in sorted(data, key=Triple.sort_key):
-            subject, contexts = walk(part)
-            obj: Term = triple.object
-            if obj in parts:
-                obj, object_contexts = walk(obj)
-                contexts = contexts | object_contexts
-            if not isinstance(subject, Iri):
-                raise PatternError(f"chain from {part.n3()} ends at non-IRI {subject.n3()}")
-            if obj is not triple.object and not isinstance(obj, Iri):
-                raise PatternError(f"chain from {triple.object.n3()} ends at non-IRI {obj.n3()}")
-            if selected is not None and selected.isdisjoint(ctx for _, ctx in contexts):
-                continue
-            predicate = reverse.get(triple.predicate, triple.predicate)
-            try:
-                statement = AnnotatedStatement(
-                    _unchecked_triple((subject, predicate, obj)),
-                    frozenset(ContextAssignment(d, c) for d, c in contexts),
-                )
-            except ValueError as error:
-                raise PatternError(f"cannot recover a statement from {triple.n3()}: {error}") from None
-            recovered.add(statement)
+    # The parts' data triples in the graph's order. Each level a walk passes
+    # has an extent edge, which gives a context or a fault, so each statement
+    # has a context.
+    for triple in sorted(data, key=Triple.sort_key):
+        (subject, obj), pairs, faults = pattern.walk(levels, triple.subject, triple.object)
+        if faults:
+            raise PatternError(faults[0][2])
+        if selected is not None and selected.isdisjoint(ctx for _, ctx in pairs):
+            continue
+        predicate = reverse.get(triple.predicate, triple.predicate)
+        try:
+            statement = AnnotatedStatement(
+                _unchecked_triple((subject, predicate, obj)),
+                frozenset(ContextAssignment(d, c) for d, c in set(pairs)),
+            )
+        except ValueError as error:
+            raise PatternError(f"cannot recover a statement from {triple.n3()}: {error}") from None
+        recovered.add(statement)
     return sorted(
         recovered,
         key=lambda s: (s.base.sort_key(), [(d, c.value) for d, c in s.assignment_pairs()]),

@@ -35,8 +35,9 @@ congruence: the point of deriving them here is diagnostic.
 `validate` checks conformance of a contextual graph: disjointness of
 contexts and parts, by `saturate`'s rule whatever axioms the caller
 passes; then, reading each part's edges once, that it has a partOf edge,
-one whole per partOf property and none that is a context; last the
-same-extent rule over the data triples between parts.
+one whole per partOf property and none that is a context, and any other
+fault on the walks `decontextualize` takes; last the same-extent rule over
+the data triples between parts.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 
-from .terms import OWL, RDF_TYPE, Graph, Iri, Literal, Term, Triple, _collector_paused, _members, _unchecked_triple
+from .terms import OWL, RDF_TYPE, Graph, Iri, Literal, Term, Triple, _collector_paused, _unchecked_triple
 from .vocabulary import (
     ALL_VALUES_FROM_DOMAIN,
     ALL_VALUES_FROM_RANGE,
@@ -62,14 +63,15 @@ from .vocabulary import (
     SUB_CLASS_OF,
     SUB_PROPERTY_OF,
     TRANSITIVE,
+    VIOLATION_FUNCTIONAL,
+    VIOLATION_MISSING_PART_OF,
+    VIOLATION_UNREADABLE_PART,
     disjoint_classes,
 )
 
 SAME_AS = OWL.sameAs
 
 VIOLATION_DISJOINT = "DisjointClasses"
-VIOLATION_FUNCTIONAL = "FunctionalConflict"
-VIOLATION_MISSING_PART_OF = "MissingPartOf"
 VIOLATION_RANGE_COMPLEMENT = "RangeComplement"
 VIOLATION_SAME_EXTENT = "SameExtentRule"
 
@@ -411,77 +413,55 @@ def validate(
     def add(v: Violation) -> None:
         violations.setdefault(_violation_key(v), v)
 
-    typed_parts: set[Term] = set()
-    contexts: set[Term] = set()
+    asserted = pattern.parts(graph)
     # One scan of the derived triples: an index of them would serve only this.
-    for t in chain(graph.match(None, RDF_TYPE), [d for d in derived._triples if d[1] is RDF_TYPE]):
-        if t.object in pattern.part_classes:
-            typed_parts.add(t.subject)
-        if t.object in pattern.context_classes:
-            contexts.add(t.subject)
+    derived_types = [d for d in derived._triples if d[1] is RDF_TYPE]
+    parts = asserted | {t[0] for t in derived_types if t[2] in pattern.part_classes}
+    contexts = {t[0] for t in chain(graph.match(None, RDF_TYPE), derived_types) if t[2] in pattern.context_classes}
 
     # One pass over the parts reads each part's edges once, from the S index.
-    parts = typed_parts | {t.subject for prop in pattern.part_of for t in graph.match(None, prop)}
-    scaffolding = pattern.scaffolding | {SAME_AS}
-    extent_edges: list[Triple] = []
-    links: list[Triple] = []
-    by_subject = graph._index((0,))
-    for part in parts:
-        wholes: list[Triple] = []
-        for t in _members(by_subject.get(part)):
-            p = t[1]
-            if p in pattern.part_of:
-                wholes.append(t)
-                # partOf must not point into a context.
-                if t[2] in contexts:
-                    add(Violation(
-                        VIOLATION_RANGE_COMPLEMENT,
-                        (part, t[2]),
-                        f"{p.n3()} points at a context individual",
-                        (t,),
-                    ))
-            if p in pattern.extents:
-                extent_edges.append(t)
-            elif p not in scaffolding and t[2] in parts:
-                links.append(t)
-        # Parts must have a partOf edge.
-        if not wholes:
-            add(Violation(
-                VIOLATION_MISSING_PART_OF,
-                (part,),
-                "typed as a contextual part but carries no partOf edge",
-                tuple(
-                    typing for cls in sorted(pattern.part_classes)
-                    if (typing := Triple(part, RDF_TYPE, cls)) in graph or typing in derived
-                ),
-            ))
+    read, data = pattern.levels(graph, parts)
+    for part, (part_of, _, _, whole, _) in read.items():
+        # A level with one whole that is no context passes these checks.
+        if whole is not None and whole not in contexts:
+            continue
+        # partOf must not point into a context.
+        for t in part_of:
+            if t[2] in contexts:
+                add(Violation(VIOLATION_RANGE_COMPLEMENT, (part, t[2]), f"{t[1].n3()} points at a context individual",
+                              (t,)))
         # Functionality of partOf over asserted edges, per property.
-        for prop in {t[1] for t in wholes} if len(wholes) > 1 else ():
-            edges = [t for t in wholes if t[1] is prop]
+        for prop in {t[1] for t in part_of} if len(part_of) > 1 else ():
+            edges = [t for t in part_of if t[1] is prop]
             if len(edges) > 1:
-                add(Violation(
-                    VIOLATION_FUNCTIONAL,
-                    (part,),
-                    f"{prop.n3()} is functional but has {len(edges)} values",
-                    tuple(sorted(edges, key=Triple.sort_key)),
-                ))
+                add(Violation(VIOLATION_FUNCTIONAL, (part,), f"{prop.n3()} is functional but has {len(edges)} values",
+                              tuple(sorted(edges, key=Triple.sort_key))))
+        # Parts must have a partOf edge.
+        if not part_of:
+            typings = [Triple(part, RDF_TYPE, cls) for cls in sorted(pattern.part_classes)]
+            add(Violation(VIOLATION_MISSING_PART_OF, (part,), "typed as a contextual part but carries no partOf edge",
+                          tuple(t for t in typings if t in graph or t in derived)))
+
+    # decontextualize's walks: from each asserted part with a data triple and
+    # from each part that such a triple's object is, through asserted parts.
+    levels = read if len(read) == len(asserted) else {part: read[part] for part in asserted}
+    starts = {end for t in data if t[0] in levels for end in (t[0], t[2]) if end in levels}
+    for kind, part, text in pattern.walk(levels, *starts)[2]:
+        if kind == VIOLATION_UNREADABLE_PART:
+            add(Violation(kind, (part,), text))
 
     # Each key is one violation's own, but for the links of two parts, which
     # share theirs: they go in `Triple.sort_key` order, so the first cites.
     if same_extent:
+        links = [t for t in data if t[1] is not SAME_AS and t[2] in parts]
         extents: dict[Term, dict[Iri, set[Term]]] = {end: {} for t in links for end in (t[0], t[2])}
-        for part, prop, context in extent_edges:
-            if part in extents:
-                extents[part].setdefault(prop, set()).add(context)
+        for part, by_prop in extents.items():
+            for _, prop, context in read[part][1]:
+                by_prop.setdefault(prop, set()).add(context)
         for t in sorted(links, key=Triple.sort_key):
             ours, theirs = extents[t[0]], extents[t[2]]
             for prop, values in ours.items():
                 if prop in theirs and theirs[prop] != values:
-                    add(Violation(
-                        VIOLATION_SAME_EXTENT,
-                        (t[0], t[2]),
-                        f"linked parts disagree on {prop.n3()}",
-                        (t,),
-                    ))
+                    add(Violation(VIOLATION_SAME_EXTENT, (t[0], t[2]), f"linked parts disagree on {prop.n3()}", (t,)))
 
     return sorted(violations.values(), key=_violation_key)

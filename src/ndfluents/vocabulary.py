@@ -17,9 +17,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .terms import RDF_TYPE, BlankNode, Graph, Iri, Namespace, OWL, RDFS, Term, Triple, _members
+
+# The kinds of violation `validate` reports a pattern fault of a part as.
+VIOLATION_FUNCTIONAL = "FunctionalConflict"
+VIOLATION_MISSING_PART_OF = "MissingPartOf"
+VIOLATION_UNREADABLE_PART = "UnreadablePart"
 
 DEFAULT_NAMESPACE = "http://purl.org/NET/ndfluents#"
 DEFAULT_DIMENSION_ROOT = "http://purl.org/NET/ndfluents/"
@@ -238,13 +243,21 @@ def combine_dimensions(
     )
 
 
+# A pattern fault: its kind of violation, the part it names and its text.
+PatternFault = tuple[str, Term, str]
+# A part as one level of a part chain: its partOf and extent edges, the
+# (dimension, context) pairs of its extent edges, its whole, and its fault.
+PartLevel = tuple[list[Triple], list[Triple], list, "Term | None", "PatternFault | None"]
+
+
 @dataclass(frozen=True)
 class PatternVocabulary:
     """How the contextual-part pattern reads under one core vocabulary, for
     the builder, `decontextualize`, `context_slice` and `validate` alike.
     `attributed` is the one rule for the contexts an extent edge gives its
-    part; `decontextualize` and `context_slice` both apply it.
-    `decontextualize` skips `scaffolding`, so no data predicate may be in it."""
+    part, and `levels` and `walk` the one reading of part chains: of their
+    faults, `decontextualize` raises the first and `validate` reports each.
+    No data predicate may be in `scaffolding`, which `decontextualize` skips."""
 
     part_of: frozenset[Iri]
     extents: frozenset[Iri]
@@ -257,8 +270,8 @@ class PatternVocabulary:
 
     def parts(self, graph: Graph) -> set[Term]:
         """Every resource with a partOf edge or a part type in `graph`."""
-        return {t.subject for prop in self.part_of for t in graph.match(None, prop)} | {
-            t.subject for t in graph.match(None, RDF_TYPE) if t.object in self.part_classes
+        return {t[0] for prop in self.part_of for t in graph.match(None, prop)} | {
+            t[0] for t in graph.match(None, RDF_TYPE) if t[2] in self.part_classes
         }
 
     def attributed(self, graph: Graph, extent: Iri, context: Term) -> list[tuple[str | None, Term]]:
@@ -278,6 +291,70 @@ class PatternVocabulary:
             names = [d.name for d in types if d is not None] or [None]
             pairs += [(name, member) for name in names]
         return pairs
+
+    def levels(self, graph: Graph, parts: Iterable[Term]) -> tuple[dict[Term, PartLevel], list[Triple]]:
+        """The level of each of `parts`, and the parts' data triples, from one
+        read of each part's edges in the S index. A level's fault is the first
+        of: a context `attributed` gives no dimension, no partOf edge, two
+        values of one partOf property, two wholes, no extent edge to an IRI."""
+        by_subject, part_ofs, extent_props = graph._index((0,)), self.part_of, self.extents
+        levels: dict[Term, PartLevel] = {}
+        data: list[Triple] = []
+        for part in parts:
+            part_of, extents = [], []
+            for t in _members(by_subject.get(part)):
+                if t[1] in part_ofs:
+                    part_of.append(t)
+                elif t[1] in extent_props:
+                    extents.append(t)
+                elif t[1] not in self.scaffolding:
+                    data.append(t)
+            # The common level: one partOf edge and one registered extent edge to an IRI.
+            if (len(part_of) == 1 and len(extents) == 1 and (dim := self.extent_dimension.get(extents[0][1]))
+                    and isinstance(context := extents[0][2], Iri)):
+                levels[part] = part_of, extents, [(dim.name, context)], part_of[0][2], None
+                continue
+            pairs = [pair for t in sorted(extents, key=Triple.sort_key) if isinstance(t[2], Iri)
+                     for pair in self.attributed(graph, t[1], t[2])]
+            wholes, props, kind = {t[2] for t in part_of}, [t[1] for t in part_of], VIOLATION_UNREADABLE_PART
+            if unnamed := [context for name, context in pairs if name is None]:
+                text = f"cannot attribute context {unnamed[0].n3()} to a dimension (no recognized context type)"
+            elif not part_of:
+                kind, text = VIOLATION_MISSING_PART_OF, f"part {part.n3()} has no partOf edge"
+            elif conflict := min((p for p in props if props.count(p) > 1), key=Iri.n3, default=None):
+                kind, n = VIOLATION_FUNCTIONAL, props.count(conflict)
+                text = f"part {part.n3()} has {n} values for {conflict.n3()}; contextualPartOf is functional"
+            elif len(wholes) > 1:
+                text = f"part {part.n3()} belongs to more than one entity"
+            elif not pairs:
+                text = f"part {part.n3()} has no extent"
+            else:
+                levels[part] = part_of, extents, pairs, wholes.pop(), None
+                continue
+            levels[part] = part_of, extents, pairs, None, (kind, part, text)
+        return levels, data
+
+    @staticmethod
+    def walk(levels: Mapping[Term, PartLevel], *starts: Term) -> tuple[list["Term | None"], list, list[PatternFault]]:
+        """Follow `starts` from whole to whole through `levels`: the chains' ends
+        (None after a fault), their levels' pairs, and their faults, those of a
+        level or a cycle by start first, then each chain ending at a non-IRI."""
+        ends, pairs, faults = [], [], []
+        for start in starts:
+            current, seen = start, []
+            while (level := levels.get(current)) is not None:
+                if current in seen or level[4]:
+                    faults.append(level[4] or (VIOLATION_UNREADABLE_PART, current, f"partOf cycle at {current.n3()}"))
+                    current = None
+                    break
+                seen.append(current)
+                pairs += level[2]
+                current = level[3]
+            ends.append(current)
+        faults += [(VIOLATION_UNREADABLE_PART, start, f"chain from {start.n3()} ends at non-IRI {end.n3()}")
+                   for start, end in zip(starts, ends)
+                   if end is not None and end is not start and not isinstance(end, Iri)]
+        return ends, pairs, faults
 
 
 class DimensionRegistry:

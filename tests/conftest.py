@@ -7,10 +7,13 @@ import random
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import strategies as st
 
 from ndfluents import (
+    OWL,
     RDF_TYPE,
     AnnotatedStatement,
+    BlankNode,
     DimensionRegistry,
     Graph,
     Literal,
@@ -19,6 +22,7 @@ from ndfluents import (
     XSD,
     annotate,
     conventional_dimension,
+    default_registry,
     provenance_dimension,
     temporal_dimension,
 )
@@ -72,6 +76,59 @@ def random_corpus(rng: random.Random, serial: int) -> list[AnnotatedStatement]:
         ]
         statements.append(annotate(subject, predicate, obj, *assignments))
     return statements
+
+
+PATTERN_REGISTRY = default_registry()
+_PATTERN = PATTERN_REGISTRY.pattern_vocabulary()
+_PATTERN_NODES = [EX[f"n{i}"] for i in range(5)] + [BlankNode("b2"), BlankNode("b10")]
+_PATTERN_CLASSES = sorted(_PATTERN.part_classes | _PATTERN.context_classes) + [EX.C0]
+_PATTERN_PREDICATES = sorted(_PATTERN.part_of | _PATTERN.extents) + [
+    _PATTERN.member_context, EX.knows, EX.near, OWL.sameAs,
+]
+# The extents that attribute through member contexts.
+_LISTING_EXTENTS = [CORE.contextualExtent, PATTERN_REGISTRY.combined(["provenance", "temporal"]).extent]
+
+
+@st.composite
+def pattern_graphs(draw):
+    """A graph over the default registry's pattern: parts with a partOf
+    edge and extents in two contexts, part and context typings, member
+    contexts, data triples between parts, and random edges between a few
+    IRIs and blank nodes, some with literal objects. Beside them, maybe an
+    object part `EX.o` with a chain of its own, and maybe a core or combined
+    extent to a context `EX.c` that lists members, of which `EX.m` no
+    dimension types."""
+    nodes = st.sampled_from(_PATTERN_NODES)
+    # Parts and their links drawn from a few nodes, so that links meet.
+    few = st.sampled_from(_PATTERN_NODES[:3] + _PATTERN_NODES[-1:])
+    contexts = st.sampled_from([EX.t1, EX.t2])
+    part_ofs = st.sampled_from(sorted(_PATTERN.part_of))
+    extents = st.sampled_from(sorted(_PATTERN.extents))
+    links = st.sampled_from([EX.knows, EX.near])
+    parts = draw(st.lists(st.tuples(few, part_ofs, nodes, extents, contexts), max_size=4))
+    triples = [Triple(part, part_of, whole) for part, part_of, whole, _, _ in parts]
+    triples += [Triple(part, extent, context) for part, _, _, extent, context in parts]
+    triples += draw(st.lists(st.builds(Triple, few, links, few), max_size=4))
+    triples += draw(st.lists(
+        st.builds(Triple, st.sampled_from(_PATTERN_NODES + [EX.t1]), st.just(RDF_TYPE),
+                  st.sampled_from(_PATTERN_CLASSES)),
+        max_size=5,
+    ))
+    triples += draw(st.lists(
+        st.builds(Triple, nodes, st.sampled_from(_PATTERN_PREDICATES),
+                  st.sampled_from(_PATTERN_NODES + [EX.t1, Literal("x"), Literal("7", datatype=XSD.integer)])),
+        max_size=8,
+    ))
+    if draw(st.booleans()):
+        wholes = st.sampled_from(_PATTERN_NODES + [EX.o, EX.Paris, Literal("x")])
+        triples.append(Triple(draw(few), draw(links), EX.o))
+        triples += draw(st.lists(st.builds(Triple, st.just(EX.o), part_ofs, wholes), min_size=1, max_size=2))
+        triples += draw(st.lists(st.builds(Triple, st.just(EX.o), extents, contexts), max_size=2))
+    if draw(st.booleans()):
+        triples.append(Triple(draw(few), draw(st.sampled_from(_LISTING_EXTENTS)), EX.c))
+        members = draw(st.lists(st.sampled_from([EX.t1, EX.t2, EX.m]), max_size=2))
+        triples += [Triple(EX.c, _PATTERN.member_context, member) for member in members]
+    return Graph(triples)
 
 
 def part_chain(depth: int) -> Graph:

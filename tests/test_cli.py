@@ -325,11 +325,17 @@ class TestValidate:
         report = tmp_path / "violations.json"
         assert main(["validate", str(bad), "--report", str(report)]) == 1
         out = capsys.readouterr().out
-        assert "MissingPartOf" in out or "RangeComplement" in out
-        entries = json.loads(report.read_text(encoding="utf-8"))
-        assert entries and all(
-            {"kind", "subjects", "detail", "triples"} <= set(e) for e in entries
+        # `stray` carries no data triple, so no walk reaches it: its only
+        # violation is the partOf edge into a context.
+        assert out.splitlines()[0] == (
+            "RangeComplement: <http://example.org/stray>, <http://example.org/year508>: "
+            "<http://purl.org/NET/ndfluents/4dFluents#temporalPartOf> points at a context individual"
         )
+        entries = json.loads(report.read_text(encoding="utf-8"))
+        assert [(e["kind"], e["subjects"]) for e in entries] == [
+            ("RangeComplement", ["<http://example.org/stray>", "<http://example.org/year508>"])
+        ]
+        assert all({"kind", "subjects", "detail", "triples"} <= set(e) for e in entries)
 
     def test_no_same_extent_silences_extent_mismatch(self, tmp_path, statements_csv, capsys):
         graph_path = tmp_path / "graph.nt"
@@ -695,6 +701,15 @@ MALFORMED_INPUTS = {
         _PART_A + _A_PART_OF_S + f"<http://e.org/c> {_PART_OF} _:b0 .\n<http://e.org/c> {_EXTENT} <http://e.org/t1> .\n",
         "chain from <http://e.org/c> ends at non-IRI _:b0",
     ),
+    "nt-no-extent": (
+        "nt", _A_PART_OF_S + "<http://e.org/a> <http://e.org/p> <http://e.org/c> .\n", "part <http://e.org/a> has no extent"
+    ),
+    "nt-unattributed-context": (
+        "nt",
+        _A_PART_OF_S + "<http://e.org/a> <http://e.org/p> <http://e.org/c> .\n"
+        f"<http://e.org/a> {CORE.contextualExtent.n3()} <http://e.org/t1> .\n",
+        "cannot attribute context <http://e.org/t1> to a dimension (no recognized context type)",
+    ),
     "pattern-truncated": ("pattern", "?s ?p", "line 1: a triple pattern needs exactly 3 terms"),
     "pattern-bad-group": ("pattern", "?s ?p ?o .\nGROUP BY\n", "line 2: expected GROUP BY ?variable"),
     "pattern-relative-iri": ("pattern", "<rel> ?p ?o .\n", "line 1: relative IRI 'rel'"),
@@ -744,6 +759,33 @@ class TestMalformedInputs:
         expected = MALFORMED_INPUTS[case][2]
         assert (done.returncode, done.stdout, len(lines)) == (2, "", 1), done.stderr
         assert lines[0].startswith("error: ") and expected in lines[0]
+
+
+# The `nt-*` rows whose fault `validate` reports on every part under a kind
+# of its own; it reports any other as one UnreadablePart.
+_COVERED_ROWS = {"nt-no-partof": "MissingPartOf", "nt-functional-partof": "FunctionalConflict"}
+
+
+@pytest.mark.parametrize("case", sorted(case for case in MALFORMED_INPUTS if case.startswith("nt-")))
+def test_validate_reports_what_decontextualize_rejects(tmp_path, case):
+    """`validate` exits 1 on every graph that `decontextualize` rejects and
+    reports its fault, on standard output and in the `--report` JSON, with
+    the text of `decontextualize`'s error line."""
+    bad = _malformed_argv(tmp_path, case)[1]
+    code, _, err = _call(["decontextualize", str(bad)])
+    assert code == 2 and err.startswith("error: ")
+    error = err.removeprefix("error: ").rstrip("\n")
+    report = tmp_path / "report.json"
+    code, out, _ = _call(["validate", str(bad), "--report", str(report)])
+    entries = [(e["kind"], e["detail"]) for e in json.loads(report.read_text(encoding="utf-8"))]
+    assert code == 1
+    if case in _COVERED_ROWS:
+        assert _COVERED_ROWS[case] in {kind for kind, _ in entries}
+        assert "UnreadablePart" not in out
+    else:
+        unreadable = [line for line in out.splitlines() if line.startswith("UnreadablePart: ")]
+        assert len(unreadable) == 1 and unreadable[0].endswith(f": {error}")
+        assert [entry for entry in entries if entry[0] == "UnreadablePart"] == [("UnreadablePart", error)]
 
 
 def _every_command(tmp_path, fixture):

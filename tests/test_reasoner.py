@@ -1,6 +1,7 @@
 """Forward-chaining saturation and pattern validation."""
 
 import random
+import re
 from functools import cache
 from itertools import chain
 
@@ -16,13 +17,14 @@ from ndfluents import (
     Iri,
     Literal,
     MintingPolicy,
+    PatternError,
     RDF_TYPE,
     Triple,
     XSD,
     annotate,
     contextualize,
     core_axioms,
-    default_registry,
+    decontextualize,
     dimension_module,
     related_contextual_property,
     related_property_iri,
@@ -38,6 +40,7 @@ from ndfluents.reasoner import (
     VIOLATION_MISSING_PART_OF,
     VIOLATION_RANGE_COMPLEMENT,
     VIOLATION_SAME_EXTENT,
+    VIOLATION_UNREADABLE_PART,
     _RuleIndex,
     _rule_index,
     _violation_key,
@@ -60,7 +63,7 @@ from ndfluents.vocabulary import (
     transitivity_axiom,
 )
 
-from conftest import EX, corpus_registry, random_corpus
+from conftest import EX, PATTERN_REGISTRY, corpus_registry, pattern_graphs, random_corpus
 
 TEMPORAL = temporal_dimension()
 B = CombinationModel.multi_context()
@@ -825,57 +828,55 @@ def _reference_validate(graph, axioms, registry, vocab=CORE, *, same_extent=True
     return sorted(violations.values(), key=_violation_key)
 
 
-_REGISTRY = default_registry()
-_PATTERN = _REGISTRY.pattern_vocabulary()
+_REGISTRY = PATTERN_REGISTRY
 # The TBox of each model over the default registry, and none.
 _TBOXES = [
     Config(registry=_REGISTRY, model=model, policy=MintingPolicy(), vocab=CORE).axioms()
     for model in (B, CombinationModel.contexts_in_context(["temporal", "provenance"]),
                   CombinationModel.combined_extent())
 ] + [[]]
-_PATTERN_NODES = [EX[f"n{i}"] for i in range(5)] + [BlankNode("b2"), BlankNode("b10")]
-_PATTERN_CLASSES = sorted(_PATTERN.part_classes | _PATTERN.context_classes) + [EX.C0]
-_PATTERN_PREDICATES = sorted(_PATTERN.part_of | _PATTERN.extents) + [
-    _PATTERN.member_context, EX.knows, EX.near, SAME_AS,
-]
-
-
-@st.composite
-def _pattern_graph(draw):
-    """A graph over the default registry's pattern: parts with a partOf
-    edge and extents in two contexts, part and context typings, member
-    contexts, data triples between parts, and random edges between a few
-    IRIs and blank nodes, some with literal objects."""
-    nodes = st.sampled_from(_PATTERN_NODES)
-    # Parts and their links drawn from a few nodes, so that links meet.
-    few = st.sampled_from(_PATTERN_NODES[:3] + _PATTERN_NODES[-1:])
-    contexts = st.sampled_from([EX.t1, EX.t2])
-    parts = draw(st.lists(
-        st.tuples(few, st.sampled_from(sorted(_PATTERN.part_of)), nodes,
-                  st.sampled_from(sorted(_PATTERN.extents)), contexts),
-        max_size=4,
-    ))
-    triples = [Triple(part, part_of, whole) for part, part_of, whole, _, _ in parts]
-    triples += [Triple(part, extent, context) for part, _, _, extent, context in parts]
-    triples += draw(st.lists(st.builds(Triple, few, st.sampled_from([EX.knows, EX.near]), few), max_size=4))
-    triples += draw(st.lists(
-        st.builds(Triple, st.sampled_from(_PATTERN_NODES + [EX.t1]), st.just(RDF_TYPE),
-                  st.sampled_from(_PATTERN_CLASSES)),
-        max_size=5,
-    ))
-    triples += draw(st.lists(
-        st.builds(Triple, nodes, st.sampled_from(_PATTERN_PREDICATES),
-                  st.sampled_from(_PATTERN_NODES + [EX.t1, Literal("x"), Literal("7", datatype=XSD.integer)])),
-        max_size=8,
-    ))
-    return Graph(triples)
 
 
 @settings(max_examples=150, deadline=None)
-@given(_pattern_graph())
+@given(pattern_graphs())
 def test_validate_agrees_with_the_reference(graph):
+    # The reference predates the walks' faults, which it does not report.
     for axioms in _TBOXES:
         for same_extent in (True, False):
-            assert [v.render() for v in validate(graph, axioms, _REGISTRY, same_extent=same_extent)] == [
+            violations = validate(graph, axioms, _REGISTRY, same_extent=same_extent)
+            assert [v.render() for v in violations if v.kind != VIOLATION_UNREADABLE_PART] == [
                 v.render() for v in _reference_validate(graph, axioms, _REGISTRY, same_extent=same_extent)
             ]
+
+
+# The faults of a level that `validate` reports on every part under its own
+# kind, by the text `decontextualize` raises for them.
+_COVERED_FAULTS = [
+    (re.compile(r"part (\S+) has no partOf edge"), VIOLATION_MISSING_PART_OF),
+    (re.compile(r"part (\S+) has \d+ values for \S+; contextualPartOf is functional"), VIOLATION_FUNCTIONAL),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern_graphs())
+def test_validate_reports_the_fault_decontextualize_raises(graph):
+    try:
+        decontextualize(graph, _REGISTRY)
+        raised = None
+    except PatternError as error:
+        raised = str(error)
+    if raised is not None and raised.startswith("cannot recover a statement"):
+        raised = None
+    pattern_kinds = {VIOLATION_UNREADABLE_PART, VIOLATION_MISSING_PART_OF, VIOLATION_FUNCTIONAL}
+    for axioms in _TBOXES:
+        violations = validate(graph, axioms, _REGISTRY)
+        # A report with no pattern fault means the graph reads back.
+        assert raised is None or any(v.kind in pattern_kinds for v in violations)
+        if raised is None:
+            continue
+        for pattern, kind in _COVERED_FAULTS:
+            if named := pattern.fullmatch(raised):
+                assert any(v.kind == kind and v.subjects[0].n3() == named[1] for v in violations), raised
+                break
+        else:
+            assert any(v.kind == VIOLATION_UNREADABLE_PART and v.detail == raised for v in violations), raised
