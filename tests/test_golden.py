@@ -36,6 +36,15 @@ written by
 
     PYTHONPATH=src python tests/test_golden.py --write-slices
 
+`reason` is pinned on those same `contextualize` outputs: the committed
+N-Triples file of the population under each model, saturated under the
+model's default TBox, written whole and with `--derived-only`, by
+
+    ndfluents reason -c MODEL.ini tests/golden/population.MODEL.nt \\
+        --out-format ntriples -o tests/golden/reason.population.MODEL.nt
+
+(and `--derived-only -o tests/golden/reason-derived.population.MODEL.nt`).
+
 A change that means to alter the output regenerates them so.
 """
 
@@ -116,6 +125,17 @@ def test_committed_turtle_reads_back_to_its_ntriples_and_writes_back_to_itself(m
     graph = parse_turtle(turtle)
     assert graph == parse_ntriples((GOLDEN / f"population.{model}.nt").read_bytes())
     assert serialize_turtle(graph, load_config(MODELS[model]).prefixes()) == turtle
+
+
+@pytest.mark.parametrize("model", list(MODELS))
+@pytest.mark.parametrize("stem, flags", [("reason", []), ("reason-derived", ["--derived-only"])])
+def test_reason_output_is_byte_identical_to_the_committed_file(tmp_path, model, stem, flags):
+    config = tmp_path / f"{model}.ini"
+    config.write_text(MODELS[model], encoding="utf-8")
+    out = tmp_path / f"{stem}.population.{model}.nt"
+    graph = GOLDEN / f"population.{model}.nt"
+    assert main(["reason", "-c", str(config), str(graph), *flags, "--out-format", "ntriples", "-o", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / out.name).read_bytes()
 
 
 def _slice_cases():
