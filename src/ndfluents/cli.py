@@ -271,7 +271,7 @@ def _cmd_reason(args: argparse.Namespace) -> int:
     result = saturate(graph, axioms, config.vocab)
     for violation in result.violations:
         log.warning("%s", violation.render())
-    log.info("derived %d new triples", len(result.derived))
+    log.info("derived %d new triples", sum(result.rounds) - len(graph))
     log.info("rounds %s", json.dumps(list(result.rounds)))
     output = result.derived if args.derived_only else result.all
     _write_graph(output, args.out, args.out_format, config)

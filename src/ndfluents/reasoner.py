@@ -30,22 +30,25 @@ pattern validator.
   then the two smallest asserted values, whatever the set order.
 
 sameAs conclusions are reported as derived triples but never applied as a
-congruence: the point of deriving them here is diagnostic.
+congruence: the point of deriving them here is diagnostic. The products
+stay plain tuples in the one closure set the rules fill: `InferenceResult`
+builds its graphs of triples from it only when one is read.
 
 `validate` checks conformance of a contextual graph: disjointness of
 contexts and parts, by `saturate`'s rule whatever axioms the caller
 passes; then, reading each part's edges once, that it has a partOf edge,
 one whole per partOf property and none that is a context, and any other
-fault on the walks `decontextualize` takes; last the same-extent rule over
-the data triples between parts.
+fault on the walks `decontextualize` takes, each cycle once; last the
+same-extent rule over the data triples between parts. It reads the closure
+itself, not a graph of it: its parts and contexts are the subjects that
+`saturate` indexes by class for the disjointness rule.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import chain
+from functools import cached_property, lru_cache
 
 from .terms import OWL, RDF_TYPE, Graph, Iri, Literal, Term, Triple, _collector_paused, _unchecked_triple
 from .vocabulary import (
@@ -100,19 +103,28 @@ def _violation_key(v: Violation) -> tuple:
 
 @dataclass(frozen=True)
 class InferenceResult:
-    """`rounds` holds the size of each round's delta: the first counts the
-    input with what its templates and the identity rules add, each later
-    one the new triples of one join round, so the sizes sum to the triples
-    of `source` and `derived` together."""
+    """`source` and its closure, the set `saturate` filled, in which the
+    rule products are plain tuples; `derived` and `all` build their graphs
+    from it on first read. `_types` holds the subjects of each class in the
+    closure when a disjointness axiom had `saturate` index them. `rounds`
+    holds the size of each round's delta: the first counts the input with
+    what its templates and the identity rules add, each later one the new
+    triples of one join round, so the sizes sum to the triples of `source`
+    and `derived` together."""
 
     source: Graph
-    derived: Graph
+    _closure: set[tuple] = field(hash=False, repr=False)
     violations: tuple[Violation, ...]
     rounds: tuple[int, ...] = field(default=(), compare=False)
+    _types: dict[Term, set[Term]] | None = field(default=None, compare=False, repr=False)
 
-    @property
+    @cached_property
+    def derived(self) -> Graph:
+        return Graph(map(_unchecked_triple, self._closure.difference(self.source._triples)))
+
+    @cached_property
     def all(self) -> Graph:
-        return self.source.union(self.derived)
+        return Graph(map(_unchecked_triple, self._closure), name=self.source.name)
 
 
 # A compiled template, by the placeholders it fills: (_SUBJECT, q, _OBJECT)
@@ -240,7 +252,7 @@ def saturate(
     idx = _rule_index(tuple(axioms), vocab)
     # The graph's own set, not its iteration, which sorts.
     asserted = graph._triples
-    everything: set[Triple] = set(asserted)
+    everything: set[tuple] = set(asserted)
     templates, types_object = idx.templates, idx.types_object
     indexed = idx.sp_predicates | idx.po_predicates  # every join head among them
     # The join indexes, by predicate first: the values of each subject in
@@ -253,13 +265,13 @@ def saturate(
     # the identity rules derive, then what the join rules derive) expand
     # their templates by template key: a row on the subject once per
     # distinct subject of the key's triples, a row on the object once per
-    # distinct object. Candidates are plain tuples, which hash and compare
-    # as a `Triple` does, collected by predicate; one set difference per
-    # predicate against `everything` keeps the new ones, and only those are
-    # built as triples. Every product puts a subject or object of the graph,
-    # or a term of an axiom, where it may stand (a literal is never a
-    # subject), so it is built unchecked.
-    opened = list(map(_unchecked_triple, set(_identity(graph, idx, violations)).difference(everything)))
+    # distinct object. Products are plain tuples, which hash and compare as
+    # a `Triple` does, collected by predicate; one set difference per
+    # predicate against `everything` keeps the new ones. Every product puts
+    # a subject or object of the graph, or a term of an axiom, where it may
+    # stand (a literal is never a subject), so `InferenceResult` builds its
+    # triples unchecked.
+    opened = list(set(_identity(graph, idx, violations)).difference(everything))
     everything.update(opened)
     opened += asserted
     rounds: list[int] = []
@@ -291,7 +303,7 @@ def saturate(
                 found[c[1]].add(c)
         size = len(opened)
         for q, candidates in found.items():
-            new = list(map(_unchecked_triple, candidates.difference(everything)))
+            new = candidates.difference(everything)
             everything.update(new)
             size += len(new)
             if q in indexed:
@@ -331,7 +343,7 @@ def saturate(
             for prop, cls in idx.avf_range_by_via.get(p, ()):
                 joined.update([(o, RDF_TYPE, cls) for s, _, o in members
                                if s in po[prop] and not isinstance(o, Literal)])
-        opened = list(map(_unchecked_triple, joined.difference(everything)))
+        opened = joined.difference(everything)
         everything.update(opened)
 
     for a, b in idx.disjoint:
@@ -346,8 +358,7 @@ def saturate(
             violations.setdefault(_violation_key(v), v)
 
     ordered = tuple(sorted(violations.values(), key=_violation_key))
-    derived = Graph(everything.difference(asserted))
-    return InferenceResult(graph, derived, ordered, tuple(rounds))
+    return InferenceResult(graph, everything, ordered, tuple(rounds), po.get(RDF_TYPE))
 
 
 def _identity(graph: Graph, idx: _RuleIndex, violations: dict[tuple, Violation]) -> list[tuple]:
@@ -402,7 +413,6 @@ def validate(
     # axiom goes to saturate as it is, so equal lists share one rule index.
     disjoint = disjoint_classes(vocab.Context, vocab.ContextualPart)
     result = saturate(graph, axioms if disjoint in axioms else [*axioms, disjoint], vocab)
-    derived = result.derived
     # The partOf check below reports every conflict of a partOf property,
     # citing all its values: it takes the place of saturate's report.
     violations: dict[tuple, Violation] = {
@@ -413,14 +423,14 @@ def validate(
     def add(v: Violation) -> None:
         violations.setdefault(_violation_key(v), v)
 
+    closure, typed = result._closure, result._types
     asserted = pattern.parts(graph)
-    # One scan of the derived triples: an index of them would serve only this.
-    derived_types = [d for d in derived._triples if d[1] is RDF_TYPE]
-    parts = asserted | {t[0] for t in derived_types if t[2] in pattern.part_classes}
-    contexts = {t[0] for t in chain(graph.match(None, RDF_TYPE), derived_types) if t[2] in pattern.context_classes}
+    parts = asserted.union(*[typed.get(cls, ()) for cls in pattern.part_classes])
+    contexts = set().union(*[typed.get(cls, ()) for cls in pattern.context_classes])
 
     # One pass over the parts reads each part's edges once, from the S index.
     read, data = pattern.levels(graph, parts)
+    data.sort(key=Triple.sort_key)
     for part, (part_of, _, _, whole, _) in read.items():
         # A level with one whole that is no context passes these checks.
         if whole is not None and whole not in contexts:
@@ -440,12 +450,13 @@ def validate(
         if not part_of:
             typings = [Triple(part, RDF_TYPE, cls) for cls in sorted(pattern.part_classes)]
             add(Violation(VIOLATION_MISSING_PART_OF, (part,), "typed as a contextual part but carries no partOf edge",
-                          tuple(t for t in typings if t in graph or t in derived)))
+                          tuple(t for t in typings if t in closure)))
 
-    # decontextualize's walks: from each asserted part with a data triple and
-    # from each part that such a triple's object is, through asserted parts.
+    # decontextualize's walks, in its order: from each asserted part with a
+    # data triple and from each part that such a triple's object is, through
+    # asserted parts. The first start to meet a cycle names it.
     levels = read if len(read) == len(asserted) else {part: read[part] for part in asserted}
-    starts = {end for t in data if t[0] in levels for end in (t[0], t[2]) if end in levels}
+    starts = dict.fromkeys(end for t in data if t[0] in levels for end in (t[0], t[2]) if end in levels)
     for kind, part, text in pattern.walk(levels, *starts)[2]:
         if kind == VIOLATION_UNREADABLE_PART:
             add(Violation(kind, (part,), text))
@@ -458,7 +469,7 @@ def validate(
         for part, by_prop in extents.items():
             for _, prop, context in read[part][1]:
                 by_prop.setdefault(prop, set()).add(context)
-        for t in sorted(links, key=Triple.sort_key):
+        for t in links:
             ours, theirs = extents[t[0]], extents[t[2]]
             for prop, values in ours.items():
                 if prop in theirs and theirs[prop] != values:

@@ -22,8 +22,8 @@ A `Triple` is a tuple `(subject, predicate, object)` that checks its
 positions when built; it compares and hashes as that tuple, so it also
 equals a plain tuple of the same three terms. Code that has already
 checked the positions (the parser, `contextualize`, `decontextualize`,
-`read_statements_csv`, the reasoner's rule products) builds through
-`_unchecked_triple` instead.
+`read_statements_csv`, and `InferenceResult`'s graphs of the reasoner's
+rule products) builds through `_unchecked_triple` instead.
 Graphs are frozen sets of triples. Iterating a graph follows a
 deterministic total order, so serialization, triple counting and diffing
 are stable across runs. Lookups answer from hash indexes, one per set of
@@ -34,8 +34,8 @@ stored bare or a list of two or more, and `_members` reads both shapes.
 `Graph.match` chooses its index inline, and `Graph.count` counts what it
 yields. Readers that look up once per node or per join row skip `match`'s
 calls and read the indexes through the accessor directly: the query engine's
-joins and `context_slice` (`query.py`), `validate` (`reasoner.py`),
-`decontextualize` (`contextualize.py`) and `PatternVocabulary.attributed`.
+joins and `context_slice` (`query.py`), and `PatternVocabulary.levels`
+and `attributed`, through which `validate` and `decontextualize` read parts.
 """
 
 from __future__ import annotations

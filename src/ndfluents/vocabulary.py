@@ -338,13 +338,18 @@ class PatternVocabulary:
     def walk(levels: Mapping[Term, PartLevel], *starts: Term) -> tuple[list["Term | None"], list, list[PatternFault]]:
         """Follow `starts` from whole to whole through `levels`: the chains' ends
         (None after a fault), their levels' pairs, and their faults, those of a
-        level or a cycle by start first, then each chain ending at a non-IRI."""
-        ends, pairs, faults = [], [], []
+        level or a cycle by start first, then each chain ending at a non-IRI.
+        A cycle is reported once, at the first start that meets it."""
+        ends, pairs, faults, cycled = [], [], [], set()
         for start in starts:
             current, seen = start, []
             while (level := levels.get(current)) is not None:
                 if current in seen or level[4]:
-                    faults.append(level[4] or (VIOLATION_UNREADABLE_PART, current, f"partOf cycle at {current.n3()}"))
+                    if level[4]:
+                        faults.append(level[4])
+                    elif current not in cycled:
+                        cycled.update(seen[seen.index(current):])
+                        faults.append((VIOLATION_UNREADABLE_PART, current, f"partOf cycle at {current.n3()}"))
                     current = None
                     break
                 seen.append(current)

@@ -385,12 +385,16 @@ class TestReason:
         assert list(full.match(predicate=temporal_dimension().extent))
         assert list(full.match(predicate=RDF.type, obj=CORE.ContextualPart))
 
-    def test_verbose_logs_the_size_of_each_round(self, graph_file, caplog):
+    def test_verbose_logs_the_size_of_each_round(self, graph_file, caplog, tmp_path):
+        out = tmp_path / "derived.nt"
         with caplog.at_level(logging.INFO, logger="ndfluents"):
-            assert main(["-v", "reason", str(graph_file), "-o", os.devnull]) == 0
+            argv = ["-v", "reason", str(graph_file), "--derived-only", "--out-format", "ntriples", "-o", str(out)]
+            assert main(argv) == 0
         (line,) = [r.message for r in caplog.records if r.message.startswith("rounds ")]
         rounds = json.loads(line.removeprefix("rounds "))
         assert rounds and all(isinstance(size, int) and size > 0 for size in rounds)
+        (line,) = [r.message for r in caplog.records if r.message.startswith("derived ")]
+        assert line == f"derived {len(out.read_text(encoding='utf-8').splitlines())} new triples"
 
     def test_extra_tbox_file(self, tmp_path, graph_file, capsys):
         from ndfluents.vocabulary import axioms_to_graph, sub_class_of

@@ -128,7 +128,7 @@ def test_committed_turtle_reads_back_to_its_ntriples_and_writes_back_to_itself(m
 
 
 @pytest.mark.parametrize("model", list(MODELS))
-@pytest.mark.parametrize("stem, flags", [("reason", []), ("reason-derived", ["--derived-only"])])
+@pytest.mark.parametrize("stem, flags", [("reason", []), ("reason-derived", ["--derived-only"])], ids=["all", "derived"])
 def test_reason_output_is_byte_identical_to_the_committed_file(tmp_path, model, stem, flags):
     config = tmp_path / f"{model}.ini"
     config.write_text(MODELS[model], encoding="utf-8")

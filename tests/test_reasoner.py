@@ -29,6 +29,7 @@ from ndfluents import (
     related_contextual_property,
     related_property_iri,
     saturate,
+    serialize,
     temporal_dimension,
     validate,
 )
@@ -63,7 +64,9 @@ from ndfluents.vocabulary import (
     transitivity_axiom,
 )
 
-from conftest import EX, PATTERN_REGISTRY, corpus_registry, pattern_graphs, random_corpus
+from conftest import (
+    _PATTERN_CLASSES, _PATTERN_PREDICATES, EX, PATTERN_REGISTRY, corpus_registry, pattern_graphs, random_corpus,
+)
 
 TEMPORAL = temporal_dimension()
 B = CombinationModel.multi_context()
@@ -445,6 +448,46 @@ class TestValidate:
         }
         assert fresh._sorted is None
 
+    def test_validate_reads_the_closure_and_builds_no_graph(self, monkeypatch):
+        # The part with no partOf edge cites its asserted typing and the one
+        # the TBox derives, both read from saturate's closure.
+        results = []
+        paused_saturate = reasoner.saturate
+
+        def spy(*args, **kwargs):
+            results.append(paused_saturate(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(reasoner, "saturate", spy)
+        graph, config = self._clean_graph()
+        seeded = graph.union([
+            Triple(EX["Paris@t1"], RDF_TYPE, CORE.Context),
+            Triple(EX.orphan, RDF_TYPE, TEMPORAL.part_class),
+        ])
+        violations = validate(seeded, config.axioms(), config.registry)
+        assert [v.kind for v in violations] == [VIOLATION_DISJOINT, VIOLATION_MISSING_PART_OF]
+        assert violations[1].triples == (
+            Triple(EX.orphan, RDF_TYPE, CORE.ContextualPart), Triple(EX.orphan, RDF_TYPE, TEMPORAL.part_class),
+        )
+        (result,) = results
+        assert "derived" not in vars(result) and "all" not in vars(result)
+
+    def test_a_part_of_cycle_is_reported_once(self):
+        # Both parts start a walk into the one cycle; decontextualize raises
+        # the fault of the first start in sorted-triple order.
+        a, b = EX["a@t1"], EX["b@t1"]
+        graph = Graph([
+            Triple(a, TEMPORAL.part_of, b), Triple(b, TEMPORAL.part_of, a),
+            Triple(a, TEMPORAL.extent, EX.t1), Triple(b, TEMPORAL.extent, EX.t1),
+            Triple(a, EX.knows, b), Triple(b, EX.knows, a),
+        ])
+        with pytest.raises(PatternError) as raised:
+            decontextualize(graph, PATTERN_REGISTRY)
+        for axioms in _TBOXES:
+            (violation,) = validate(graph, axioms, PATTERN_REGISTRY)
+            assert (violation.kind, violation.subjects) == (VIOLATION_UNREADABLE_PART, (a,))
+            assert violation.detail == str(raised.value) == f"partOf cycle at {a.n3()}"
+
     def _disjoint_reports(self, axioms) -> list[str]:
         """The rendered DisjointClasses violations of the clean graph once
         `EX.t1`, a temporal interval, is asserted a Context and a
@@ -726,6 +769,33 @@ def test_saturate_agrees_with_the_reference_on_contextual_graphs(model, rounds):
         result = _assert_matches_reference(seeded, config.axioms() + [functional(TEMPORAL.part_of)])
         measured.append(result.rounds)
     assert measured == rounds
+
+
+_pattern_classes = st.sampled_from(_PATTERN_CLASSES)
+_pattern_properties = st.sampled_from(_PATTERN_PREDICATES)
+_pattern_axioms = st.one_of(
+    st.builds(sub_property_of, _pattern_properties, st.sampled_from(_PATTERN_PREDICATES + [RDF_TYPE])),
+    st.builds(transitive, _pattern_properties),
+    st.builds(property_domain, _pattern_properties, _pattern_classes),
+    st.builds(property_range, _pattern_properties, _pattern_classes),
+    st.builds(functional, _pattern_properties),
+    st.builds(inverse_functional, _pattern_properties),
+    st.builds(all_values_from_domain, _pattern_properties, _pattern_properties, _pattern_classes),
+    st.builds(all_values_from_range, _pattern_properties, _pattern_properties, _pattern_classes),
+    st.builds(disjoint_classes, _pattern_classes, _pattern_classes),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pattern_graphs(), st.integers(0, 2), st.lists(_pattern_axioms, max_size=6))
+def test_saturate_builds_its_graphs_of_triples(graph, model, axioms):
+    # The rules' products are plain tuples until a graph is read.
+    result = saturate(graph, _TBOXES[model] + axioms)
+    assert all(type(t) is Triple for t in chain(result.derived, result.all))
+    assert set(result.all) == set(result.source) | set(result.derived)
+    assert not set(result.derived) & set(result.source)
+    assert sum(result.rounds) == len(result.source) + len(result.derived)
+    assert serialize(result.all, "ntriples") == serialize(result.source.union(result.derived), "ntriples")
 
 
 def _reference_validate(graph, axioms, registry, vocab=CORE, *, same_extent=True):
