@@ -636,6 +636,52 @@ def test_round_trip_is_lossless_or_a_pattern_error(statements, model, mode):
     assert set(recovered) == set(statements)
 
 
+@pytest.mark.parametrize("predicate_mode", PREDICATE_MODES)
+@pytest.mark.parametrize("mode", ["suffix", "hash"])
+@pytest.mark.parametrize(
+    "model",
+    [
+        CombinationModel.multi_context(),
+        CombinationModel.contexts_in_context(["provenance", "temporal", "trust"]),
+        CombinationModel.combined_extent(),
+    ],
+    ids=["multi", "nested", "combined"],
+)
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 399), st.booleans(), st.booleans(), st.randoms(use_true_random=False))
+def test_contextualize_does_not_depend_on_statement_order(
+    model, mode, predicate_mode, serial, share_local_name, part_as_entity, shuffler
+):
+    """Every order of one statement list gives the same graph, or every
+    order raises `PatternError`: the collision checks see each part and
+    entity whichever of them comes first."""
+    registry = corpus_registry()
+    policy = MintingPolicy(mode=mode)
+    statements = random_corpus(random.Random(serial), serial)
+    if share_local_name:
+        # Suffix minting gives both statements the part ex:Alpha@y2016.
+        statements += [
+            annotate(EX.Alpha, EX.knows, EX.Beta, ("temporal", Iri(f"http://{host}/y2016")))
+            for host in ("a.org", "b.org")
+        ]
+    if part_as_entity:
+        # An entity named as the innermost part of the first statement's subject.
+        first = statements[0]
+        part = policy.mint_part(first.base.subject, first.assignment_pairs())
+        statements.append(annotate(part, EX.knows, EX.Beta, ("trust", EX.trusted)))
+
+    def outcome(order):
+        try:
+            graph = contextualize(order, registry, model, policy, predicate_mode=predicate_mode)
+        except PatternError:
+            return PatternError
+        return serialize(graph, "ntriples")
+
+    expected = outcome(statements)
+    for _ in range(4):
+        assert outcome(shuffler.sample(statements, len(statements))) == expected
+
+
 class TestBaselineEncodings:
     def _statements(self):
         return [
