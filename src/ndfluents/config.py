@@ -54,6 +54,7 @@ from .contextualize import (
     CombinationModel,
     MintingPolicy,
 )
+from .serializer import _split_iri
 from .terms import Iri
 from .vocabulary import (
     CORE,
@@ -196,14 +197,9 @@ class Config:
             "xsd": "http://www.w3.org/2001/XMLSchema#",
         }
         for dim in self.registry:
-            value = dim.part_class.value
-            for stop in ("#", "/"):
-                if stop in value:
-                    base = value[: value.rindex(stop) + 1]
-                    break
-            else:
-                continue
-            out.setdefault(dim.name, base)
+            base, _ = _split_iri(dim.part_class)
+            if base.endswith(("#", "/")):  # an IRI with neither has no namespace
+                out.setdefault(dim.name, base)
         return out
 
 

@@ -6,7 +6,7 @@ chain of contextual parts and writes the base triple between the innermost
 ones. Each level of a chain is one part, tied to the level above (the
 entity, for the outermost) by a partOf property and to its contexts by an
 extent. The three combination models are three level layouts of that one
-chain, chosen in `_Builder._levels` and written by one loop:
+chain, chosen by `contextualize`'s `levels_of` and written by one loop:
 
 - multi-context: one level, whose part carries one type/partOf/extent
   triple per dimension.
@@ -232,93 +232,35 @@ def _predicate_map(mapping: dict[Iri, Iri] | None) -> dict[Iri, Iri]:
 _Level = tuple[tuple[tuple[str, Iri], ...], list[tuple[ContextDimension, Iri]]]
 
 
-class _Builder:
-    def __init__(
-        self,
-        registry: DimensionRegistry,
-        model: CombinationModel,
-        policy: MintingPolicy,
-        vocab: CoreVocabulary,
-        predicate_mode: str,
-        predicate_map: dict[Iri, Iri] | None,
-    ):
-        if predicate_mode not in PREDICATE_MODES:
-            raise ValueError(f"unknown predicate mode: {predicate_mode!r}")
-        self.registry = registry
-        self.model = model
-        self.policy = policy
-        self.vocab = vocab
-        self.predicate_mode = predicate_mode
-        self.predicate_map = _predicate_map(predicate_map)
-        self.triples: set[Triple] = set()
-        self.descriptions: list[Graph] = []
-        # Each minted part IRI with the entity and assignments it stands for,
-        # and the entities of the input: no part may equal one of them.
-        self.minted: dict[Iri, tuple[Iri, frozenset[tuple[str, Iri]]]] = {}
-        self.entities: set[Iri] = set()
-        self.scaffolding = registry.pattern_vocabulary(vocab).scaffolding
+@_collector_paused
+def contextualize(
+    statements: list[AnnotatedStatement] | tuple[AnnotatedStatement, ...],
+    registry: DimensionRegistry,
+    model: CombinationModel,
+    policy: MintingPolicy = MintingPolicy(),
+    vocab: CoreVocabulary = CORE,
+    *,
+    predicate_mode: str = PREDICATE_KEEP,
+    predicate_map: dict[Iri, Iri] | None = None,
+) -> Graph:
+    if predicate_mode not in PREDICATE_MODES:
+        raise ValueError(f"unknown predicate mode: {predicate_mode!r}")
+    predicate_map = _predicate_map(predicate_map)
+    related = predicate_mode == PREDICATE_RELATED
+    scaffolding = registry.pattern_vocabulary(vocab).scaffolding
+    triples: set[Triple] = set()
+    descriptions: list[Graph] = []
+    # Each minted part IRI with the entity and assignments it stands for,
+    # and the entities of the input: no part may equal one of them.
+    minted: dict[Iri, tuple[Iri, frozenset[tuple[str, Iri]]]] = {}
+    entities: set[Iri] = set()
 
-    def add(self, statement: AnnotatedStatement) -> None:
-        for entity in (statement.base.subject, statement.base.object):
-            if isinstance(entity, Iri) and entity not in self.entities:
-                if entity in self.minted:
-                    raise _entity_collision(entity, self.minted[entity])
-                self.entities.add(entity)
-        pairs = statement.assignment_pairs()
-        dims = [self.registry.get(name) for name, _ in pairs]  # raises on unregistered
-        for assignment in statement.contexts:
-            if assignment.description is not None:
-                self.descriptions.append(assignment.description)
-        predicate = self._rewrite_predicate(statement.base.predicate, dims)
-        levels = self._levels(pairs, dims)
-        base = statement.base
-        subject = self._chain(base.subject, levels)
-        obj = self._chain(base.object, levels) if isinstance(base.object, Iri) else base.object
-        self.triples.add(_unchecked_triple((subject, predicate, obj)))
-
-    def _rewrite_predicate(self, predicate: Iri, dims: list[ContextDimension]) -> Iri:
-        related = self.predicate_mode == PREDICATE_RELATED
-        if related:
-            predicate = self.predicate_map.get(predicate) or related_property_iri(predicate)
-        # decontextualize skips scaffolding: a statement under it would be lost.
-        if predicate in self.scaffolding:
-            raise ValueError(
-                f"predicate {predicate.n3()} collides with scaffolding vocabulary; "
-                + ("map it to another IRI" if related else "use predicate_mode='related'")
-            )
-        if self.predicate_mode == PREDICATE_SUBPROPERTY:
-            for dim in dims:
-                self.triples.add(
-                    _unchecked_triple((predicate, RDFS.subPropertyOf, dim.contextual_property))
-                )
-        return predicate
-
-    def _mint_part(self, entity: Iri, pairs: tuple[tuple[str, Iri], ...]) -> tuple[Iri, bool]:
-        """The part IRI for `entity` under `pairs`, and whether it is minted
-        for the first time, so that its scaffolding is emitted once; two
-        different parts must not share one, which suffix minting allows when
-        contexts share a local name, and no part may be an entity of the
-        input, which suffix minting allows when an entity's IRI ends in a
-        separator and suffix."""
-        part = self.policy.mint_part(entity, pairs)
-        owner = (entity, frozenset(pairs))
-        previous = self.minted.setdefault(part, owner)
-        if previous != owner:
-            raise PatternError(
-                f"minted part {part.n3()} for both {previous[0].n3()} in "
-                f"{_describe(previous[1])} and {entity.n3()} in {_describe(owner[1])}; "
-                "give the contexts distinct local names or set mode = hash under [minting]"
-            )
-        if part in self.entities:
-            raise _entity_collision(part, owner)
-        return part, previous is owner
-
-    def _levels(self, pairs: tuple[tuple[str, Iri], ...], dims: list[ContextDimension]) -> list[_Level]:
+    def levels_of(pairs: tuple[tuple[str, Iri], ...], dims: list[ContextDimension]) -> list[_Level]:
         """The levels of a statement's part chains, outermost first: the one
         place where the combination model is read."""
-        if self.model.kind == MODEL_CONTEXTS_IN_CONTEXT:
+        if model.kind == MODEL_CONTEXTS_IN_CONTEXT:
             by_name = {name: (dim, ctx) for dim, (name, ctx) in zip(dims, pairs)}
-            order = [name for name in self.model.nesting_order or () if name in by_name]
+            order = [name for name in model.nesting_order or () if name in by_name]
             missing = set(by_name) - set(order)
             if missing:
                 raise ValueError(
@@ -331,55 +273,77 @@ class _Builder:
                 taken += ((name, ctx),)
                 levels.append((taken, [(dim, ctx)]))
             return levels
-        scaffolding = [(dim, ctx) for dim, (_, ctx) in zip(dims, pairs)]
-        if self.model.kind == MODEL_COMBINED_EXTENT and len(pairs) > 1:
-            context = self.policy.mint_combined_context(pairs)
-            for dim, ctx in scaffolding:
-                self.triples.add(_unchecked_triple((context, self.vocab.memberContext, ctx)))
-                self.triples.add(_unchecked_triple((ctx, RDF_TYPE, dim.context_class)))
-            scaffolding = [(self.registry.combined([name for name, _ in pairs]), context)]
-        return [(pairs, scaffolding)]
+        attached = [(dim, ctx) for dim, (_, ctx) in zip(dims, pairs)]
+        if model.kind == MODEL_COMBINED_EXTENT and len(pairs) > 1:
+            context = policy.mint_combined_context(pairs)
+            for dim, ctx in attached:
+                triples.add(_unchecked_triple((context, vocab.memberContext, ctx)))
+                triples.add(_unchecked_triple((ctx, RDF_TYPE, dim.context_class)))
+            attached = [(registry.combined([name for name, _ in pairs]), context)]
+        return [(pairs, attached)]
 
-    def _chain(self, entity: Iri, levels: list[_Level]) -> Iri:
-        """Mints `entity`'s part at each level, writing a part's scaffolding
-        the first time it is minted, and returns the innermost part."""
+    def chain(entity: Iri, levels: list[_Level]) -> Iri:
+        """Mints `entity`'s part at each level and returns the innermost one.
+        A part's scaffolding (type, partOf, extent, context type) is written
+        the first time it is minted. Two different parts must not share one
+        IRI, which suffix minting allows when contexts share a local name,
+        and no part may be an entity of the input, which suffix minting
+        allows when an entity's IRI ends in a separator and suffix."""
         parent = entity
-        for minted_for, scaffolding in levels:
-            part, fresh = self._mint_part(entity, minted_for)
-            if fresh:
-                for dim, ctx in scaffolding:
-                    self._attach(part, dim, parent, ctx)
+        for minted_for, attached in levels:
+            part = policy.mint_part(entity, minted_for)
+            owner = (entity, frozenset(minted_for))
+            previous = minted.setdefault(part, owner)
+            if previous != owner:
+                raise PatternError(
+                    f"minted part {part.n3()} for both {previous[0].n3()} in "
+                    f"{_describe(previous[1])} and {entity.n3()} in {_describe(owner[1])}; "
+                    "give the contexts distinct local names or set mode = hash under [minting]"
+                )
+            if part in entities:
+                raise _entity_collision(part, owner)
+            if previous is owner:
+                for dim, ctx in attached:
+                    triples.update(map(_unchecked_triple, (
+                        (part, RDF_TYPE, dim.part_class),
+                        (part, dim.part_of, parent),
+                        (part, dim.extent, ctx),
+                        (ctx, RDF_TYPE, dim.context_class),
+                    )))
             parent = part
         return parent
 
-    def _attach(self, part: Iri, dim: ContextDimension, parent: Iri, ctx: Iri) -> None:
-        """One level of scaffolding: type, partOf, extent, context type."""
-        self.triples.update(map(_unchecked_triple, (
-            (part, RDF_TYPE, dim.part_class),
-            (part, dim.part_of, parent),
-            (part, dim.extent, ctx),
-            (ctx, RDF_TYPE, dim.context_class),
-        )))
-
-    def graph(self) -> Graph:
-        return Graph(self.triples).union(*self.descriptions)
-
-
-@_collector_paused
-def contextualize(
-    statements: list[AnnotatedStatement] | tuple[AnnotatedStatement, ...],
-    registry: DimensionRegistry,
-    model: CombinationModel,
-    policy: MintingPolicy = MintingPolicy(),
-    vocab: CoreVocabulary = CORE,
-    *,
-    predicate_mode: str = PREDICATE_KEEP,
-    predicate_map: dict[Iri, Iri] | None = None,
-) -> Graph:
-    builder = _Builder(registry, model, policy, vocab, predicate_mode, predicate_map)
     for statement in statements:
-        builder.add(statement)
-    return builder.graph()
+        base = statement.base
+        for entity in (base.subject, base.object):
+            if isinstance(entity, Iri) and entity not in entities:
+                if entity in minted:
+                    raise _entity_collision(entity, minted[entity])
+                entities.add(entity)
+        pairs = statement.assignment_pairs()
+        dims = [registry.get(name) for name, _ in pairs]  # raises on unregistered
+        for assignment in statement.contexts:
+            if assignment.description is not None:
+                descriptions.append(assignment.description)
+        predicate = base.predicate
+        if related:
+            predicate = predicate_map.get(predicate) or related_property_iri(predicate)
+        # decontextualize skips scaffolding: a statement under it would be lost.
+        if predicate in scaffolding:
+            raise ValueError(
+                f"predicate {predicate.n3()} collides with scaffolding vocabulary; "
+                + ("map it to another IRI" if related else "use predicate_mode='related'")
+            )
+        if predicate_mode == PREDICATE_SUBPROPERTY:
+            for dim in dims:
+                triples.add(
+                    _unchecked_triple((predicate, RDFS.subPropertyOf, dim.contextual_property))
+                )
+        levels = levels_of(pairs, dims)
+        subject = chain(base.subject, levels)
+        obj = chain(base.object, levels) if isinstance(base.object, Iri) else base.object
+        triples.add(_unchecked_triple((subject, predicate, obj)))
+    return Graph(triples).union(*descriptions)
 
 
 # --- decontextualization -----------------------------------------------------

@@ -58,15 +58,17 @@ def _format_object(term: Term, row_hint: str) -> tuple[str, str]:
     raise FormatError(f"{row_hint}: blank nodes cannot be written to statements CSV")
 
 
-def _csv_rows(text: str, row_label: str) -> list[tuple[int, list[str]]]:
+def _csv_rows(
+    text: str, row_label: str, error_type: type[ValueError] = FormatError
+) -> list[tuple[int, list[str]]]:
     """The rows of `text` that hold anything but blanks, each with the
     physical line it ends on (`reader.line_num`), which every error about
-    the row names, as a `csv.Error` does."""
+    the row names, as a `csv.Error` does (raised as `error_type`)."""
     reader = csv.reader(io.StringIO(text))
     try:
         return [(reader.line_num, row) for row in reader if row and any(cell.strip() for cell in row)]
     except csv.Error as error:
-        raise FormatError(f"{row_label} {reader.line_num}: {error}") from None
+        raise error_type(f"{row_label} {reader.line_num}: {error}") from None
 
 
 def read_statements_csv(text: str) -> list[AnnotatedStatement]:

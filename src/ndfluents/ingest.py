@@ -16,13 +16,12 @@ its year twice so both query spellings return the same rows: directly
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, TextIO
 from urllib.parse import quote
 
 from .contextualize import AnnotatedStatement, ContextAssignment
+from .formats import _csv_rows
 from .terms import RDF_TYPE, RDFS, XSD, Graph, Iri, Literal, Namespace, Triple
 from .vocabulary import DimensionRegistry, default_registry
 
@@ -84,11 +83,7 @@ def read_estimate_rows(text: str) -> list[EstimateRow]:
     duplicate (source, year) pairs. Rows of blanks are skipped, before the
     header too. An error names the physical line its row ends on
     (`reader.line_num`), as a `csv.Error` does."""
-    reader = csv.reader(io.StringIO(text))
-    try:
-        records = [(reader.line_num, cells) for cells in reader if any(cell.strip() for cell in cells)]
-    except csv.Error as error:
-        raise IngestError(f"row {reader.line_num}: {error}") from None
+    records = _csv_rows(text, "row", IngestError)
     if not records:
         raise IngestError("empty CSV: expected a header row")
     header = records[0][1]

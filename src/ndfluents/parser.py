@@ -1,5 +1,6 @@
-"""Parsers for N-Triples, N-Quads and a Turtle subset, and `TermReader`,
-which reads their terms plus `?name` variables one line at a time.
+"""Parsers for N-Triples, N-Quads and a Turtle subset, and a line reader
+(`_Parser.read_line`) for their terms plus `?name` variables, one line at a
+time.
 
 The Turtle subset covers what the generated ontologies and fixtures need:
 `@prefix` / `@base` directives, prefixed names (letters and digits of any
@@ -41,6 +42,7 @@ from urllib.parse import urljoin
 
 from .terms import (
     RDF_TYPE, XSD, XSD_STRING, BlankNode, Graph, Iri, Literal, Term, Triple, _collector_paused, _unchecked_triple,
+    _LANG_RE, _SCHEME_RE,
 )
 
 
@@ -219,9 +221,8 @@ def _malformed(text: str, start: int, stop: int, what: str) -> ParseError:
 
 # --- parser ----------------------------------------------------------------
 
-_SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
-_LANGTAG_RE = re.compile(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$")
 _XSD_INTEGER, _XSD_DECIMAL = XSD.integer, XSD.decimal
+_POSITIONS = ("subject", "predicate", "object")
 
 
 class _Parser:
@@ -340,7 +341,7 @@ class _Parser:
         lexical = _unescape(tokens[i][1:-1])
         after = tokens[i + 1]
         if after[:1] == "@" and after not in (PREFIX_DIRECTIVE, BASE_DIRECTIVE):
-            if not _LANGTAG_RE.match(after[1:]):
+            if not _LANG_RE.match(after[1:]):
                 raise self._fail(f"malformed language tag {after}", i + 1)
             return Literal(lexical, language=after[1:]), i + 2
         if after != "^^":
@@ -450,26 +451,14 @@ class _Parser:
             del graphs[None]
         return graphs
 
-
-_POSITIONS = ("subject", "predicate", "object")
-
-
-class TermReader:
-    """Reads the terms of a line-oriented file, such as a pattern file, one
-    line at a time. Its `prefixes` map (name to namespace IRI) holds for the
-    whole file."""
-
-    def __init__(self) -> None:
-        self._parser = _Parser(strict=False, quads=False)
-        self.prefixes = self._parser.prefixes
-
-    def read(self, line: str) -> list[Term | str]:
+    def read_line(self, line: str) -> list[Term | str]:
         """The terms of `line` up to an optional final `.`, a variable as its
         name; `a` reads as rdf:type in the second position only. Raises
-        `ParseError` at a position in `line`."""
-        parser = self._parser
-        parser.start(line)
-        tokens = parser.tokens
+        `ParseError` at a position in `line`. A line-oriented file, such as
+        a pattern file, is read one line at a time by one parser, whose
+        `prefixes` hold for the whole file."""
+        self.start(line)
+        tokens = self.tokens
         terms: list[Term | str] = []
         i = 0
         while tokens[i] and tokens[i] != DOT:
@@ -477,10 +466,10 @@ class TermReader:
                 terms.append(tokens[i][1:])
                 i += 1
             else:
-                term, i = parser._term(i, _POSITIONS[min(len(terms), 2)])
+                term, i = self._term(i, _POSITIONS[min(len(terms), 2)])
                 terms.append(term)
         if tokens[i] == DOT and tokens[i + 1]:
-            raise parser._expected("end of line", i + 1)
+            raise self._expected("end of line", i + 1)
         return terms
 
 

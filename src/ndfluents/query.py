@@ -50,7 +50,7 @@ from functools import cache
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple
 
-from .parser import ParseError, TermReader
+from .parser import ParseError, _Parser
 from .terms import (
     RDF_TYPE,
     XSD,
@@ -60,6 +60,7 @@ from .terms import (
     Literal,
     Term,
     Triple,
+    _ABSOLUTE_IRI,
     _members,
     term_sort_key,
 )
@@ -660,8 +661,8 @@ are not allowed.
 """
 
 # Each keyword line's regex, which a comment may follow, and the form its
-# error message names; `_<keyword>_line` handles the match. The terms of
-# PREFIX and CONTEXT lines are read by the TermReader.
+# error message names; `parse_pattern` handles the match. The terms of
+# PREFIX and CONTEXT lines are read by `_Parser.read_line`.
 _KEYWORD_LINES = {
     keyword: (re.compile(regex + r"\s*(?:#.*)?", re.IGNORECASE), form)
     for keyword, regex, form in [
@@ -674,106 +675,91 @@ _KEYWORD_LINES = {
 }
 
 
-# A PREFIX line's IRI that the TermReader would read as written: absolute,
-# free of the characters `Iri` forbids (a backslash, which would start an
-# escape, among them) and with nothing after it, so its value is stored
-# without the term walk. Any other text (a relative IRI, an escape, a
-# comment, another token) is read by the TermReader.
-_PLAIN_IRI_RE = re.compile(r'<([A-Za-z][A-Za-z0-9+.-]*:[^\x00-\x20<>"{}|^`\\]*)>')
-
-
-class _PatternParser:
-    def __init__(self) -> None:
-        self.reader = TermReader()
-        self.patterns: list[TriplePattern] = []
-        self.group_by: Variable | None = None
-        self.aggregates: list[Aggregate] = []
-        self.context: tuple[str, Iri] | None = None
-        self.scale = DEFAULT_SCALE
-
-    def parse(self, text: str) -> Pattern:
-        # Only CR and LF end a line: a literal may hold any other line separator.
-        for line_number, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            keyword = line.split(None, 1)[0].upper()
-            if keyword not in _KEYWORD_LINES:
-                self._triple_line(line, line_number)
-                continue
-            regex, form = _KEYWORD_LINES[keyword]
-            m = regex.fullmatch(line)
-            if m is None:
-                raise QueryError(f"line {line_number}: expected {form}")
-            getattr(self, f"_{keyword.lower()}_line")(m, line_number)
-        if not self.patterns:
-            raise QueryError("pattern file has no triple patterns")
-        return Pattern(
-            tuple(self.patterns),
-            group_by=self.group_by,
-            aggregates=tuple(self.aggregates),
-            context=self.context,
-            scale=self.scale,
-        )
-
-    def _read(self, text: str, line_number: int) -> list[Term | Variable]:
-        try:
-            terms = self.reader.read(text)
-        except ParseError as exc:
-            raise QueryError(f"line {line_number}: {exc.reason}") from None
-        return [Variable(term) if isinstance(term, str) else term for term in terms]
-
-    def _prefix_line(self, m: re.Match, line_number: int) -> None:
-        plain = _PLAIN_IRI_RE.fullmatch(m.group(2))
-        if plain is not None:
-            value = plain.group(1)
-        else:
-            terms = self._read(m.group(2), line_number)
-            if len(terms) != 1 or not isinstance(terms[0], Iri):
-                raise QueryError(f"line {line_number}: expected PREFIX name: <iri>")
-            value = terms[0].value
-        self.reader.prefixes[m.group(1) or ""] = value
-
-    def _group_line(self, m: re.Match, line_number: int) -> None:
-        if self.group_by is not None:
-            raise QueryError(f"line {line_number}: GROUP BY given twice")
-        self.group_by = Variable(m.group(1))
-
-    def _agg_line(self, m: re.Match, line_number: int) -> None:
-        function = m.group(1).upper()
-        if function not in AGGREGATE_FUNCTIONS:
-            raise QueryError(f"line {line_number}: unknown aggregate {m.group(1)!r}")
-        self.aggregates.append(
-            Aggregate(function, Variable(m.group(3)), m.group(4), distinct=bool(m.group(2)))
-        )
-
-    def _context_line(self, m: re.Match, line_number: int) -> None:
-        if self.context is not None:
-            raise QueryError(f"line {line_number}: CONTEXT given twice")
-        terms = self._read(m.group(2), line_number)
-        if len(terms) != 1 or not isinstance(terms[0], Iri):
-            raise QueryError(f"line {line_number}: context must be an IRI")
-        self.context = (m.group(1), terms[0])
-
-    def _scale_line(self, m: re.Match, line_number: int) -> None:
-        self.scale = int(m.group(1))
-
-    def _triple_line(self, line: str, line_number: int) -> None:
-        terms = self._read(line, line_number)
-        if len(terms) != 3:
-            raise QueryError(
-                f"line {line_number}: a triple pattern needs exactly 3 terms, got {len(terms)}"
-            )
-        subject, predicate, obj = terms
-        if BlankNode in map(type, terms):
-            raise QueryError(f"line {line_number}: blank nodes are not allowed in a pattern; use a ?variable")
-        if isinstance(subject, Literal):
-            raise QueryError(f"line {line_number}: a literal cannot be a subject")
-        if isinstance(predicate, Literal):
-            raise QueryError(f"line {line_number}: the predicate must be an IRI or variable")
-        self.patterns.append(TriplePattern(subject, predicate, obj))
+# A PREFIX line's IRI that `_Parser.read_line` would read as written: an
+# absolute IRI as `Iri` accepts it (so free of a backslash, which would
+# start an escape) with nothing after it, so its value is stored without
+# the term walk. Any other text (a relative IRI, an escape, a comment,
+# another token) is read by `_Parser.read_line`.
+_PLAIN_IRI_RE = re.compile(f"<({_ABSOLUTE_IRI})>")
 
 
 def parse_pattern(text: str) -> Pattern:
     """Parse the textual pattern format (see `PATTERN_GRAMMAR`)."""
-    return _PatternParser().parse(text)
+    reader = _Parser(strict=False, quads=False)
+    patterns: list[TriplePattern] = []
+    group_by: Variable | None = None
+    aggregates: list[Aggregate] = []
+    context: tuple[str, Iri] | None = None
+    scale = DEFAULT_SCALE
+
+    def read(source: str, line_number: int) -> list[Term | Variable]:
+        try:
+            terms = reader.read_line(source)
+        except ParseError as exc:
+            raise QueryError(f"line {line_number}: {exc.reason}") from None
+        return [Variable(term) if isinstance(term, str) else term for term in terms]
+
+    # Only CR and LF end a line: a literal may hold any other line separator.
+    for line_number, raw in enumerate(re.split(r"\r\n?|\n", text), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        keyword = line.split(None, 1)[0].upper()
+        if keyword not in _KEYWORD_LINES:
+            terms = read(line, line_number)
+            if len(terms) != 3:
+                raise QueryError(
+                    f"line {line_number}: a triple pattern needs exactly 3 terms, got {len(terms)}"
+                )
+            subject, predicate, obj = terms
+            if BlankNode in map(type, terms):
+                raise QueryError(f"line {line_number}: blank nodes are not allowed in a pattern; use a ?variable")
+            if isinstance(subject, Literal):
+                raise QueryError(f"line {line_number}: a literal cannot be a subject")
+            if isinstance(predicate, Literal):
+                raise QueryError(f"line {line_number}: the predicate must be an IRI or variable")
+            patterns.append(TriplePattern(subject, predicate, obj))
+            continue
+        regex, form = _KEYWORD_LINES[keyword]
+        m = regex.fullmatch(line)
+        if m is None:
+            raise QueryError(f"line {line_number}: expected {form}")
+        if keyword == "PREFIX":
+            plain = _PLAIN_IRI_RE.fullmatch(m.group(2))
+            if plain is not None:
+                value = plain.group(1)
+            else:
+                terms = read(m.group(2), line_number)
+                if len(terms) != 1 or not isinstance(terms[0], Iri):
+                    raise QueryError(f"line {line_number}: expected PREFIX name: <iri>")
+                value = terms[0].value
+            reader.prefixes[m.group(1) or ""] = value
+        elif keyword == "GROUP":
+            if group_by is not None:
+                raise QueryError(f"line {line_number}: GROUP BY given twice")
+            group_by = Variable(m.group(1))
+        elif keyword == "AGG":
+            function = m.group(1).upper()
+            if function not in AGGREGATE_FUNCTIONS:
+                raise QueryError(f"line {line_number}: unknown aggregate {m.group(1)!r}")
+            aggregates.append(
+                Aggregate(function, Variable(m.group(3)), m.group(4), distinct=bool(m.group(2)))
+            )
+        elif keyword == "CONTEXT":
+            if context is not None:
+                raise QueryError(f"line {line_number}: CONTEXT given twice")
+            terms = read(m.group(2), line_number)
+            if len(terms) != 1 or not isinstance(terms[0], Iri):
+                raise QueryError(f"line {line_number}: context must be an IRI")
+            context = (m.group(1), terms[0])
+        else:  # SCALE
+            scale = int(m.group(1))
+    if not patterns:
+        raise QueryError("pattern file has no triple patterns")
+    return Pattern(
+        tuple(patterns),
+        group_by=group_by,
+        aggregates=tuple(aggregates),
+        context=context,
+        scale=scale,
+    )

@@ -51,7 +51,9 @@ from operator import itemgetter
 from typing import Callable, Collection, Iterable, Iterator
 
 
-_IRI_RE = re.compile(r'[A-Za-z][A-Za-z0-9+.-]*:[^\x00-\x20<>"{}|^`\\]*\Z')
+# An absolute IRI: a scheme, then none of the characters `Iri` forbids.
+_ABSOLUTE_IRI = r'[A-Za-z][A-Za-z0-9+.-]*:[^\x00-\x20<>"{}|^`\\]*'
+_IRI_RE = re.compile(_ABSOLUTE_IRI + r"\Z")
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 _LANG_RE = re.compile(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$")
 _BLANK_LABEL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_.-]*$")

@@ -785,8 +785,8 @@ AGG AVG ?v AS avg
         assert pattern.patterns[0].object == Literal('J\U0001F600\t"')
 
 
-# PREFIX lines that `_PatternParser` may store without the term walk, and
-# lines next to them that it must still read with the TermReader.
+# PREFIX lines that `parse_pattern` may store without the term walk, and
+# lines next to them that it must still read with `_Parser.read_line`.
 _PREFIX_LINES = [
     "PREFIX ex: <http://e.org/>",
     "PREFIX : <http://e.org/>",
@@ -826,7 +826,7 @@ _PREFIX_LINES = [
 
 def _parse_both_ways(text: str, monkeypatch) -> tuple[object, object]:
     """`parse_pattern(text)` as it is, and with every PREFIX line read by
-    the TermReader; each result is a `Pattern` or a `QueryError`'s text."""
+    `_Parser.read_line`; each result is a `Pattern` or a `QueryError`'s text."""
 
     def outcome():
         try:
