@@ -18,6 +18,7 @@ from ndfluents import (
     RDF,
     XSD,
     CombinationModel,
+    Graph,
     Iri,
     Literal,
     MintingPolicy,
@@ -31,7 +32,8 @@ from ndfluents import cli
 from ndfluents.cli import build_parser, main
 from ndfluents.config import load_config
 from ndfluents.parser import parse_ntriples, parse_turtle
-from ndfluents.serializer import serialize_ntriples
+from ndfluents.reasoner import saturate
+from ndfluents.serializer import serialize_nquads, serialize_ntriples
 from ndfluents.vocabulary import (
     CORE,
     axioms_from_graph,
@@ -86,6 +88,19 @@ def graph_file(tmp_path, statements):
     )
     path = tmp_path / "graph.nt"
     path.write_text(serialize_ntriples(graph), encoding="utf-8")
+    return path
+
+
+def _in_two_named_graphs(tmp_path, graph_file):
+    """The graph of `graph_file` written as N-Quads, its triples split
+    between two named graphs."""
+    triples = parse_ntriples(graph_file.read_text(encoding="utf-8")).sorted_triples()
+    half = len(triples) // 2
+    path = tmp_path / "graph.nq"
+    path.write_text(
+        serialize_nquads([Graph(triples[:half], name=EX.g1), Graph(triples[half:], name=EX.g2)]),
+        encoding="utf-8",
+    )
     return path
 
 
@@ -302,6 +317,14 @@ class TestContextualizeRoundTrip:
         assert back.read_text(encoding="utf-8") == csv_text
 
 
+    def test_decontextualize_reads_the_triples_of_every_named_graph(self, tmp_path, graph_file, capsys):
+        assert main(["decontextualize", str(graph_file)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["decontextualize", str(_in_two_named_graphs(tmp_path, graph_file))]) == 0
+        assert capsys.readouterr().out == expected
+        assert len(expected.splitlines()) == 3  # header + both statements
+
+
 def _contextualized(tmp_path, statements_csv):
     graph_path = tmp_path / "for-bundles.ttl"
     assert main(["contextualize", str(statements_csv), "-o", str(graph_path)]) == 0
@@ -396,6 +419,26 @@ class TestReason:
         (line,) = [r.message for r in caplog.records if r.message.startswith("derived ")]
         assert line == f"derived {len(out.read_text(encoding='utf-8').splitlines())} new triples"
 
+    def test_each_violation_is_one_warning_on_stderr(self, tmp_path, capsys):
+        graph = tmp_path / "faults.nt"
+        graph.write_text(
+            serialize_ntriples(Graph([
+                Triple(EX.part, CORE.contextualPartOf, EX.Paris),
+                Triple(EX.part, CORE.contextualPartOf, EX.Lyon),
+                Triple(EX.x, RDF.type, CORE.Context),
+                Triple(EX.x, RDF.type, CORE.ContextualPart),
+            ])),
+            encoding="utf-8",
+        )
+        assert main(["reason", str(graph), "-o", str(tmp_path / "out.ttl")]) == 0
+        stderr = capsys.readouterr().err
+        assert [line.split(":")[0] for line in stderr.splitlines() if not line.startswith("    ")] == [
+            "WARNING DisjointClasses",
+            "WARNING FunctionalConflict",
+        ]
+        violations = saturate(parse_ntriples(graph.read_text(encoding="utf-8")), default_config().axioms()).violations
+        assert stderr == "".join(f"WARNING {violation.render()}\n" for violation in violations)
+
     def test_extra_tbox_file(self, tmp_path, graph_file, capsys):
         from ndfluents.vocabulary import axioms_to_graph, sub_class_of
 
@@ -452,6 +495,15 @@ class TestQuery:
             "http://example.org/France,2\n"
             "http://example.org/Paris,2\n"
         )
+
+    def test_reads_the_triples_of_every_named_graph(self, tmp_path, graph_file, capsys):
+        pattern = tmp_path / "pattern.rq"
+        pattern.write_text("?part <http://example.org/capitalOf> ?o .\n?part ?p ?c .\n", encoding="utf-8")
+        assert main(["query", str(graph_file), "--pattern", str(pattern)]) == 0
+        expected = capsys.readouterr().out
+        assert main(["query", str(_in_two_named_graphs(tmp_path, graph_file)), "--pattern", str(pattern)]) == 0
+        assert capsys.readouterr().out == expected
+        assert len(expected.splitlines()) > 4
 
     def test_a_core_extent_context_filter(self, tmp_path, capsys):
         # The part reaches EX.y2016 through the core extent, and EX.y2016 is

@@ -4,6 +4,7 @@ import pytest
 
 from ndfluents import (
     FormatError,
+    Iri,
     Literal,
     XSD,
     annotate,
@@ -12,7 +13,7 @@ from ndfluents import (
     write_annotated_nquads,
     write_statements_csv,
 )
-from ndfluents.formats import read_bundle_sidecar_csv
+from ndfluents.formats import read_bundle_sidecar_csv, read_bundle_sidecar_turtle
 
 from conftest import EX, corpus_registry, random_corpus
 import random
@@ -221,6 +222,37 @@ class TestAnnotatedNQuads:
         )
         recovered = read_annotated_nquads(nquads, turtle, registry, sidecar_format="turtle")
         assert set(recovered) == set(statements)
+
+    def test_turtle_sidecar_skips_triples_of_other_predicates(self):
+        registry = corpus_registry()
+        extent = registry.get("temporal").extent.value
+        turtle = (
+            f"<http://e.org/b> <{extent}> <http://e.org/t1> .\n"
+            "<http://e.org/b> <http://e.org/note> <http://e.org/t2> .\n"
+        )
+        assert read_bundle_sidecar_turtle(turtle, registry) == {
+            Iri("http://e.org/b"): [("temporal", Iri("http://e.org/t1"))]
+        }
+
+    @pytest.mark.parametrize(
+        "bundle, context",
+        [("_:b", "<http://e.org/t1>"), ("<http://e.org/b>", '"t1"'), ("<http://e.org/b>", "_:t1")],
+        ids=["blank-bundle", "literal-context", "blank-context"],
+    )
+    def test_turtle_sidecar_refuses_a_triple_that_does_not_link_iris(self, bundle, context):
+        registry = corpus_registry()
+        turtle = f"{bundle} <{registry.get('temporal').extent.value}> {context} .\n"
+        with pytest.raises(FormatError, match=r"^sidecar triple must link IRIs: "):
+            read_bundle_sidecar_turtle(turtle, registry)
+
+    @pytest.mark.parametrize(
+        "turtle", ["", "<http://e.org/b> <http://e.org/note> <http://e.org/t1> .\n"], ids=["empty", "no-extent"]
+    )
+    def test_turtle_sidecar_without_an_extent_triple_rejected(self, turtle):
+        message = "turtle sidecar declares no bundles via registered extent properties"
+        with pytest.raises(FormatError) as raised:
+            read_bundle_sidecar_turtle(turtle, corpus_registry())
+        assert str(raised.value) == message
 
     def test_unknown_sidecar_format_rejected(self):
         nquads, sidecar = write_annotated_nquads(_sample_statements()[:1])

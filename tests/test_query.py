@@ -774,6 +774,24 @@ AGG AVG ?v AS avg
         with pytest.raises(QueryError):
             parse_pattern(text)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("?x <http://e.org/p> ?y\nGROUP BY ?x\ngroup by ?y\n", "line 3: GROUP BY given twice"),
+            (
+                "?x <http://e.org/p> ?y\nCONTEXT temporal <http://e.org/t1>\nCONTEXT temporal <http://e.org/t2>\n",
+                "line 3: CONTEXT given twice",
+            ),
+            ('?x <http://e.org/p> ?y\nCONTEXT temporal "t1"\n', "line 2: context must be an IRI"),
+            ("?x <http://e.org/p> ?y\nCONTEXT temporal ?t\n", "line 2: context must be an IRI"),
+            ('?x "p" ?y\n', "line 1: the predicate must be an IRI or variable"),
+        ],
+    )
+    def test_malformed_inputs_name_their_fault(self, text, message):
+        with pytest.raises(QueryError) as raised:
+            parse_pattern(text)
+        assert str(raised.value) == message
+
     @pytest.mark.parametrize("escape", ["\\u+04A", "\\u1_23", "\\u 04A", "\\U0011FFFF", "\\q"])
     def test_malformed_literal_escapes_rejected(self, escape):
         # `int(digits, 16)` alone would read "\u+04A" as "J".

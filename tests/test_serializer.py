@@ -3,6 +3,7 @@
 import gc
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -147,6 +148,23 @@ class TestSerializationDetails:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_serialize_writes_nquads_from_one_graph_or_a_list(self):
+        g = Graph([Triple(EX.a, EX.p, EX.b)], name=EX.g1)
+        expected = "<http://example.org/a> <http://example.org/p> <http://example.org/b> <http://example.org/g1> .\n"
+        assert serialize(g, "nquads") == serialize([g], "nq") == expected
+
+    def test_serialize_writes_a_one_graph_list_as_turtle(self):
+        g = Graph([Triple(EX.a, EX.p, EX.b)])
+        prefixes = {"ex": "http://example.org/"}
+        assert serialize([g], "turtle", prefixes) == serialize(g, "turtle", prefixes)
+
+    def test_serialize_refuses_two_graphs_outside_nquads(self):
+        graphs = [Graph([Triple(EX.a, EX.p, EX.b)]), Graph([Triple(EX.c, EX.p, EX.d)])]
+        with pytest.raises(ValueError, match=r"^ntriples holds exactly one graph, got 2$"):
+            serialize(graphs, "nt")
+        with pytest.raises(ValueError, match=r"^turtle holds exactly one graph, got 2$"):
+            serialize(iter(graphs), "turtle")
 
     def test_serialize_rejects_unknown_format(self):
         try:
