@@ -41,7 +41,7 @@ from .formats import (
     write_statements_csv,
 )
 from .ingest import ingest_csv
-from .parser import _FORMAT_ALIASES, NTRIPLES, TURTLE, ParseError, normalize_format, parse
+from .parser import _FORMAT_ALIASES, TURTLE, ParseError, normalize_format, parse
 from .query import match, parse_pattern
 from .reasoner import saturate, validate
 from .serializer import canonicalize, serialize
@@ -181,9 +181,11 @@ def _cmd_gen_ontology(args: argparse.Namespace) -> int:
             directory.mkdir(parents=True, exist_ok=True)
         except OSError as error:
             raise _UsageError(f"cannot create {args.split}: {error.strerror or error}") from None
-        extension = ".nt" if args.format and normalize_format(args.format) == NTRIPLES else ".ttl"
+        # Each file is named by its format's short alias: nt, nq or ttl.
+        fmt = normalize_format(args.format or TURTLE)
+        extension = min((alias for alias, name in _FORMAT_ALIASES.items() if name == fmt), key=len)
         for name, axioms in config.modules():
-            path = directory / f"{name}{extension}"
+            path = directory / f"{name}.{extension}"
             _write_graph(axioms_to_graph(axioms), str(path), args.format, config)
             log.info("wrote %s (%d axioms)", path, len(axioms))
         return 0
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_config(p)
     p.add_argument("-o", "--out", metavar="FILE", help="output file (default stdout)")
-    p.add_argument("--format", metavar="FMT", help="turtle (default) or ntriples")
+    p.add_argument("--format", metavar="FMT", help="turtle (default), ntriples or nquads")
     p.add_argument("--split", metavar="DIR", help="write one file per module instead")
 
     p = commands.add_parser(

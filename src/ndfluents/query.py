@@ -17,9 +17,10 @@ bind them. Each step records which of its positions the solution already
 holds (a constant or a variable an earlier step bound) and where, so it
 decides before reading any solution which of the graph's hash indexes it
 reads and cuts each solution's key out with one `itemgetter`: a solution
-costs one `dict.get`. Of each triple in the bucket it gets, only the new
-variables are read, and only a variable repeated inside the pattern
-(`?x ex:p ?x`) is compared. `context_slice` reads the same indexes.
+costs one `dict.get`, which gives the list of the key's triples, or `()`
+for a key with none. Of each triple in that list, only the new variables
+are read, and only a variable repeated inside the pattern (`?x ex:p ?x`) is
+compared. `context_slice` reads the same indexes, the same way.
 
 Aggregation semantics:
 
@@ -33,7 +34,7 @@ Aggregation semantics:
   ROUND_HALF_UP), COUNT is an int, and SUM/MIN/MAX render as ints when
   integral and scaled decimals otherwise. A value with more digits than
   Python writes out as text (`sys.set_int_max_str_digits`) is a
-  `QueryError`.
+  `QueryError`, and so is a decimal whose scale alone passes that limit.
 - A query with no solutions yields an empty table, including under
   aggregation (simpler than SPARQL's single all-empty row).
 """
@@ -43,12 +44,13 @@ from __future__ import annotations
 import csv
 import io
 import re
+import sys
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, InvalidOperation
 from fractions import Fraction
 from functools import cache
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .parser import ParseError, _Parser
 from .terms import (
@@ -61,7 +63,6 @@ from .terms import (
     Term,
     Triple,
     _ABSOLUTE_IRI,
-    _members,
     term_sort_key,
 )
 from .vocabulary import CORE, CoreVocabulary, DimensionRegistry
@@ -107,6 +108,9 @@ _NUMERIC_DATATYPES = frozenset(
 _XSD_INTEGER = XSD.integer
 # Under this context `scaleb` moves the exponent and rounds nothing.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+# The most digits `str` writes out of an int, read per call since
+# `sys.set_int_max_str_digits` may change it; 0 where there is no limit.
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 @dataclass(frozen=True)
@@ -333,7 +337,7 @@ def _plan(graph: Graph, patterns: Iterable[TriplePattern]) -> _Plan:
         (
             tp,
             [v.name for v in tp.variables()],
-            len(_members(by_predicate.get(tp.predicate))) if isinstance(tp.predicate, Iri) else len(graph),
+            len(by_predicate.get(tp.predicate, ())) if isinstance(tp.predicate, Iri) else len(graph),
         )
         for tp in patterns
     ]
@@ -361,21 +365,12 @@ def _solve(graph: Graph, plan: _Plan) -> list[tuple[Term, ...]]:
             solutions = [binding + cut for binding in solutions for cut in cuts]
         else:
             get = graph._index(bound).get
-            extended: list[tuple[Term, ...]] = []
-            for binding in solutions:
-                bucket = get(key(binding))
-                if bucket is None:
-                    continue
-                if repeats:
-                    extended += [
-                        binding + t[new] for t in _members(bucket)
-                        if all(t[a] is t[b] for a, b in repeats)
-                    ]
-                elif bucket.__class__ is list:
-                    extended += [binding + t[new] for t in bucket]
-                else:
-                    extended.append(binding + bucket[new])
-            solutions = extended
+            solutions = [
+                binding + t[new]
+                for binding in solutions
+                for t in get(key(binding), ())
+                if not repeats or all(t[a] is t[b] for a, b in repeats)
+            ]
         if not solutions:
             break
     return solutions
@@ -410,7 +405,12 @@ def _numeric_value(term: Term, aggregate: Aggregate) -> int | Fraction:
 def _fraction_to_decimal(value: Fraction, scale: int) -> Decimal:
     """`value` rounded half away from zero (ROUND_HALF_UP) to `scale`
     places; a negative value that rounds to zero keeps its sign (`-0.00`).
-    Raises ValueError when `str` refuses the numerator or denominator."""
+    Raises ValueError when `str` refuses the numerator or denominator, or
+    when `scale` alone passes the digit limit, before the cost of `10**scale`
+    places is paid. An interpreter without a limit (3.10, or a limit of 0)
+    writes any scale out."""
+    if 0 < _int_max_str_digits() < scale:
+        raise ValueError(f"{scale} places pass the digit limit")
     numerator, denominator = value.numerator, value.denominator
     str(numerator), str(denominator)  # refused here, where the caller can name the aggregate
     units, rest = divmod(abs(numerator) * 10**scale, denominator)
@@ -557,28 +557,22 @@ def context_slice(
     # and property it visits.
     by_s, by_sp, by_po = graph._index((0,)), graph._index((0, 1)), graph._index((1, 2))
 
-    def about(node: Term) -> Collection[Triple]:
-        return _members(by_s.get(node))
-
-    def linked(prop: Iri, node: Term) -> Collection[Triple]:
-        return _members(by_po.get((prop, node)))
-
     @cache  # read per node, so a slice costs what it visits, not the whole graph
     def is_part(node: Term) -> bool:
         return any(
             t.predicate in pattern.part_of or (t.predicate == RDF_TYPE and t.object in pattern.part_classes)
-            for t in about(node)
+            for t in by_s.get(node, ())
         )
 
     # Direct hits: the subjects of the extent edges, to `context` or to an
     # IRI that lists it, whose attributed pairs hold `context` (in
     # `dimension`, if given).
-    listing = [t.subject for t in linked(pattern.member_context, context) if isinstance(t.subject, Iri)]
+    listing = [t.subject for t in by_po.get((pattern.member_context, context), ()) if isinstance(t.subject, Iri)]
     hits = [
         t.subject
         for target in [context, *listing]
         for prop in pattern.extents
-        if (edges := linked(prop, target)) and any(
+        if (edges := by_po.get((prop, target))) and any(
             ctx == context and (dimension is None or name == dimension)
             for name, ctx in pattern.attributed(graph, prop, target)
         )
@@ -586,11 +580,11 @@ def context_slice(
     ]
 
     def children(node: Term) -> Iterator[Term]:
-        return (t.subject for prop in pattern.part_of for t in linked(prop, node))
+        return (t.subject for prop in pattern.part_of for t in by_po.get((prop, node), ()))
 
     def parent_parts(node: Term) -> Iterator[Term]:
         return (
-            t.object for prop in pattern.part_of for t in _members(by_sp.get((node, prop))) if is_part(t.object)
+            t.object for prop in pattern.part_of for t in by_sp.get((node, prop), ()) if is_part(t.object)
         )
 
     # A part is in the slice when it or a part-chain ancestor is a direct
@@ -605,7 +599,7 @@ def context_slice(
     kept: set[Triple] = set()
     contexts: set[Term] = set()
     for part in chains:
-        for triple in about(part):
+        for triple in by_s.get(part, ()):
             if triple.predicate in pattern.scaffolding:
                 kept.add(triple)
                 if triple.predicate in pattern.extents:
@@ -615,14 +609,14 @@ def context_slice(
 
     # Member links and the member contexts themselves.
     for ctx in list(contexts):
-        for triple in _members(by_sp.get((ctx, pattern.member_context))):
+        for triple in by_sp.get((ctx, pattern.member_context), ()):
             kept.add(triple)
             contexts.add(triple.object)
 
     # Context description closure (typing plus any non-scaffolding triples
     # hanging off the context nodes, e.g. interval year descriptions).
     def description(node: Term) -> list[Triple]:
-        return [t for t in about(node) if t.predicate not in pattern.part_of]
+        return [t for t in by_s.get(node, ()) if t.predicate not in pattern.part_of]
 
     def described(node: Term) -> Iterator[Term]:
         return (

@@ -29,13 +29,14 @@ deterministic total order, so serialization, triple counting and diffing
 are stable across runs. Lookups answer from hash indexes, one per set of
 bound positions short of all three, and yield in no particular order.
 `Graph._index` is the one accessor of an index: it builds the index on
-first need and publishes it only when complete. A bucket is one `Triple`
-stored bare or a list of two or more, and `_members` reads both shapes.
-`Graph.match` chooses its index inline, and `Graph.count` counts what it
-yields. Readers that look up once per node or per join row skip `match`'s
-calls and read the indexes through the accessor directly: the query engine's
-joins and `context_slice` (`query.py`), and `PatternVocabulary.levels`
-and `attributed`, through which `validate` and `decontextualize` read parts.
+first need and publishes it only when complete. Every bucket is a list of
+the matching triples, so a reader takes a missing key as `get(key, ())`.
+`Graph.match` cuts its lookup key with the index's own key function from
+`_INDEX_KEYS`, and `Graph.count` counts what it yields. Readers that look
+up once per node or per join row skip `match`'s calls and read the indexes
+through the accessor directly: the query engine's joins and
+`context_slice` (`query.py`), and `PatternVocabulary.levels` and
+`attributed`, through which `validate` and `decontextualize` read parts.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from _weakref import _remove_dead_weakref
 from collections import namedtuple
 from functools import partial, total_ordering, wraps
 from operator import itemgetter
-from typing import Callable, Collection, Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
 # An absolute IRI: a scheme, then none of the characters `Iri` forbids.
@@ -334,19 +335,10 @@ _unchecked_triple = partial(tuple.__new__, Triple)
 
 
 # The hash indexes by the positions they key on, each with the function that
-# cuts its key out of a triple: the term itself for one position, a tuple of
-# the terms in position order for two. A `Graph` builds an index on the first
-# lookup that needs it.
-_S, _P, _O, _SP, _SO, _PO = (0,), (1,), (2,), (0, 1), (0, 2), (1, 2)
-_INDEX_KEYS = {positions: itemgetter(*positions) for positions in (_S, _P, _O, _SP, _SO, _PO)}
-
-
-def _members(bucket: Triple | list[Triple] | None) -> Collection[Triple]:
-    """The triples of an index bucket, which is missing (no triple), one
-    `Triple` stored bare, or a list of two or more."""
-    if bucket is None:
-        return ()
-    return bucket if bucket.__class__ is list else (bucket,)
+# cuts its key out of a triple, or out of `match`'s `(subject, predicate,
+# obj)`: the term itself for one position, a tuple of the terms in position
+# order for two. A `Graph` builds an index on the first lookup that needs it.
+_INDEX_KEYS = {positions: itemgetter(*positions) for positions in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2))}
 
 
 class Graph:
@@ -360,8 +352,7 @@ class Graph:
     hash indexes, one per combination of bound positions, which `_index`
     builds on the first call that needs one and keeps for the life of the
     graph. An index maps a key (the term at its one position, or the tuple
-    of the terms at its two) to a bucket: the one matching `Triple` bare,
-    or a list of them; `_members` gives either as a collection.
+    of the terms at its two) to a bucket, the list of the matching triples.
     """
 
     __slots__ = ("_triples", "name", "_sorted", "_indexes")
@@ -370,7 +361,7 @@ class Graph:
         self._triples = frozenset(triples)
         self.name = name
         self._sorted: tuple[Triple, ...] | None = None
-        self._indexes: dict[tuple[int, ...], dict[object, Triple | list[Triple]]] = {}
+        self._indexes: dict[tuple[int, ...], dict[object, list[Triple]]] = {}
 
     def sorted_triples(self) -> tuple[Triple, ...]:
         """Triples in lexicographic (subject, predicate, object) order."""
@@ -385,11 +376,10 @@ class Graph:
             triples.update(other._triples if isinstance(other, Graph) else other)
         return Graph(triples, name=name if name is not None else self.name)
 
-    def _index(self, positions: tuple[int, ...]) -> dict[object, Triple | list[Triple]]:
+    def _index(self, positions: tuple[int, ...]) -> dict[object, list[Triple]]:
         """The hash index of the triples by the terms at `positions` (one of
-        the keys of `_INDEX_KEYS`), built on the first call. A bucket of one
-        triple is stored bare, which saves a list per key: most keys of the
-        two-position indexes have one triple; `_members` reads both shapes.
+        the keys of `_INDEX_KEYS`), built on the first call. Each bucket is a
+        list of the key's triples in the order the graph's set yields them.
         The index is built in full before it is published, so a thread that
         reads the graph concurrently sees either no index or a complete one."""
         index = self._indexes.get(positions)
@@ -400,11 +390,9 @@ class Graph:
                 k = key(t)
                 bucket = index.get(k)
                 if bucket is None:
-                    index[k] = t
-                elif bucket.__class__ is list:
-                    bucket.append(t)
+                    index[k] = [t]
                 else:
-                    index[k] = [bucket, t]
+                    bucket.append(t)
             self._indexes[positions] = index
         return index
 
@@ -419,23 +407,13 @@ class Graph:
         With a position bound the triples come in no particular order (it
         can change between runs); with none bound, in `sorted_triples` order.
         """
-        if subject is None:
-            if predicate is None:
-                if obj is None:
-                    return iter(self.sorted_triples())
-                positions, key = _O, obj
-            elif obj is None:
-                positions, key = _P, predicate
-            else:
-                positions, key = _PO, (predicate, obj)
-        elif predicate is None:
-            positions, key = (_S, subject) if obj is None else (_SO, (subject, obj))
-        elif obj is None:
-            positions, key = _SP, (subject, predicate)
-        else:
-            key = (subject, predicate, obj)
-            return iter((_unchecked_triple(key),) if key in self._triples else ())
-        return iter(_members(self._index(positions).get(key)))
+        spo = (subject, predicate, obj)
+        positions = tuple(i for i, term in enumerate(spo) if term is not None)
+        if not positions:
+            return iter(self.sorted_triples())
+        if len(positions) == 3:
+            return iter((_unchecked_triple(spo),) if spo in self._triples else ())
+        return iter(self._index(positions).get(_INDEX_KEYS[positions](spo), ()))
 
     def count(
         self,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .terms import RDF_TYPE, BlankNode, Graph, Iri, Namespace, OWL, RDFS, Term, Triple, _members
+from .terms import RDF_TYPE, BlankNode, Graph, Iri, Namespace, OWL, RDFS, Term, Triple
 
 # The kinds of violation `validate` reports a pattern fault of a part as.
 VIOLATION_FUNCTIONAL = "FunctionalConflict"
@@ -284,10 +284,10 @@ class PatternVocabulary:
         if dim is not None:
             return [(dim.name, context)]
         by_sp = graph._index((0, 1))
-        members = [t.object for t in _members(by_sp.get((context, self.member_context))) if isinstance(t.object, Iri)]
+        members = [t.object for t in by_sp.get((context, self.member_context), ()) if isinstance(t.object, Iri)]
         pairs: list[tuple[str | None, Term]] = []
         for member in sorted(members or [context]):
-            types = (self.context_dimension.get(t.object) for t in _members(by_sp.get((member, RDF_TYPE))))
+            types = (self.context_dimension.get(t.object) for t in by_sp.get((member, RDF_TYPE), ()))
             names = [d.name for d in types if d is not None] or [None]
             pairs += [(name, member) for name in names]
         return pairs
@@ -302,7 +302,7 @@ class PatternVocabulary:
         data: list[Triple] = []
         for part in parts:
             part_of, extents = [], []
-            for t in _members(by_subject.get(part)):
+            for t in by_subject.get(part, ()):
                 if t[1] in part_ofs:
                     part_of.append(t)
                 elif t[1] in extent_props:

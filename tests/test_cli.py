@@ -31,7 +31,7 @@ from ndfluents import (
 from ndfluents import cli
 from ndfluents.cli import build_parser, main
 from ndfluents.config import load_config
-from ndfluents.parser import parse_ntriples, parse_turtle
+from ndfluents.parser import parse, parse_nquads, parse_ntriples, parse_turtle
 from ndfluents.reasoner import saturate
 from ndfluents.serializer import serialize_nquads, serialize_ntriples
 from ndfluents.vocabulary import (
@@ -125,6 +125,17 @@ class TestGenOntology:
             "restrictions-provenance.ttl",
             "restrictions-temporal.ttl",
         ]
+
+    @pytest.mark.parametrize("fmt, extension", [("nquads", "nq"), ("nt", "nt"), ("TTL", "ttl")])
+    def test_split_names_each_file_by_the_format_written(self, tmp_path, fmt, extension):
+        out_dir = tmp_path / "modules"
+        assert main(["gen-ontology", "--split", str(out_dir), "--format", fmt]) == 0
+        modules = dict(default_config().modules())
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(f"{name}.{extension}" for name in modules)
+        for name, axioms in modules.items():
+            text = (out_dir / f"{name}.{extension}").read_text(encoding="utf-8")
+            graph = Graph().union(*parse_nquads(text)) if extension == "nq" else parse(text, extension)
+            assert set(axioms_from_graph(graph)) == set(axioms)
 
     def test_nested_model_adds_transitivity_module(self, tmp_path):
         config = tmp_path / "run.ini"
@@ -436,7 +447,8 @@ class TestReason:
             "WARNING DisjointClasses",
             "WARNING FunctionalConflict",
         ]
-        violations = saturate(parse_ntriples(graph.read_text(encoding="utf-8")), default_config().axioms()).violations
+        source = parse_ntriples(graph.read_text(encoding="utf-8"))
+        violations = saturate(source, default_config().axioms()).violations
         assert stderr == "".join(f"WARNING {violation.render()}\n" for violation in violations)
 
     def test_extra_tbox_file(self, tmp_path, graph_file, capsys):
@@ -987,6 +999,28 @@ class TestErrorPaths:
             "<http://www.w3.org/2001/XMLSchema#integer> (5,000 characters) has more "
             "digits than Python writes out as text (see sys.set_int_max_str_digits)\n"
         )
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit")
+    @pytest.mark.parametrize("past", [1, 200_000])
+    def test_a_scale_past_the_digit_limit(self, tmp_path, capsys, past):
+        # Refused before `10**scale` is built, which took seconds at 200,000
+        # places; an integral SUM at the same scale is still written out.
+        graph = tmp_path / "scores.nt"
+        integer = "<http://www.w3.org/2001/XMLSchema#integer>"
+        lines = [f'<http://example.org/r{n}> <http://example.org/v> "{n}"^^{integer} .\n' for n in (1, 2, 4)]
+        graph.write_text("".join(lines), encoding="utf-8")
+        scale = sys.get_int_max_str_digits() + past
+        pattern = tmp_path / "pattern.rq"
+        query = "?s <http://example.org/v> ?v .\nAGG {} ?v AS x\nSCALE " + str(scale) + "\n"
+        pattern.write_text(query.format("AVG"), encoding="utf-8")
+        assert main(["query", str(graph), "--pattern", str(pattern)]) == 2
+        assert capsys.readouterr().err == (
+            'error: AVG(?v) over "1"^^<http://www.w3.org/2001/XMLSchema#integer> has more '
+            "digits than Python writes out as text (see sys.set_int_max_str_digits)\n"
+        )
+        pattern.write_text(query.format("SUM"), encoding="utf-8")
+        assert main(["query", str(graph), "--pattern", str(pattern)]) == 0
+        assert capsys.readouterr().out == "x\n7\n"
 
     def test_malformed_pattern(self, tmp_path, graph_file, capsys):
         pattern = tmp_path / "pattern.rq"

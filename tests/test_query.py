@@ -786,6 +786,7 @@ AGG AVG ?v AS avg
             ("?x <http://e.org/p> ?y\nCONTEXT temporal ?t\n", "line 2: context must be an IRI"),
             ('?x "p" ?y\n', "line 1: the predicate must be an IRI or variable"),
         ],
+        ids=["group-by-twice", "context-twice", "context-literal", "context-variable", "literal-predicate"],
     )
     def test_malformed_inputs_name_their_fault(self, text, message):
         with pytest.raises(QueryError) as raised:
