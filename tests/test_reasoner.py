@@ -324,6 +324,26 @@ class TestAllValuesFrom:
         }
 
 
+class TestTypeAsJoinHead:
+    """rdf:type triples, asserted or derived, join like any other edge when
+    rdf:type heads a join rule."""
+
+    def test_transitive_type(self):
+        g = Graph([Triple(EX.a, RDF_TYPE, EX.B), Triple(EX.B, RDF_TYPE, EX.C)])
+        result = _assert_matches_reference(g, [transitive(RDF_TYPE)])
+        assert Triple(EX.a, RDF_TYPE, EX.C) in result.derived
+
+    def test_type_as_the_via_of_a_domain_rule(self):
+        g = Graph([Triple(EX.a, EX.p, EX.x), Triple(EX.a, RDF_TYPE, EX.y)])
+        result = _assert_matches_reference(g, [all_values_from_domain(EX.p, RDF_TYPE, EX.D)])
+        assert Triple(EX.y, RDF_TYPE, EX.D) in result.derived
+
+    def test_type_as_the_via_of_a_range_rule(self):
+        g = Graph([Triple(EX.a, EX.p, EX.x), Triple(EX.x, RDF_TYPE, EX.y)])
+        result = _assert_matches_reference(g, [all_values_from_range(EX.p, RDF_TYPE, EX.D)])
+        assert Triple(EX.y, RDF_TYPE, EX.D) in result.derived
+
+
 class TestValidate:
     def _clean_graph(self, model=B):
         statements = [
@@ -672,11 +692,12 @@ _axioms = st.one_of(
     st.builds(sub_property_of, _any_property, _any_property),
     st.builds(property_domain, _any_property, _classes),
     st.builds(property_range, _any_property, _classes),
-    st.builds(transitive, _properties),
-    st.builds(functional, _properties),
+    # rdf:type may head a join rule too, in either slot of AllValuesFrom.
+    st.builds(transitive, _any_property),
+    st.builds(functional, _any_property),
     st.builds(inverse_functional, _properties),
-    st.builds(all_values_from_domain, _properties, _properties, _classes),
-    st.builds(all_values_from_range, _properties, _properties, _classes),
+    st.builds(all_values_from_domain, _any_property, _any_property, _classes),
+    st.builds(all_values_from_range, _any_property, _any_property, _classes),
     st.builds(disjoint_classes, _classes, _classes),
 )
 
