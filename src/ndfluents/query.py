@@ -34,7 +34,8 @@ Aggregation semantics:
   ROUND_HALF_UP), COUNT is an int, and SUM/MIN/MAX render as ints when
   integral and scaled decimals otherwise. A value with more digits than
   Python writes out as text (`sys.set_int_max_str_digits`) is a
-  `QueryError`, and so is a decimal whose scale alone passes that limit.
+  `QueryError` naming the aggregate and the literal, and a decimal whose
+  scale alone passes that limit is one naming the aggregate and the scale.
 - A query with no solutions yields an empty table, including under
   aggregation (simpler than SPARQL's single all-empty row).
 """
@@ -402,15 +403,19 @@ def _numeric_value(term: Term, aggregate: Aggregate) -> int | Fraction:
         ) from None
 
 
+class _ScalePastLimit(ValueError):
+    """A decimal result's scale alone passes the digit limit."""
+
+
 def _fraction_to_decimal(value: Fraction, scale: int) -> Decimal:
     """`value` rounded half away from zero (ROUND_HALF_UP) to `scale`
     places; a negative value that rounds to zero keeps its sign (`-0.00`).
-    Raises ValueError when `str` refuses the numerator or denominator, or
-    when `scale` alone passes the digit limit, before the cost of `10**scale`
-    places is paid. An interpreter without a limit (3.10, or a limit of 0)
-    writes any scale out."""
+    Raises ValueError when `str` refuses the numerator or denominator, and
+    its subclass `_ScalePastLimit` when `scale` alone passes the digit limit,
+    before the cost of `10**scale` places is paid. An interpreter without a
+    limit (3.10, or a limit of 0) writes any scale out."""
     if 0 < _int_max_str_digits() < scale:
-        raise ValueError(f"{scale} places pass the digit limit")
+        raise _ScalePastLimit(f"{scale} places pass the digit limit")
     numerator, denominator = value.numerator, value.denominator
     str(numerator), str(denominator)  # refused here, where the caller can name the aggregate
     units, rest = divmod(abs(numerator) * 10**scale, denominator)
@@ -447,6 +452,11 @@ def _aggregate_value(aggregate: Aggregate, terms: list[Term], scale: int) -> obj
         raise
     try:
         return _reduce(aggregate.function, values, scale)
+    except _ScalePastLimit:
+        raise QueryError(
+            f"{aggregate.function}(?{aggregate.variable.name}) at SCALE {scale} has more "
+            "digits than Python writes out as text (see sys.set_int_max_str_digits)"
+        ) from None
     except ValueError:
         longest = max(sorted(terms, key=term_sort_key), key=lambda term: len(term.lexical))
         lexical = longest.lexical
@@ -747,7 +757,13 @@ def parse_pattern(text: str) -> Pattern:
                 raise QueryError(f"line {line_number}: context must be an IRI")
             context = (m.group(1), terms[0])
         else:  # SCALE
-            scale = int(m.group(1))
+            try:
+                scale = int(m.group(1))
+            except ValueError:
+                raise QueryError(
+                    f"line {line_number}: SCALE has more digits than Python reads as a number "
+                    "(see sys.set_int_max_str_digits)"
+                ) from None
     if not patterns:
         raise QueryError("pattern file has no triple patterns")
     return Pattern(

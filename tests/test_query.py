@@ -785,8 +785,16 @@ AGG AVG ?v AS avg
             ('?x <http://e.org/p> ?y\nCONTEXT temporal "t1"\n', "line 2: context must be an IRI"),
             ("?x <http://e.org/p> ?y\nCONTEXT temporal ?t\n", "line 2: context must be an IRI"),
             ('?x "p" ?y\n', "line 1: the predicate must be an IRI or variable"),
+            pytest.param(
+                "?x <http://e.org/p> ?y\nSCALE " + "9" * 5000 + "\n",
+                "line 2: SCALE has more digits than Python reads as a number (see sys.set_int_max_str_digits)",
+                marks=pytest.mark.skipif(
+                    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no integer digit limit"
+                ),
+            ),
         ],
-        ids=["group-by-twice", "context-twice", "context-literal", "context-variable", "literal-predicate"],
+        ids=["group-by-twice", "context-twice", "context-literal", "context-variable", "literal-predicate",
+             "scale-past-the-digit-limit"],
     )
     def test_malformed_inputs_name_their_fault(self, text, message):
         with pytest.raises(QueryError) as raised:
