@@ -11,10 +11,14 @@ pattern validator.
   compiles that closure once per shape into a template over the triple's
   subject and object, and is itself built once per TBox: equal axiom lists
   share one index, templates included. The triples from the input or from
-  a join rule expand their templates by key, in one step: a row on the
-  subject once per distinct subject, a row on the object once per distinct
-  object. The template's products need no expansion of their own, since
-  their consequences are already in the template.
+  a join rule expand their templates by key, in one step. A row `(q, x)` of
+  a template stands for the products `(n, q, x)`, where `n` is the
+  triple's subject or object; each row collects its nodes over every key of
+  the round, and yields one product per distinct node. The closure's type
+  triples are also kept as one node set per class, `typed`: a type row adds
+  only the nodes its class's set lacks, so no tuple is built for a type
+  already known. The template's products need no expansion of their own,
+  since their consequences are already in the template.
 - The join rules: transitivity and the four AllValuesFrom lookups over a
   `via` property. They run semi-naively, a round at a time, only on triples
   whose predicate heads one of them. Their indexes are keyed by predicate
@@ -41,12 +45,13 @@ one whole per partOf property and none that is a context, and any other
 fault on the walks `decontextualize` takes, each cycle once; last the
 same-extent rule over the data triples between parts. It reads the closure
 itself, not a graph of it: its parts and contexts are the subjects that
-`saturate` indexes by class for the disjointness rule.
+`saturate` keeps for each class in `typed`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -106,7 +111,8 @@ class InferenceResult:
     """`source` and its closure, the set `saturate` filled, in which the
     rule products are plain tuples; `derived` and `all` build their graphs
     from it on first read. `_types` holds the subjects of each class in the
-    closure when a disjointness axiom had `saturate` index them. `rounds`
+    closure, as `saturate`'s type rows fill it: every type triple of the
+    closure, and no other, is a subject in its class's set. `rounds`
     holds the size of each round's delta: the first counts the input with
     what its templates and the identity rules add, each later one the new
     triples of one join round, so the sizes sum to the triples of `source`
@@ -116,7 +122,7 @@ class InferenceResult:
     _closure: set[tuple] = field(hash=False, repr=False)
     violations: tuple[Violation, ...]
     rounds: tuple[int, ...] = field(default=(), compare=False)
-    _types: dict[Term, set[Term]] | None = field(default=None, compare=False, repr=False)
+    _types: dict[Term, set[Term]] = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def derived(self) -> Graph:
@@ -128,13 +134,13 @@ class InferenceResult:
 
 
 # A compiled template, by the placeholders it fills: (_SUBJECT, q, _OBJECT)
-# as `q`, (_SUBJECT, q, c) and (_OBJECT, q, c) as `(q, c)`, and triples of
-# constants as they are.
+# as `q`, (_SUBJECT, q, c) and (_OBJECT, q, c) as the row `(q, c)`, and a
+# triple of constants (n, q, c) as its row and node, `((q, c), n)`.
 _Template = tuple[
     tuple[Iri, ...],
     tuple[tuple[Iri, Term], ...],
     tuple[tuple[Iri, Term], ...],
-    tuple[tuple[Term, Iri, Term], ...],
+    tuple[tuple[tuple[Iri, Term], Term], ...],
 ]
 
 
@@ -184,15 +190,12 @@ class _RuleIndex:
         # the object's super-classes belong in their template.
         self.types_object = self._family(RDF_TYPE)
         # The predicates whose values of each subject the join rules look up
-        # (`sp`), and those whose subjects of each value they look up (`po`);
-        # disjointness reads the typed subjects of each class from `po`.
+        # (`sp`), and those whose subjects of each value they look up (`po`).
         self.sp_predicates = (
             self.transitive | self.avf_domain.keys()
             | self.avf_domain_by_via.keys() | self.avf_range_by_via.keys()
         )
         self.po_predicates = self.transitive | self.avf_range.keys()
-        if self.disjoint:
-            self.po_predicates.add(RDF_TYPE)
         self.templates: dict[tuple, _Template] = {}
 
     def _family(self, root: Iri) -> set[Iri]:
@@ -231,7 +234,7 @@ class _RuleIndex:
             tuple(p for s, p, o in closure if s is _SUBJECT and o is _OBJECT),
             tuple((p, o) for s, p, o in closure if s is _SUBJECT and o is not _OBJECT),
             tuple((p, o) for s, p, o in closure if s is _OBJECT),
-            tuple(t for t in closure if t[0] is not _SUBJECT and t[0] is not _OBJECT),
+            tuple(((p, o), s) for s, p, o in closure if s is not _SUBJECT and s is not _OBJECT),
         )
 
 
@@ -256,30 +259,36 @@ def saturate(
     templates, types_object = idx.templates, idx.types_object
     indexed = idx.sp_predicates | idx.po_predicates  # every join head among them
     # The join indexes, by predicate first: the values of each subject in
-    # `sp[p]`, the subjects of each value in `po[p]`.
+    # `sp[p]`, the subjects of each value in `po[p]`. The subjects of each
+    # class, `typed`, are kept whatever the rules: they are `po[RDF_TYPE]`.
     sp: dict[Iri, defaultdict[Term, set[Term]]] = {p: defaultdict(set) for p in idx.sp_predicates}
     po: dict[Iri, defaultdict[Term, set[Term]]] = {p: defaultdict(set) for p in idx.po_predicates}
+    typed: defaultdict[Term, set[Term]] = defaultdict(set)
+    po[RDF_TYPE] = typed
     violations: dict[tuple, Violation] = {}
 
-    # A round works a set at a time. Its open triples (the input and what
-    # the identity rules derive, then what the join rules derive) expand
-    # their templates by template key: a row on the subject once per
-    # distinct subject of the key's triples, a row on the object once per
-    # distinct object. Products are plain tuples, which hash and compare as
-    # a `Triple` does, collected by predicate; one set difference per
-    # predicate against `everything` keeps the new ones. Every product puts
-    # a subject or object of the graph, or a term of an axiom, where it may
-    # stand (a literal is never a subject), so `InferenceResult` builds its
-    # triples unchecked.
-    opened = list(set(_identity(graph, idx, violations)).difference(everything))
-    everything.update(opened)
-    opened += asserted
+    # A round works a set at a time, on its open triples by predicate: the
+    # input, from the P index that `_identity` and `validate` read too, with
+    # what the identity rules derive, then what the join rules derive. It
+    # expands their templates by template key, and each row's nodes come
+    # together over every key: one product per distinct node of a row. A
+    # type row keeps only the nodes `typed` does not hold for its class, so
+    # no tuple is built for a type triple already known; the other products
+    # are plain tuples, which hash and compare as a `Triple` does, collected
+    # by predicate, and one set difference per predicate against
+    # `everything` keeps the new ones. Every product puts a subject or object
+    # of the graph, or a term of an axiom, where it may stand (a literal is
+    # never a subject), so `InferenceResult` builds its triples unchecked.
+    opened: dict[Iri, Collection[tuple]] = dict(graph._index((1,)))
+    identity = set(_identity(graph, idx, violations)).difference(everything)
+    if identity:
+        everything.update(identity)
+        opened[SAME_AS] = [*opened.get(SAME_AS, ()), *identity]
     rounds: list[int] = []
     while opened:
-        groups: defaultdict[tuple, list[Triple]] = defaultdict(list)
-        for t in opened:
-            p, o = t[1], t[2]
-            groups[(p, o) if p in types_object else (p, o.__class__)].append(t)
+        groups = _by_template_key(opened, types_object)
+        # The nodes of each row `(q, x)`, over every key of the round.
+        rows: defaultdict[tuple[Iri, Term], set[Term]] = defaultdict(set)
         found: defaultdict[Iri, set[tuple]] = defaultdict(set)
         # The round's delta (its open triples and their new template
         # products) of each indexed predicate.
@@ -287,21 +296,39 @@ def saturate(
         for key, members in groups.items():
             template = templates.get(key)
             if template is None:
-                template = templates[key] = idx.template(key[0], members[0][2])
+                template = templates[key] = idx.template(key[0], next(iter(members))[2])
             if key[0] in indexed:
                 delta[key[0]] += members
             on_both, on_subject, on_object, constant = template
-            subjects = {t[0] for t in members} if on_subject else ()
-            objects = {t[2] for t in members} if on_object else ()
             for q in on_both:
                 found[q].update([(s, q, o) for s, _, o in members])
-            for q, x in on_subject:
-                found[q].update([(s, q, x) for s in subjects])
-            for q, x in on_object:
-                found[q].update([(o, q, x) for o in objects])
-            for c in constant:
-                found[c[1]].add(c)
-        size = len(opened)
+            if on_subject or key[0] is RDF_TYPE:
+                subjects = {t[0] for t in members}
+                if key[0] is RDF_TYPE:
+                    typed[key[1]] |= subjects
+                for row in on_subject:
+                    rows[row] |= subjects
+            if on_object:
+                objects = {t[2] for t in members}
+                for row in on_object:
+                    rows[row] |= objects
+            for row, node in constant:
+                rows[row].add(node)
+        size = sum(map(len, opened.values()))
+        for (q, x), nodes in rows.items():
+            if q is not RDF_TYPE:
+                found[q].update([(n, q, x) for n in nodes])
+                continue
+            # Every type triple of the closure so far is in `typed`: the
+            # row's new nodes are those it does not hold yet.
+            known = typed[x]
+            nodes -= known
+            known |= nodes
+            new = [(n, q, x) for n in nodes]
+            everything.update(new)
+            size += len(new)
+            if q in indexed:
+                delta[q] += new
         for q, candidates in found.items():
             new = candidates.difference(everything)
             everything.update(new)
@@ -312,42 +339,48 @@ def saturate(
 
         # The whole delta is indexed before any of it joins: two triples of
         # one delta that join find each other, and each join rule runs once
-        # per predicate, over that predicate's part of the delta.
+        # per predicate, over that predicate's part of the delta. `typed`
+        # is `po[RDF_TYPE]`, and the rows above have filled it.
         for p, members in delta.items():
             if p in sp:
                 values = sp[p]
                 for s, _, o in members:
                     values[s].add(o)
-            if p in po:
+            if p in po and p is not RDF_TYPE:
                 holders = po[p]
                 for s, _, o in members:
                     holders[o].add(s)
-        joined: set[tuple] = set()
+        # The join products by predicate: a transitive hop has its edge's,
+        # an AllValuesFrom product is a type triple.
+        joined: defaultdict[Iri, set[tuple]] = defaultdict(set)
         for p, members in delta.items():
             if p in idx.transitive:
                 # A literal `o` has no values of its own, but it is the
                 # value of every `w` that reaches `s`.
                 values, holders = sp[p], po[p]
-                joined.update([(s, p, z) for s, _, o in members for z in values.get(o, ())])
-                joined.update([(w, p, o) for s, _, o in members for w in holders.get(s, ())])
+                joined[p].update([(s, p, z) for s, _, o in members for z in values.get(o, ())])
+                joined[p].update([(w, p, o) for s, _, o in members for w in holders.get(s, ())])
             for via, cls in idx.avf_domain.get(p, ()):
-                joined.update([(z, RDF_TYPE, cls) for s, _, _ in members for z in sp[via].get(s, ())
-                               if not isinstance(z, Literal)])
+                joined[RDF_TYPE].update([(z, RDF_TYPE, cls) for s, _, _ in members for z in sp[via].get(s, ())
+                                         if not isinstance(z, Literal)])
             for via, cls in idx.avf_range.get(p, ()):
-                joined.update([(z, RDF_TYPE, cls) for _, _, o in members for z in sp[via].get(o, ())
-                               if not isinstance(z, Literal)])
+                joined[RDF_TYPE].update([(z, RDF_TYPE, cls) for _, _, o in members for z in sp[via].get(o, ())
+                                         if not isinstance(z, Literal)])
             # The triples may be the `via` edges of an AllValuesFrom axiom.
             for prop, cls in idx.avf_domain_by_via.get(p, ()):
-                joined.update([(o, RDF_TYPE, cls) for s, _, o in members
-                               if s in sp[prop] and not isinstance(o, Literal)])
+                joined[RDF_TYPE].update([(o, RDF_TYPE, cls) for s, _, o in members
+                                         if s in sp[prop] and not isinstance(o, Literal)])
             for prop, cls in idx.avf_range_by_via.get(p, ()):
-                joined.update([(o, RDF_TYPE, cls) for s, _, o in members
-                               if s in po[prop] and not isinstance(o, Literal)])
-        opened = joined.difference(everything)
-        everything.update(opened)
+                joined[RDF_TYPE].update([(o, RDF_TYPE, cls) for s, _, o in members
+                                         if s in po[prop] and not isinstance(o, Literal)])
+        opened = {}
+        for p, candidates in joined.items():
+            if new := candidates.difference(everything):
+                everything.update(new)
+                opened[p] = new
 
     for a, b in idx.disjoint:
-        offenders = po[RDF_TYPE].get(a, set()) & po[RDF_TYPE].get(b, set())
+        offenders = typed.get(a, set()) & typed.get(b, set())
         for s in offenders:
             v = Violation(
                 VIOLATION_DISJOINT,
@@ -358,7 +391,30 @@ def saturate(
             violations.setdefault(_violation_key(v), v)
 
     ordered = tuple(sorted(violations.values(), key=_violation_key))
-    return InferenceResult(graph, everything, ordered, tuple(rounds), po.get(RDF_TYPE))
+    return InferenceResult(graph, everything, ordered, tuple(rounds), typed)
+
+
+def _by_template_key(opened: dict[Iri, Collection[tuple]], types_object: set[Iri]) -> dict[tuple, Collection[tuple]]:
+    """The open triples of each predicate by template key: `(p, o)` if `p`
+    types its subject with `o`, else `(p, o.__class__)`. A predicate whose
+    objects are all of one class keeps its collection as it is."""
+    groups: dict[tuple, Collection[tuple]] = {}
+    for p, members in opened.items():
+        if p in types_object:
+            for t in members:
+                group = groups.get((p, t[2]))
+                if group is None:
+                    groups[(p, t[2])] = [t]
+                else:
+                    group.append(t)
+            continue
+        kinds = {t[2].__class__ for t in members}
+        if len(kinds) == 1:
+            groups[(p, *kinds)] = members
+            continue
+        for t in members:
+            groups.setdefault((p, t[2].__class__), []).append(t)
+    return groups
 
 
 def _identity(graph: Graph, idx: _RuleIndex, violations: dict[tuple, Violation]) -> list[tuple]:

@@ -37,6 +37,7 @@ up once per node or per join row skip `match`'s calls and read the indexes
 through the accessor directly: the query engine's joins and
 `context_slice` (`query.py`), and `PatternVocabulary.levels` and
 `attributed`, through which `validate` and `decontextualize` read parts.
+`saturate` takes its first round's triples by predicate from the P index.
 """
 
 from __future__ import annotations

@@ -51,6 +51,7 @@ from ndfluents import reasoner
 from ndfluents.terms import term_sort_key
 from ndfluents.vocabulary import (
     CORE,
+    DISJOINT_CLASSES,
     all_values_from_domain,
     all_values_from_range,
     disjoint_classes,
@@ -734,6 +735,24 @@ def _tbox_and_abox(draw):
 def test_saturate_agrees_with_the_rule_at_a_time_reference(case):
     graph, axioms = case
     _assert_matches_reference(graph, axioms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tbox_and_abox(), st.booleans())
+def test_types_hold_the_type_triples_of_the_closure(case, disjoint):
+    # `_types` is a second record of the closure's type triples, which
+    # `validate` reads for its parts and contexts: the two must agree,
+    # whether or not a disjointness rule reads it.
+    graph, axioms = case
+    axioms = [ax for ax in axioms if ax.kind != DISJOINT_CLASSES]
+    if disjoint:
+        axioms.append(disjoint_classes(_CLASSES[0], _CLASSES[1]))
+    result = saturate(graph, axioms)
+    expected: dict = {}
+    for s, p, o in result.all:
+        if p == RDF_TYPE:
+            expected.setdefault(o, set()).add(s)
+    assert dict(result._types) == expected
 
 
 def test_equal_axiom_lists_share_one_rule_index(monkeypatch):
