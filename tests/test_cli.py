@@ -1120,8 +1120,9 @@ class TestRepeatedCalls:
         assert _call(["contextualize", str(statements_csv)]) == plain != merged
         graph.write_text(plain[1], encoding="utf-8")
         everything = _call(["decontextualize", str(graph)])
-        sliced = _call(["decontextualize", str(graph), "--context", str(EX.year508)])
-        assert _call(["decontextualize", str(graph), "--context", str(EX.year508)]) == sliced
+        sliced = _call(["decontextualize", str(graph), "--context", EX.year508.value])
+        assert _call(["decontextualize", str(graph), "--context", EX.year508.value]) == sliced
+        assert sliced[0] == 0 and sliced[1].count("\n") > 1 and sliced[2] == ""
         assert _call(["decontextualize", str(graph)]) == everything != sliced
         assert everything[1] == statements_csv.read_text(encoding="utf-8")
 
