@@ -696,6 +696,11 @@ MALFORMED_INPUTS = {
     "csv-undecodable": ("csv", _CSV_HEADER.encode() + b"http://e.org/\xff" + _CSV_ROW[14:].encode(), "not UTF-8 at byte 59"),
     "csv-dangling-dimension": ("csv", _CSV_HEADER[:-1] + ",dim2\n" + _CSV_ROW[:-1] + ",provenance\n", "row 2: dangling dimension"),
     "csv-unknown-dimension": ("csv", _CSV_HEADER + _CSV_ROW.replace("temporal", "spatial"), "unknown dimension: 'spatial'"),
+    "csv-scaffolding-predicate": (
+        "csv",
+        _CSV_HEADER + _CSV_ROW.replace("http://e.org/p", temporal_dimension().part_of.value),
+        f"predicate {temporal_dimension().part_of.n3()} collides with scaffolding vocabulary",
+    ),
     "csv-oversized-field": (
         "csv", _CSV_HEADER + _CSV_ROW.replace("http://e.org/a", "http://e.org/" + "a" * 131072),
         "row 2: field larger than field limit",
@@ -707,6 +712,19 @@ MALFORMED_INPUTS = {
     "sidecar-oversized-field": (
         "sidecar", "bundle,dimension,context\nhttp://e.org/" + "b" * 131072 + ",temporal,http://e.org/t1\n",
         "sidecar row 2: field larger than field limit",
+    ),
+    "sidecar-unknown-dimension": (
+        "sidecar", "bundle,dimension,context\nhttp://e.org/bundle,spatial,http://e.org/t1\n", "unknown dimension: 'spatial'"
+    ),
+    "sidecar-two-contexts-in-one-dimension": (
+        "sidecar",
+        "bundle,dimension,context\nhttp://e.org/bundle,temporal,http://e.org/t1\nhttp://e.org/bundle,temporal,http://e.org/t2\n",
+        "at most one context per dimension; split the statement instead",
+    ),
+    "nquads-blank-node": (
+        "nquads",
+        "_:b0 <http://e.org/p> <http://e.org/b> <http://e.org/bundle> .\n",
+        "blank nodes in base statements are not supported",
     ),
     "config-truncated": ("config", "[core]\nmodel", "line 2: expected key = value"),
     "config-bad-section-header": ("config", "[core\nmodel = multi-context\n", "line 1: expected a [section] header"),
@@ -728,6 +746,11 @@ MALFORMED_INPUTS = {
         "nesting_order names unregistered dimensions: spatial",
     ),
     "config-unknown-key": ("config", "[dimension.spatial]\ncolour = red\n", "unknown keys: colour"),
+    "config-nesting-order-misses-a-dimension": (
+        "config",
+        "[core]\nmodel = contexts-in-context\nnesting_order = provenance\n",
+        "nesting order does not cover dimension(s): temporal",
+    ),
     "config-shared-dimension-iri": (
         "config",
         "[dimension.temporal]\nextent = http://purl.org/NET/ndfluents/provenance#provenanceExtent\n"
@@ -791,6 +814,23 @@ MALFORMED_INPUTS = {
 }
 
 
+# (command line, a piece of the one error line) for each flag value that a
+# command refuses; `{dir}` holds `graph.nt`, `good.csv` and `pattern.rq`.
+_UNKNOWN_FORMAT = "unknown RDF format: 'xml' (expected ntriples, nquads, or turtle)"
+BAD_FLAGS = {
+    "gen-ontology-format": (["gen-ontology", "--format", "xml"], _UNKNOWN_FORMAT),
+    "gen-ontology-split-format": (["gen-ontology", "--split", "{dir}/modules", "--format", "xml"], _UNKNOWN_FORMAT),
+    "contextualize-out-format": (["contextualize", "{dir}/good.csv", "--out-format", "xml"], _UNKNOWN_FORMAT),
+    "decontextualize-in-format": (["decontextualize", "{dir}/graph.nt", "--in-format", "xml"], _UNKNOWN_FORMAT),
+    "validate-in-format": (["validate", "{dir}/graph.nt", "--in-format", "xml"], _UNKNOWN_FORMAT),
+    "reason-out-format": (["reason", "{dir}/graph.nt", "--out-format", "xml"], _UNKNOWN_FORMAT),
+    "query-in-format": (["query", "{dir}/graph.nt", "--pattern", "{dir}/pattern.rq", "--in-format", "xml"], _UNKNOWN_FORMAT),
+    "decontextualize-relative-context": (
+        ["decontextualize", "{dir}/graph.nt", "--context", "rel"], "IRI is not absolute (missing scheme): 'rel'"
+    ),
+}
+
+
 def _malformed_argv(tmp_path, case):
     """The command line that feeds the malformed input `case` to the command
     that reads it, with the files it names written under `tmp_path`."""
@@ -805,10 +845,13 @@ def _malformed_argv(tmp_path, case):
     graph.write_text("<http://e.org/a@t1> <http://e.org/p> <http://e.org/b@t1> .\n", encoding="utf-8")
     quads = tmp_path / "good.nq"
     quads.write_text("<http://e.org/a> <http://e.org/p> <http://e.org/b> <http://e.org/bundle> .\n", encoding="utf-8")
+    sidecar = tmp_path / "good.sidecar.csv"
+    sidecar.write_text("bundle,dimension,context\nhttp://e.org/bundle,temporal,http://e.org/t1\n", encoding="utf-8")
     return {
         "csv": ["contextualize", bad],
         "estimates": ["ingest-csv", bad],
         "sidecar": ["contextualize", quads, "--format", "nquads", "--sidecar", bad],
+        "nquads": ["contextualize", bad, "--format", "nquads", "--sidecar", sidecar],
         "config": ["contextualize", good_csv, "-c", bad],
         "pattern": ["query", graph, "--pattern", bad],
         "nt": ["decontextualize", bad],
@@ -818,7 +861,8 @@ def _malformed_argv(tmp_path, case):
 class TestMalformedInputs:
     """Every malformed statements, estimates, sidecar, config or pattern
     file, and every graph that breaks the contextual-part pattern, exits 2
-    with one `error:` line and no traceback, in a fresh interpreter."""
+    with one `error:` line and no traceback, in a fresh interpreter; so
+    does every bad flag value, in process."""
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
     def test_exits_two_with_one_error_line(self, tmp_path, case):
@@ -827,6 +871,17 @@ class TestMalformedInputs:
         expected = MALFORMED_INPUTS[case][2]
         assert (done.returncode, done.stdout, len(lines)) == (2, "", 1), done.stderr
         assert lines[0].startswith("error: ") and expected in lines[0]
+
+    @pytest.mark.parametrize("case", sorted(BAD_FLAGS))
+    def test_a_bad_flag_value(self, tmp_path, case):
+        argv, expected = BAD_FLAGS[case]
+        graph = tmp_path / "graph.nt"
+        graph.write_text("<http://e.org/a@t1> <http://e.org/p> <http://e.org/b@t1> .\n", encoding="utf-8")
+        (tmp_path / "good.csv").write_text(_CSV_HEADER + _CSV_ROW, encoding="utf-8")
+        (tmp_path / "pattern.rq").write_text("?s ?p ?o .\n", encoding="utf-8")
+        code, out, err = _call([arg.format(dir=tmp_path) for arg in argv])
+        assert (code, out, len(err.splitlines())) == (2, "", 1), err
+        assert err.startswith("error: ") and expected in err
 
 
 # The `nt-*` rows whose fault `validate` reports on every part under a kind
