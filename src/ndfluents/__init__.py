@@ -78,6 +78,7 @@ from .terms import (
     XSD,
     BlankNode,
     Graph,
+    InputError,
     Iri,
     Literal,
     Namespace,
@@ -122,6 +123,7 @@ __all__ = [
     "FormatError",
     "Graph",
     "InferenceResult",
+    "InputError",
     "IngestError",
     "IngestResult",
     "Iri",

@@ -4,7 +4,8 @@ Subcommands: ``gen-ontology``, ``ingest-csv``, ``contextualize``,
 ``decontextualize``, ``validate``, ``reason``, ``query``, ``stats``.
 Data goes to standard output or ``--out``; logs go to standard error.
 Exit status is 0 on success, 1 when ``validate`` finds violations, and 2
-on usage, configuration, or input-format errors.
+with one ``error:`` line exactly on ``InputError`` (an unknown dimension is
+also a ``KeyError``); any other exception is a bug and shows its traceback.
 
 ``main(argv)`` returns the exit status and may be called repeatedly in one
 process. It builds the argument parser on its first call and reuses it
@@ -45,17 +46,13 @@ from .parser import _FORMAT_ALIASES, TURTLE, ParseError, normalize_format, parse
 from .query import match, parse_pattern
 from .reasoner import saturate, validate
 from .serializer import canonicalize, serialize
-from .terms import BlankNode, Graph, Iri, Triple, _collector_paused
+from .terms import BlankNode, Graph, InputError, Iri, Triple, _collector_paused
 from .vocabulary import axioms_from_graph, axioms_to_graph
 
 log = logging.getLogger("ndfluents")
 
 STATEMENTS_CSV = "csv"
 STATEMENTS_NQUADS = "nquads"
-
-
-class _UsageError(ValueError):
-    """An error the user can fix: bad flags, files, or formats."""
 
 
 def _guess_format(path: str, override: str | None, default: str = TURTLE) -> str:
@@ -68,9 +65,9 @@ def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as error:
-        raise _UsageError(f"cannot read {path}: {error.strerror or error}") from None
+        raise InputError(f"cannot read {path}: {error.strerror or error}") from None
     except UnicodeDecodeError as error:
-        raise _UsageError(f"cannot read {path}: not UTF-8 at byte {error.start}") from None
+        raise InputError(f"cannot read {path}: not UTF-8 at byte {error.start}") from None
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -80,7 +77,7 @@ def _write_text(text: str, out: str | None) -> None:
     try:
         Path(out).write_text(text, encoding="utf-8")
     except OSError as error:
-        raise _UsageError(f"cannot write {out}: {error.strerror or error}") from None
+        raise InputError(f"cannot write {out}: {error.strerror or error}") from None
 
 
 @contextmanager
@@ -89,7 +86,7 @@ def _naming(path: str) -> Iterator[None]:
     try:
         yield
     except ParseError as error:
-        raise _UsageError(f"{path}: {error}") from None
+        raise InputError(f"{path}: {error}") from None
 
 
 def _read_graph(path: str, fmt: str | None) -> Graph:
@@ -140,7 +137,7 @@ def _read_statements(args: argparse.Namespace, config: Config) -> list[Annotated
     fmt = args.format
     if fmt == STATEMENTS_NQUADS:
         if not args.sidecar:
-            raise _UsageError("--format nquads needs --sidecar FILE")
+            raise InputError("--format nquads needs --sidecar FILE")
         nquads, sidecar = _read_text(args.statements), _read_text(args.sidecar)
         with _naming(args.sidecar):
             bundles = read_bundle_sidecar(sidecar, config.registry, args.sidecar_format)
@@ -154,7 +151,7 @@ def _write_statements(
 ) -> None:
     if args.format == STATEMENTS_NQUADS:
         if not args.sidecar:
-            raise _UsageError("--format nquads needs --sidecar FILE to write to")
+            raise InputError("--format nquads needs --sidecar FILE to write to")
         nquads, sidecar = write_annotated_nquads(statements)
         _write_text(nquads, args.out)
         _write_text(sidecar, args.sidecar)
@@ -180,7 +177,7 @@ def _cmd_gen_ontology(args: argparse.Namespace) -> int:
         try:
             directory.mkdir(parents=True, exist_ok=True)
         except OSError as error:
-            raise _UsageError(f"cannot create {args.split}: {error.strerror or error}") from None
+            raise InputError(f"cannot create {args.split}: {error.strerror or error}") from None
         # Each file is named by its format's short alias: nt, nq or ttl.
         fmt = normalize_format(args.format or TURTLE)
         extension = min((alias for alias, name in _FORMAT_ALIASES.items() if name == fmt), key=len)
@@ -232,7 +229,10 @@ def _cmd_contextualize(args: argparse.Namespace) -> int:
 def _cmd_decontextualize(args: argparse.Namespace) -> int:
     config = _load_config_arg(args.config)
     graph = _read_graph(args.graph, args.in_format)
-    selection = {Iri(value) for value in args.context or ()} or None
+    try:
+        selection = {Iri(value) for value in args.context or ()} or None
+    except ValueError as error:
+        raise InputError(str(error)) from None
     related = config.predicate_mode == PREDICATE_RELATED  # undo `contextualize`'s renaming
     reverse = {p: b for p in graph.predicates() if (b := related_property_base(p))} if related else None
     statements = decontextualize(graph, config.registry, selection, config.vocab, predicate_map=reverse)
@@ -479,14 +479,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     log.addHandler(handler)
     try:
         return globals()["_cmd_" + args.command.replace("-", "_")](args)
-    # The package's input errors (ConfigError, FormatError, ParseError, ...)
-    # are ValueErrors; an unknown dimension is a KeyError.
-    except (KeyError, ValueError) as error:
-        if isinstance(error, KeyError) and error.args:
-            message = str(error.args[0])
-        else:
-            message = str(error)
-        sys.stderr.write(f"error: {message}\n")
+    except InputError as error:
+        sys.stderr.write(f"error: {error}\n")
         return 2
     finally:
         log.removeHandler(handler)

@@ -55,7 +55,7 @@ from .contextualize import (
     MintingPolicy,
 )
 from .serializer import _split_iri
-from .terms import Iri
+from .terms import InputError, Iri
 from .vocabulary import (
     CORE,
     DEFAULT_COMBINED_BASE,
@@ -79,7 +79,7 @@ from .vocabulary import (
 )
 
 
-class ConfigError(ValueError):
+class ConfigError(InputError):
     """A config file that cannot be parsed or describes an invalid run."""
 
 
@@ -339,16 +339,13 @@ def load_config(text: str) -> Config:
 
     predicate_mode = core.get("predicate_mode", PREDICATE_KEEP).strip().lower()
 
-    try:
-        return Config(
-            registry=registry,
-            model=model,
-            policy=policy,
-            vocab=vocab,
-            datatype_axioms=_parse_bool("core", "datatype_axioms", core.get("datatype_axioms", "true")),
-            restriction_axioms=_parse_bool("core", "restriction_axioms", core.get("restriction_axioms", "true")),
-            same_extent_check=_parse_bool("core", "same_extent_check", core.get("same_extent_check", "true")),
-            predicate_mode=predicate_mode,
-        )
-    except ValueError as error:
-        raise ConfigError(str(error)) from None
+    return Config(
+        registry=registry,
+        model=model,
+        policy=policy,
+        vocab=vocab,
+        datatype_axioms=_parse_bool("core", "datatype_axioms", core.get("datatype_axioms", "true")),
+        restriction_axioms=_parse_bool("core", "restriction_axioms", core.get("restriction_axioms", "true")),
+        same_extent_check=_parse_bool("core", "same_extent_check", core.get("same_extent_check", "true")),
+        predicate_mode=predicate_mode,
+    )

@@ -33,10 +33,12 @@ from .terms import (
     RDFS,
     BlankNode,
     Graph,
+    InputError,
     Iri,
     Namespace,
     Term,
     Triple,
+    _IRI_RE,
     _collector_paused,
     _unchecked_triple,
 )
@@ -161,6 +163,8 @@ class MintingPolicy:
     def __post_init__(self) -> None:
         if self.mode not in (MINT_SUFFIX, MINT_HASH):
             raise ValueError(f"unknown minting mode: {self.mode!r}")
+        if not _IRI_RE.match(f"x:{self.separator}"):  # every minted IRI holds it
+            raise ValueError(f"separator {self.separator!r} holds a character that IRIs forbid")
 
     def mint_part(self, entity: Iri, assignments: tuple[tuple[str, Iri], ...]) -> Iri:
         if not assignments:
@@ -200,7 +204,7 @@ def related_property_base(contextual: Iri) -> Iri | None:
     return None
 
 
-class PatternError(ValueError):
+class PatternError(InputError):
     """A graph or a statement set that the contextual-part pattern cannot
     represent faithfully: the graph being inverted violates the pattern, or
     minting would merge two different parts into one IRI."""
@@ -263,7 +267,7 @@ def contextualize(
             order = [name for name in model.nesting_order or () if name in by_name]
             missing = set(by_name) - set(order)
             if missing:
-                raise ValueError(
+                raise PatternError(
                     f"nesting order does not cover dimension(s): {', '.join(sorted(missing))}"
                 )
             levels: list[_Level] = []
@@ -330,7 +334,7 @@ def contextualize(
             predicate = predicate_map.get(predicate) or related_property_iri(predicate)
         # decontextualize skips scaffolding: a statement under it would be lost.
         if predicate in scaffolding:
-            raise ValueError(
+            raise PatternError(
                 f"predicate {predicate.n3()} collides with scaffolding vocabulary; "
                 + ("map it to another IRI" if related else "use predicate_mode='related'")
             )

@@ -22,7 +22,7 @@ import io
 from .contextualize import AnnotatedStatement, ContextAssignment, _context_digest
 from .parser import parse_nquads, parse_turtle
 from .serializer import serialize_nquads
-from .terms import XSD_STRING, Graph, Iri, Literal, Term, Triple, _unchecked_triple
+from .terms import XSD_STRING, Graph, InputError, Iri, Literal, Term, Triple, _unchecked_triple
 from .vocabulary import DimensionRegistry
 
 DEFAULT_BUNDLE_BASE = "http://purl.org/NET/ndfluents/bundle#"
@@ -30,7 +30,7 @@ DEFAULT_BUNDLE_BASE = "http://purl.org/NET/ndfluents/bundle#"
 CSV_HEADER = ["subject", "predicate", "object", "objectType"]
 
 
-class FormatError(ValueError):
+class FormatError(InputError):
     """Malformed statements file; message carries the offending row."""
 
 
@@ -187,7 +187,10 @@ def read_bundled_nquads(
             raise FormatError(f"bundle {graph.name.n3()} is not described by the sidecar")
         assignments = frozenset(ContextAssignment(dim, ctx) for dim, ctx in pairs)
         for triple in graph.sorted_triples():
-            statements.append(AnnotatedStatement(triple, assignments))
+            try:  # a fault names its bundle and triple, as a CSV row's names its line
+                statements.append(AnnotatedStatement(triple, assignments))
+            except ValueError as error:
+                raise FormatError(f"bundle {graph.name.n3()}, triple {' '.join(t.n3() for t in triple)}: {error}") from None
     return statements
 
 

@@ -22,7 +22,7 @@ from urllib.parse import quote
 
 from .contextualize import AnnotatedStatement, ContextAssignment
 from .formats import _csv_rows
-from .terms import RDF_TYPE, RDFS, XSD, Graph, Iri, Literal, Namespace, Triple
+from .terms import RDF_TYPE, RDFS, XSD, Graph, InputError, Iri, Literal, Namespace, Triple
 from .vocabulary import DimensionRegistry, default_registry
 
 TIME = Namespace("http://www.w3.org/2006/time#")
@@ -37,7 +37,7 @@ DEFAULT_DATA_BASE = "http://purl.org/NET/ndfluents/population#"
 INGEST_HEADER = ("source", "year", "population_low", "population_high")
 
 
-class IngestError(ValueError):
+class IngestError(InputError):
     """A malformed estimates CSV: bad header, bad row, or duplicate key."""
 
 

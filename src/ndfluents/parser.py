@@ -41,12 +41,12 @@ from itertools import islice
 from urllib.parse import urljoin
 
 from .terms import (
-    RDF_TYPE, XSD, XSD_STRING, BlankNode, Graph, Iri, Literal, Term, Triple, _collector_paused, _unchecked_triple,
+    RDF_TYPE, XSD, XSD_STRING, BlankNode, Graph, InputError, Iri, Literal, Term, Triple, _collector_paused, _unchecked_triple,
     _LANG_RE, _SCHEME_RE,
 )
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Syntax error with 1-based line/column position."""
 
     def __init__(self, message: str, line: int, column: int):
@@ -75,7 +75,7 @@ def normalize_format(fmt: str) -> str:
     try:
         return _FORMAT_ALIASES[fmt.lower()]
     except KeyError:
-        raise ValueError(f"unknown RDF format: {fmt!r} (expected ntriples, nquads, or turtle)")
+        raise InputError(f"unknown RDF format: {fmt!r} (expected ntriples, nquads, or turtle)")
 
 
 # --- escapes ---------------------------------------------------------------

@@ -59,6 +59,7 @@ from .terms import (
     XSD,
     BlankNode,
     Graph,
+    InputError,
     Iri,
     Literal,
     Term,
@@ -69,7 +70,7 @@ from .terms import (
 from .vocabulary import CORE, CoreVocabulary, DimensionRegistry
 
 
-class QueryError(ValueError):
+class QueryError(InputError):
     """A malformed pattern, unusable aggregate input, or bad pattern file."""
 
 

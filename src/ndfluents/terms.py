@@ -113,6 +113,10 @@ def _collector_paused(function: Callable) -> Callable:
     return paused
 
 
+class InputError(ValueError):
+    """Refused input, named in the message: the base of every input error, and all that `cli.main` exits 2 on."""
+
+
 @total_ordering
 class _Term:
     """What the three term kinds share: the token and sort key computed at

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .terms import RDF_TYPE, BlankNode, Graph, Iri, Namespace, OWL, RDFS, Term, Triple
+from .terms import RDF_TYPE, BlankNode, Graph, InputError, Iri, Namespace, OWL, RDFS, Term, Triple
 
 # The kinds of violation `validate` reports a pattern fault of a part as.
 VIOLATION_FUNCTIONAL = "FunctionalConflict"
@@ -362,6 +362,11 @@ class PatternVocabulary:
         return ends, pairs, faults
 
 
+class UnknownDimensionError(InputError, KeyError):
+    """A failed lookup by dimension name; it reads as its message, unquoted."""
+    __str__ = InputError.__str__
+
+
 class DimensionRegistry:
     """Known dimensions by name, plus the base IRI for minting combined
     dimensions."""
@@ -393,7 +398,7 @@ class DimensionRegistry:
         try:
             return self._dims[name]
         except KeyError:
-            raise KeyError(f"unknown dimension: {name!r}") from None
+            raise UnknownDimensionError(f"unknown dimension: {name!r}") from None
 
     def names(self) -> list[str]:
         return sorted(self._dims)

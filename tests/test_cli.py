@@ -746,6 +746,9 @@ MALFORMED_INPUTS = {
         "nesting_order names unregistered dimensions: spatial",
     ),
     "config-unknown-key": ("config", "[dimension.spatial]\ncolour = red\n", "unknown keys: colour"),
+    "config-separator-forbidden-character": (
+        "config", "[minting]\nseparator = @ x\n", "[minting] separator '@ x' holds a character that IRIs forbid"
+    ),
     "config-nesting-order-misses-a-dimension": (
         "config",
         "[core]\nmodel = contexts-in-context\nnesting_order = provenance\n",
@@ -1014,6 +1017,23 @@ class TestErrorPaths:
     def test_no_command_prints_usage(self, capsys):
         assert main([]) == 2
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bug", [KeyError("a dict miss"), ValueError("a failed int()")], ids=["KeyError", "ValueError"])
+    def test_a_bug_leaves_main(self, statements_csv, monkeypatch, caller_gc, bug):
+        """Only an `InputError` exits 2: a bare `KeyError` or `ValueError`
+        from inside a command propagates out of `main`, which still puts
+        back the logger and the collector as its caller had them."""
+        def command(args):
+            raise bug
+
+        monkeypatch.setattr(cli, "_cmd_contextualize", command)
+        logger = logging.getLogger("ndfluents")
+        before = (logger.level, list(logger.handlers))
+        with pytest.raises(type(bug)) as raised:
+            _call(["-v", "contextualize", str(statements_csv)])
+        assert raised.value is bug
+        assert (logger.level, list(logger.handlers)) == before
+        assert gc_state() == caller_gc
 
     def test_unknown_statement_format_rejected_by_argparse(self, statements_csv, capsys):
         assert main(["contextualize", str(statements_csv), "--format", "xml"]) == 2

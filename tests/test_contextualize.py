@@ -110,6 +110,13 @@ class TestMinting:
         with pytest.raises(ValueError):
             MintingPolicy(mode="typo")
 
+    @pytest.mark.parametrize("separator", ["@ ", "<", '"', "{", "|", "^", "`", "\\", "\t"])
+    def test_a_separator_that_no_iri_may_hold_is_rejected(self, separator):
+        # Every minted part IRI holds the separator.
+        with pytest.raises(ValueError) as raised:
+            MintingPolicy(separator=separator)
+        assert str(raised.value) == f"separator {separator!r} holds a character that IRIs forbid"
+
 
 class TestSingleDimension:
     def test_object_statement_produces_eight_triples(self, temporal_registry, paris_statement):

@@ -254,6 +254,30 @@ class TestAnnotatedNQuads:
             read_bundle_sidecar_turtle(turtle, corpus_registry())
         assert str(raised.value) == message
 
+    @pytest.mark.parametrize(
+        "quad, sidecar_rows, message",
+        [
+            (
+                "_:b0 <http://e.org/p> <http://e.org/b> <http://e.org/g> .",
+                ["http://e.org/g,temporal,http://e.org/t1"],
+                "bundle <http://e.org/g>, triple _:b0 <http://e.org/p> <http://e.org/b>: "
+                "blank nodes in base statements are not supported",
+            ),
+            (
+                "<http://e.org/a> <http://e.org/p> <http://e.org/b> <http://e.org/g> .",
+                ["http://e.org/g,temporal,http://e.org/t1", "http://e.org/g,temporal,http://e.org/t2"],
+                "bundle <http://e.org/g>, triple <http://e.org/a> <http://e.org/p> <http://e.org/b>: "
+                "at most one context per dimension; split the statement instead",
+            ),
+        ],
+        ids=["blank-node", "two-contexts-in-one-dimension"],
+    )
+    def test_a_statement_fault_names_its_bundle_and_triple(self, quad, sidecar_rows, message):
+        sidecar = "\n".join(["bundle,dimension,context", *sidecar_rows]) + "\n"
+        with pytest.raises(FormatError) as raised:
+            read_annotated_nquads(quad + "\n", sidecar, corpus_registry())
+        assert str(raised.value) == message
+
     def test_unknown_sidecar_format_rejected(self):
         nquads, sidecar = write_annotated_nquads(_sample_statements()[:1])
         with pytest.raises(FormatError):

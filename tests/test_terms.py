@@ -403,3 +403,15 @@ class TestTripleTuple:
 
     def test_keyword_construction(self):
         assert Triple(subject=EX.s, predicate=EX.p, object=EX.o) == Triple(EX.s, EX.p, EX.o)
+
+
+def test_every_input_error_of_the_package_is_an_input_error():
+    """`cli.main` exits 2 on `InputError` alone, so each of the package's
+    errors for bad input subclasses it; each stays a `ValueError`."""
+    import ndfluents
+    from ndfluents.vocabulary import UnknownDimensionError
+
+    names = ["ConfigError", "FormatError", "IngestError", "ParseError", "PatternError", "QueryError", "RelativeIriError"]
+    for error in [getattr(ndfluents, name) for name in names] + [UnknownDimensionError]:
+        assert issubclass(error, ndfluents.InputError) and issubclass(error, ValueError), error
+    assert issubclass(UnknownDimensionError, KeyError)

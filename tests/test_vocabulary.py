@@ -11,6 +11,7 @@ from ndfluents import (
     CORE,
     CoreVocabulary,
     DimensionRegistry,
+    InputError,
     Iri,
     axioms_from_graph,
     axioms_to_graph,
@@ -114,6 +115,12 @@ class TestRegistry:
     def test_unknown_dimension_raises_key_error(self):
         with pytest.raises(KeyError):
             default_registry().get("nope")
+
+    def test_an_unknown_dimension_is_also_an_input_error_that_reads_unquoted(self):
+        with pytest.raises(InputError) as raised:
+            default_registry().get("nope")
+        assert isinstance(raised.value, KeyError)
+        assert str(raised.value) == "unknown dimension: 'nope'"
 
     def test_conflicting_registration_rejected(self):
         reg = default_registry()
