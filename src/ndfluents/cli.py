@@ -3,9 +3,9 @@
 Subcommands: ``gen-ontology``, ``ingest-csv``, ``contextualize``,
 ``decontextualize``, ``validate``, ``reason``, ``query``, ``stats``.
 Data goes to standard output or ``--out``; logs go to standard error.
-Exit status is 0 on success, 1 when ``validate`` finds violations, and 2
-with one ``error:`` line exactly on ``InputError`` (an unknown dimension is
-also a ``KeyError``); any other exception is a bug and shows its traceback.
+Exit status is 0 on success, 1 when ``validate`` finds violations, 2 on a bad
+command line, and 2 with one ``error:`` line exactly on ``InputError`` (an
+unknown dimension is also a ``KeyError``); a bug shows its traceback.
 
 ``main(argv)`` returns the exit status and may be called repeatedly in one
 process. It builds the argument parser on its first call and reuses it
