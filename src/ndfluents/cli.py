@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="graph to union into the output (repeatable)",
     )
     p.add_argument("-o", "--out", metavar="FILE", help="graph output (default stdout)")
-    p.add_argument("--out-format", metavar="FMT", help="turtle (default) or ntriples")
+    p.add_argument("--out-format", metavar="FMT", help="turtle (default), ntriples or nquads")
 
     p = commands.add_parser(
         "decontextualize", help="contextual-parts graph back to annotated statements"
@@ -429,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write only the newly derived triples",
     )
     p.add_argument("-o", "--out", metavar="FILE", help="graph output (default stdout)")
-    p.add_argument("--out-format", metavar="FMT", help="turtle (default) or ntriples")
+    p.add_argument("--out-format", metavar="FMT", help="turtle (default), ntriples or nquads")
 
     p = commands.add_parser("query", help="run a pattern file and emit CSV")
     _add_config(p)

@@ -214,11 +214,11 @@ def _describe(assignments: frozenset[tuple[str, Iri]]) -> str:
     return ", ".join(f"{dim}={ctx.n3()}" for dim, ctx in sorted(assignments))
 
 
-def _entity_collision(part: Iri, owner: tuple[Iri, frozenset[tuple[str, Iri]]]) -> PatternError:
+def _collision(part: Iri, owner: tuple[Iri, frozenset[tuple[str, Iri]]], role: str) -> PatternError:
     return PatternError(
         f"minted part {part.n3()} for {owner[0].n3()} in {_describe(owner[1])} "
-        "is also an entity of the input; "
-        "rename the entity or set mode = hash under [minting]"
+        f"is also {'an' if role == 'entity' else 'a'} {role} of the input; "
+        f"rename the {role} or set mode = hash under [minting]"
     )
 
 
@@ -255,9 +255,10 @@ def contextualize(
     triples: set[Triple] = set()
     descriptions: list[Graph] = []
     # Each minted part IRI with the entity and assignments it stands for,
-    # and the entities of the input: no part may equal one of them.
+    # and the entities and contexts of the input: no part may equal one.
     minted: dict[Iri, tuple[Iri, frozenset[tuple[str, Iri]]]] = {}
     entities: set[Iri] = set()
+    contexts: set[Iri] = set()
 
     def levels_of(pairs: tuple[tuple[str, Iri], ...], dims: list[ContextDimension]) -> list[_Level]:
         """The levels of a statement's part chains, outermost first: the one
@@ -291,8 +292,8 @@ def contextualize(
         A part's scaffolding (type, partOf, extent, context type) is written
         the first time it is minted. Two different parts must not share one
         IRI, which suffix minting allows when contexts share a local name,
-        and no part may be an entity of the input, which suffix minting
-        allows when an entity's IRI ends in a separator and suffix."""
+        and no part may be an entity or a context of the input, which suffix
+        minting allows when such an IRI ends in a separator and suffix."""
         parent = entity
         for minted_for, attached in levels:
             part = policy.mint_part(entity, minted_for)
@@ -305,7 +306,9 @@ def contextualize(
                     "give the contexts distinct local names or set mode = hash under [minting]"
                 )
             if part in entities:
-                raise _entity_collision(part, owner)
+                raise _collision(part, owner, "entity")
+            if part in contexts:
+                raise _collision(part, owner, "context")
             if previous is owner:
                 for dim, ctx in attached:
                     triples.update(map(_unchecked_triple, (
@@ -322,9 +325,13 @@ def contextualize(
         for entity in (base.subject, base.object):
             if isinstance(entity, Iri) and entity not in entities:
                 if entity in minted:
-                    raise _entity_collision(entity, minted[entity])
+                    raise _collision(entity, minted[entity], "entity")
                 entities.add(entity)
         pairs = statement.assignment_pairs()
+        for _, ctx in pairs:
+            if ctx in minted:
+                raise _collision(ctx, minted[ctx], "context")
+            contexts.add(ctx)
         dims = [registry.get(name) for name, _ in pairs]  # raises on unregistered
         for assignment in statement.contexts:
             if assignment.description is not None:
@@ -373,6 +380,9 @@ def decontextualize(
     levels, data = pattern.levels(graph, pattern.parts(graph))
     reverse = _predicate_map(predicate_map)
     selected = None if selection is None else frozenset(selection)
+    for member in selected or ():
+        if not isinstance(member, Iri):
+            raise ValueError(f"a selection member must be an IRI, got {member!r}")
     recovered: set[AnnotatedStatement] = set()
     # The parts' data triples in the graph's order. Each level a walk passes
     # has an extent edge, which gives a context or a fault, so each statement

@@ -137,6 +137,15 @@ class TriplePattern:
     predicate: Term | Variable
     object: Term | Variable
 
+    def __post_init__(self) -> None:
+        for position in (self.subject, self.predicate, self.object):
+            if not isinstance(position, Variable | Term):
+                raise QueryError(f"a pattern position must be a variable or an RDF term, got {position!r}")
+        if isinstance(self.subject, Literal):
+            raise QueryError("a literal cannot be a subject")
+        if not isinstance(self.predicate, Variable | Iri):
+            raise QueryError("the predicate must be an IRI or variable")
+
     def variables(self) -> Iterator[Variable]:
         for position in (self.subject, self.predicate, self.object):
             if isinstance(position, Variable):
@@ -546,27 +555,28 @@ def context_slice(
     dimension: str | None = None,
     vocab: CoreVocabulary = CORE,
 ) -> Graph:
-    """The subgraph of `graph` scoped to one context.
+    """The subgraph of `graph` scoped to one context, collected in two walks.
 
     A contextual part is *in* the slice when it, or a part-chain ancestor
     (Contexts-in-Context), has an extent edge that
     `PatternVocabulary.attributed`, the rule `decontextualize` reads
     contexts with, attributes to `context`, to `(dimension, context)` when
-    a dimension is given. Data triples are kept when their subject (and
-    object, when it is a part) is in the slice; each kept part brings its
-    scaffolding for the whole chain plus the context descriptions, so the
-    slice decontextualizes on its own.
+    a dimension is given: the first walk goes down the partOf edges from
+    those hits. The second walks out from the parts in the slice and keeps
+    their chains' scaffolding, their data and their contexts' descriptions,
+    so the slice decontextualizes on its own.
     """
     if dimension is not None and dimension not in registry:
         raise QueryError(
             f"unknown dimension {dimension!r} in the context filter; "
             f"registered: {', '.join(registry.names())}"
         )
+    if not isinstance(context, Iri):
+        raise QueryError(f"the context filter needs an IRI, got {context!r}")
     pattern = registry.pattern_vocabulary(vocab)
-    # The graph's indexes on the subject, the subject and predicate, and the
-    # predicate and object, read directly: a slice makes one lookup per node
-    # and property it visits.
-    by_s, by_sp, by_po = graph._index((0,)), graph._index((0, 1)), graph._index((1, 2))
+    # The graph's indexes on the subject and on the predicate and object,
+    # read directly: a slice makes one lookup per node and property it visits.
+    by_s, by_po = graph._index((0,)), graph._index((1, 2))
 
     @cache  # read per node, so a slice costs what it visits, not the whole graph
     def is_part(node: Term) -> bool:
@@ -593,51 +603,34 @@ def context_slice(
     def children(node: Term) -> Iterator[Term]:
         return (t.subject for prop in pattern.part_of for t in by_po.get((prop, node), ()))
 
-    def parent_parts(node: Term) -> Iterator[Term]:
-        return (
-            t.object for prop in pattern.part_of for t in by_sp.get((node, prop), ()) if is_part(t.object)
-        )
-
     # A part is in the slice when it or a part-chain ancestor is a direct
     # hit, so walk down from every hit along the partOf edges reversed.
     reached = {node for node in _closure(hits, children) if is_part(node)}
-    # Scaffolding closure: every chain ancestor of a kept part comes along so
-    # the slice stays decontextualizable.
-    chains = _closure(reached, parent_parts)
 
-    # Each kept part's scaffolding, and the data triples of the parts in the
-    # slice whose object is not a part outside it.
+    # Then walk out from the parts in the slice. A part keeps its scaffolding
+    # and steps up its partOf edges to parts and out its extent edges to
+    # non-parts (a part used as a context is read as a part); one in the
+    # slice also keeps its data triples whose object is in it or is no part.
+    # Any other node (a context, or one describing it) keeps all its triples
+    # and steps to their objects that are neither literals nor parts.
     kept: set[Triple] = set()
-    contexts: set[Term] = set()
-    for part in chains:
-        for triple in by_s.get(part, ()):
-            if triple.predicate in pattern.scaffolding:
-                kept.add(triple)
-                if triple.predicate in pattern.extents:
-                    contexts.add(triple.object)
-            elif part in reached and (triple.object in reached or not is_part(triple.object)):
-                kept.add(triple)
 
-    # Member links and the member contexts themselves.
-    for ctx in list(contexts):
-        for triple in by_sp.get((ctx, pattern.member_context), ()):
-            kept.add(triple)
-            contexts.add(triple.object)
+    def out(node: Term) -> list[Term]:
+        triples = by_s.get(node, ())
+        if not is_part(node):
+            kept.update(triples)
+            return [t.object for t in triples if not isinstance(t.object, Literal) and not is_part(t.object)]
+        steps = []
+        for t in triples:
+            if t.predicate in pattern.scaffolding:
+                kept.add(t)
+                if t.predicate in (pattern.part_of if is_part(t.object) else pattern.extents):
+                    steps.append(t.object)
+            elif node in reached and (t.object in reached or not is_part(t.object)):
+                kept.add(t)
+        return steps
 
-    # Context description closure (typing plus any non-scaffolding triples
-    # hanging off the context nodes, e.g. interval year descriptions).
-    def description(node: Term) -> list[Triple]:
-        return [t for t in by_s.get(node, ()) if t.predicate not in pattern.part_of]
-
-    def described(node: Term) -> Iterator[Term]:
-        return (
-            t.object for t in description(node)
-            if not isinstance(t.object, Literal) and not is_part(t.object)
-        )
-
-    for node in _closure((ctx for ctx in contexts if not is_part(ctx)), described):
-        kept.update(description(node))
-
+    _closure(reached, out)
     return Graph(kept, name=graph.name)
 
 
@@ -713,17 +706,13 @@ def parse_pattern(text: str) -> Pattern:
         if keyword not in _KEYWORD_LINES:
             terms = read(line, line_number)
             if len(terms) != 3:
-                raise QueryError(
-                    f"line {line_number}: a triple pattern needs exactly 3 terms, got {len(terms)}"
-                )
-            subject, predicate, obj = terms
+                raise QueryError(f"line {line_number}: a triple pattern needs exactly 3 terms, got {len(terms)}")
             if BlankNode in map(type, terms):
                 raise QueryError(f"line {line_number}: blank nodes are not allowed in a pattern; use a ?variable")
-            if isinstance(subject, Literal):
-                raise QueryError(f"line {line_number}: a literal cannot be a subject")
-            if isinstance(predicate, Literal):
-                raise QueryError(f"line {line_number}: the predicate must be an IRI or variable")
-            patterns.append(TriplePattern(subject, predicate, obj))
+            try:
+                patterns.append(TriplePattern(*terms))
+            except QueryError as exc:
+                raise QueryError(f"line {line_number}: {exc}") from None
             continue
         regex, form = _KEYWORD_LINES[keyword]
         m = regex.fullmatch(line)

@@ -696,6 +696,11 @@ MALFORMED_INPUTS = {
     "csv-undecodable": ("csv", _CSV_HEADER.encode() + b"http://e.org/\xff" + _CSV_ROW[14:].encode(), "not UTF-8 at byte 59"),
     "csv-dangling-dimension": ("csv", _CSV_HEADER[:-1] + ",dim2\n" + _CSV_ROW[:-1] + ",provenance\n", "row 2: dangling dimension"),
     "csv-unknown-dimension": ("csv", _CSV_HEADER + _CSV_ROW.replace("temporal", "spatial"), "unknown dimension: 'spatial'"),
+    "csv-context-is-a-minted-part": (
+        "csv",
+        _CSV_HEADER + _CSV_ROW + "http://e.org/c,http://e.org/p,http://e.org/d,iri,temporal,http://e.org/b@t1\n",
+        "minted part <http://e.org/b@t1> for <http://e.org/b> in temporal=<http://e.org/t1> is also a context of the input",
+    ),
     "csv-scaffolding-predicate": (
         "csv",
         _CSV_HEADER + _CSV_ROW.replace("http://e.org/p", temporal_dimension().part_of.value),
@@ -753,6 +758,16 @@ MALFORMED_INPUTS = {
         "config",
         "[core]\nmodel = contexts-in-context\nnesting_order = provenance\n",
         "nesting order does not cover dimension(s): temporal",
+    ),
+    "config-nesting-order-duplicate": (
+        "config",
+        "[core]\nmodel = contexts-in-context\nnesting_order = temporal, temporal\n",
+        "[core] nesting_order: contexts-in-context needs a duplicate-free nesting order",
+    ),
+    "config-nesting-order-without-nesting": (
+        "config",
+        "[core]\nmodel = multi-context\nnesting_order = temporal\n",
+        "[core] nesting_order only applies to contexts-in-context",
     ),
     "config-shared-dimension-iri": (
         "config",
@@ -818,7 +833,8 @@ MALFORMED_INPUTS = {
 
 
 # (command line, a piece of the one error line) for each flag value that a
-# command refuses; `{dir}` holds `graph.nt`, `good.csv` and `pattern.rq`.
+# command refuses; `{dir}`, in either, holds `graph.nt`, `good.csv` and
+# `pattern.rq`.
 _UNKNOWN_FORMAT = "unknown RDF format: 'xml' (expected ntriples, nquads, or turtle)"
 BAD_FLAGS = {
     "gen-ontology-format": (["gen-ontology", "--format", "xml"], _UNKNOWN_FORMAT),
@@ -830,6 +846,16 @@ BAD_FLAGS = {
     "query-in-format": (["query", "{dir}/graph.nt", "--pattern", "{dir}/pattern.rq", "--in-format", "xml"], _UNKNOWN_FORMAT),
     "decontextualize-relative-context": (
         ["decontextualize", "{dir}/graph.nt", "--context", "rel"], "IRI is not absolute (missing scheme): 'rel'"
+    ),
+    "contextualize-nquads-without-sidecar": (
+        ["contextualize", "{dir}/good.csv", "--format", "nquads"], "--format nquads needs --sidecar FILE"
+    ),
+    # The operating system's reason follows the path; it is not asserted.
+    "out-into-a-missing-directory": (
+        ["contextualize", "{dir}/good.csv", "-o", "{dir}/missing/graph.ttl"], "cannot write {dir}/missing/graph.ttl: "
+    ),
+    "gen-ontology-split-under-a-file": (
+        ["gen-ontology", "--split", "{dir}/good.csv/modules"], "cannot create {dir}/good.csv/modules: "
     ),
 }
 
@@ -884,7 +910,7 @@ class TestMalformedInputs:
         (tmp_path / "pattern.rq").write_text("?s ?p ?o .\n", encoding="utf-8")
         code, out, err = _call([arg.format(dir=tmp_path) for arg in argv])
         assert (code, out, len(err.splitlines())) == (2, "", 1), err
-        assert err.startswith("error: ") and expected in err
+        assert err.startswith("error: ") and expected.format(dir=tmp_path) in err
 
 
 # The `nt-*` rows whose fault `validate` reports on every part under a kind

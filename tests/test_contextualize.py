@@ -378,6 +378,13 @@ class TestDecontextualize:
         kept = decontextualize(g, temporal_registry, selection={EX.t1})
         assert kept == [statements[0]]
 
+    @pytest.mark.parametrize("member", ["http://example.org/t1", Literal("t1"), None])
+    def test_a_selection_member_that_is_not_an_iri_is_refused(self, temporal_registry, member):
+        statement = annotate(EX.a, EX.p, EX.b, ("temporal", EX.t1))
+        g = contextualize([statement], temporal_registry, CombinationModel.multi_context())
+        with pytest.raises(ValueError, match="a selection member must be an IRI, got "):
+            decontextualize(g, temporal_registry, selection={EX.t1, member})
+
     def test_related_mode_round_trips_with_a_reverse_map(self, temporal_registry, paris_statement):
         g = contextualize(
             [paris_statement],
@@ -569,6 +576,24 @@ class TestMintingCollisions:
             "rename the entity or set mode = hash under [minting]"
         )
 
+    # ex:Lyon under temporal ex:ctx mints ex:Lyon@ctx, which the second
+    # statement uses as a context.
+    CONTEXT_COLLIDING = [
+        annotate(EX.Paris, EX.p, EX.Lyon, ("temporal", EX.ctx)),
+        annotate(EX.Rome, EX.q, EX.Milan, ("temporal", EX["Lyon@ctx"])),
+    ]
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["part-first", "context-first"])
+    def test_a_part_equal_to_a_context_names_both(self, two_dim_registry, reverse):
+        statements = self.CONTEXT_COLLIDING[::-1] if reverse else self.CONTEXT_COLLIDING
+        with pytest.raises(PatternError) as raised:
+            contextualize(statements, two_dim_registry, CombinationModel.multi_context())
+        assert str(raised.value) == (
+            "minted part <http://example.org/Lyon@ctx> for <http://example.org/Lyon> "
+            "in temporal=<http://example.org/ctx> is also a context of the input; "
+            "rename the context or set mode = hash under [minting]"
+        )
+
     def test_hash_minting_keeps_a_part_apart_from_an_entity(self, two_dim_registry):
         g = contextualize(
             self.ENTITY_COLLIDING,
@@ -655,13 +680,13 @@ def test_round_trip_is_lossless_or_a_pattern_error(statements, model, mode):
     ids=["multi", "nested", "combined"],
 )
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 399), st.booleans(), st.booleans(), st.randoms(use_true_random=False))
+@given(st.integers(0, 399), st.booleans(), st.booleans(), st.booleans(), st.randoms(use_true_random=False))
 def test_contextualize_does_not_depend_on_statement_order(
-    model, mode, predicate_mode, serial, share_local_name, part_as_entity, shuffler
+    model, mode, predicate_mode, serial, share_local_name, part_as_entity, part_as_context, shuffler
 ):
     """Every order of one statement list gives the same graph, or every
-    order raises `PatternError`: the collision checks see each part and
-    entity whichever of them comes first."""
+    order raises `PatternError`: the collision checks see each part,
+    entity and context whichever of them comes first."""
     registry = corpus_registry()
     policy = MintingPolicy(mode=mode)
     statements = random_corpus(random.Random(serial), serial)
@@ -676,6 +701,11 @@ def test_contextualize_does_not_depend_on_statement_order(
         first = statements[0]
         part = policy.mint_part(first.base.subject, first.assignment_pairs())
         statements.append(annotate(part, EX.knows, EX.Beta, ("trust", EX.trusted)))
+    if part_as_context:
+        # A context named as the innermost part of the first statement's subject.
+        first = statements[0]
+        part = policy.mint_part(first.base.subject, first.assignment_pairs())
+        statements.append(annotate(EX.Beta, EX.knows, EX.Gamma, ("trust", part)))
 
     def outcome(order):
         try:
@@ -685,6 +715,8 @@ def test_contextualize_does_not_depend_on_statement_order(
         return serialize(graph, "ntriples")
 
     expected = outcome(statements)
+    if part_as_context:
+        assert expected is PatternError
     for _ in range(4):
         assert outcome(shuffler.sample(statements, len(statements))) == expected
 

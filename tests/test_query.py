@@ -21,6 +21,7 @@ from ndfluents import (
     Graph,
     Iri,
     Literal,
+    MintingPolicy,
     Pattern,
     QueryError,
     RDF_TYPE,
@@ -385,6 +386,15 @@ class TestAggregates:
             "digits than Python writes out as text (see sys.set_int_max_str_digits)"
         )
 
+    def test_a_numeric_literal_decimal_cannot_read_is_named(self):
+        g = Graph([Triple(EX.a, EX.score, Literal("NaN", datatype=XSD.decimal))])
+        pattern = parse_pattern("?row <http://example.org/score> ?o .\nAGG SUM ?o AS s\n")
+        with pytest.raises(QueryError) as raised:
+            match(g, pattern)
+        assert str(raised.value) == (
+            'unparseable numeric literal "NaN"^^<http://www.w3.org/2001/XMLSchema#decimal> under SUM(?o)'
+        )
+
     def test_a_non_numeric_value_is_named_in_term_order(self):
         # The terms come in reverse term order, as a group's solutions may.
         terms = [Literal(f"bad{i}") for i in reversed(range(6))]
@@ -556,6 +566,23 @@ class TestPatternValidation:
         with pytest.raises(QueryError):
             Pattern(())
 
+    @pytest.mark.parametrize(
+        "positions, message",
+        [
+            ((Variable("s"), "http://example.org/p", Variable("o")), "a pattern position must be a variable or an RDF term, got 'http://example.org/p'"),
+            (("?s", EX.p, Variable("o")), "a pattern position must be a variable or an RDF term, got '?s'"),
+            ((Variable("s"), EX.p, 5), "a pattern position must be a variable or an RDF term, got 5"),
+            ((Literal("x"), EX.p, Variable("o")), "a literal cannot be a subject"),
+            ((Variable("s"), Literal("p"), Variable("o")), "the predicate must be an IRI or variable"),
+            ((Variable("s"), BlankNode("p"), Variable("o")), "the predicate must be an IRI or variable"),
+        ],
+        ids=["str-predicate", "str-subject", "int-object", "literal-subject", "literal-predicate", "blank-predicate"],
+    )
+    def test_a_position_that_cannot_match_is_rejected(self, positions, message):
+        with pytest.raises(QueryError) as raised:
+            TriplePattern(*positions)
+        assert str(raised.value) == message
+
 
 class TestContextSlice:
     @pytest.mark.parametrize(
@@ -585,6 +612,66 @@ class TestContextSlice:
                     assert set(decontextualize(piece, registry)) == {
                         s for s in recovered if (dimension, context) in s.assignment_pairs()
                     }
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from([
+            CombinationModel.multi_context(),
+            CombinationModel.contexts_in_context(["provenance", "temporal", "trust"]),
+            CombinationModel.combined_extent(),
+        ]),
+        st.sampled_from(["suffix", "hash"]),
+    )
+    def test_slice_properties_on_random_corpora(self, serial, model, mode):
+        """On `contextualize` output, a slice is a subgraph, slicing it again
+        gives it back, and it decontextualizes to the statements that
+        `decontextualize` selects by its context (in its dimension)."""
+        for registry in (corpus_registry(), _core_extent_registry()):
+            statements = random_corpus(random.Random(serial), serial)
+            graph = contextualize(statements, registry, model, MintingPolicy(mode=mode))
+            recovered = decontextualize(graph, registry)
+            for dimension, context in {pair for s in statements for pair in s.assignment_pairs()}:
+                for given_dimension in (None, dimension):
+                    piece = context_slice(graph, registry, context, dimension=given_dimension)
+                    assert set(piece) <= set(graph)
+                    assert set(context_slice(piece, registry, context, dimension=given_dimension)) == set(piece)
+                    if given_dimension is None:
+                        expected = set(decontextualize(graph, registry, selection={context}))
+                    else:
+                        expected = {s for s in recovered if (dimension, context) in s.assignment_pairs()}
+                    assert set(decontextualize(piece, registry)) == expected
+
+    def test_a_part_used_as_a_context_is_read_as_a_part(self, two_dim_registry):
+        # ex:a's provenance extent reaches ex:b, a part that lists ex:m as a
+        # member context: the slice keeps the edge to ex:b, but neither ex:b's
+        # member link nor ex:m's description. `validate` reports ex:b as
+        # DisjointClasses.
+        kept = [
+            Triple(EX.a, TEMPORAL.part_of, EX.Paris),
+            Triple(EX.a, TEMPORAL.extent, EX.y2016),
+            Triple(EX.a, PROVENANCE.extent, EX.b),
+            Triple(EX.a, EX.population, Literal("5", datatype=XSD.integer)),
+            Triple(EX.y2016, RDF_TYPE, TEMPORAL.context_class),
+        ]
+        left_out = [
+            Triple(EX.b, TEMPORAL.part_of, EX.Lyon),
+            Triple(EX.b, TEMPORAL.extent, EX.y2017),
+            Triple(EX.b, CORE.memberContext, EX.m),
+            Triple(EX.m, RDF_TYPE, PROVENANCE.context_class),
+        ]
+        graph = Graph(kept + left_out)
+        for dimension in (None, "temporal"):
+            assert set(context_slice(graph, two_dim_registry, EX.y2016, dimension=dimension)) == set(kept)
+
+    @pytest.mark.parametrize("context", ["http://example.org/y2016", EX.y2016.n3(), None])
+    def test_a_context_that_is_not_an_iri_is_rejected(self, temporal_registry, context):
+        graph = core_extent_graph()
+        with pytest.raises(QueryError, match="the context filter needs an IRI, got "):
+            context_slice(graph, temporal_registry, context)
+        pattern = Pattern((TriplePattern(Variable("s"), EX.population, Variable("o")),), context=("temporal", context))
+        with pytest.raises(QueryError, match="the context filter needs an IRI, got "):
+            match(graph, pattern, temporal_registry)
 
     def test_a_core_extent_is_attributed_by_its_context_type(self, two_dim_registry):
         graph = core_extent_graph()
